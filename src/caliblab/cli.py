@@ -12,10 +12,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +46,7 @@ from .submanifold import (
     torus_patch,
 )
 from .variation import (
+    CASES,
     TOL_INT,
     TOL_POINT,
     ambient_family,
@@ -65,8 +64,6 @@ from .variation import (
 
 SCHEMA_VERSION = 1
 
-CASES = ("um", "associative", "coassociative", "cayley")
-
 DEFAULT_PATCH = {
     "um": "t2-in-r6",
     "associative": "t3-in-r7",
@@ -79,6 +76,20 @@ GENERATOR_DEGREE = {"um": 1, "associative": 2, "coassociative": 3, "cayley": 3}
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_numbers(opts: dict) -> None:
+    """Reject numeric options outside their range instead of replacing them."""
+    for key, val in opts.items():
+        flag = "--" + key.replace("_", "-")
+        if key in ("seed", "count", "trials", "quad_order", "k"):
+            lo = 0 if key == "seed" else 1
+            if isinstance(val, bool) or not isinstance(val, int) or val < lo:
+                raise ConfigError(f"{flag} must be an integer >= {lo}, got {val!r}")
+        elif key in ("tol_point", "tol_int"):
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not (math.isfinite(val) and val > 0):
+                raise ConfigError(f"{flag} must be a positive finite number, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +112,7 @@ class ExperimentConfig:
             raise ConfigError(f"--case must be one of {CASES}")
         if self.generator not in ("random", "test-variation"):
             raise ConfigError(f"unknown generator {self.generator!r}")
-        if self.tol_point <= 0 or self.tol_int <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.quad_order < 1 or self.count < 1:
-            raise ConfigError("quad order and count must be >= 1")
+        _check_numbers(vars(self))
         if self.keep_omega4_1 and self.case != "cayley":
             raise ConfigError("--keep-omega4-1 only applies to the cayley case")
         make_patch(self.patch)  # referenced catalog ids must exist
@@ -225,27 +233,13 @@ def _write_records(records: list[ReportRecord], out: str | None, fmt: str) -> No
         sys.stdout.write(text)
 
 
-def _pool_size() -> int:
-    env = os.environ.get("CALIBLAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _run_jobs(jobs: list) -> list[ReportRecord]:
-    # jobs are (id, callable) pairs; records are re-sorted before writing, so
-    # scheduling order cannot affect the output
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(lambda job: job[1](), jobs))
-
-
 # ---------------------------------------------------------------------------
 # identities
 
 def cmd_identities(opts) -> int:
     records = []
-    case = opts.get("case")
-    corrupt = bool(opts.get("corrupt_structure_constant"))
+    case = opts["case"]
+    corrupt = opts["corrupt_structure_constant"]
     g2 = standard_kit("associative")
     sp = standard_kit("cayley")
     phi, psi = g2.phi_tensor.copy(), g2.psi_tensor.copy()
@@ -267,8 +261,8 @@ def cmd_identities(opts) -> int:
     if case in (None, "sp7"):
         identity_records("sp7", spin7_identity_violations(Phi))
     if case is None:
-        rng = np.random.default_rng(int(opts.get("seed") or 0))
-        trials = int(opts.get("trials") or 10_000)
+        rng = np.random.default_rng(opts["seed"])
+        trials = opts["trials"]
         t0 = time.perf_counter()
         xs = rng.standard_normal((4, trials, 7))
         worst_a = float(np.abs(associative_equality_residuals(g2, *xs[:3])).max())
@@ -280,7 +274,7 @@ def cmd_identities(opts) -> int:
         records.append(_record("equality-coassociative", {"kind": "equality", "trials": trials},
                                {"max_residual": worst_c}, worst_c < 1e-10,
                                1000 * (time.perf_counter() - t0)))
-    _write_records(records, opts.get("out"), opts.get("format") or "jsonl")
+    _write_records(records, opts["out"], opts["format"])
     return 0 if all(r.passed for r in records) else 1
 
 
@@ -306,25 +300,17 @@ def _family_for(case: str, gen: FormField, background=None, k: int = 1,
 
 def cmd_theorem(opts) -> int:
     try:
-        case = opts.get("case")
+        case = opts["case"]
         if case not in CASES:
             raise ConfigError(f"--case must be one of {CASES}")
-        k_um = int(opts.get("k") or 1)
-        default_patch = DEFAULT_PATCH[case]
-        if case == "um" and k_um == 2:
-            default_patch = "t4-in-r6"
+        patch_name = opts["patch"]
+        if patch_name is None:
+            patch_name = "t4-in-r6" if case == "um" and opts["k"] == 2 else DEFAULT_PATCH[case]
         config = ExperimentConfig(
-            case=case,
-            patch=opts.get("patch") or default_patch,
-            generator=opts.get("generator") or "random",
-            count=int(opts.get("count") or 5),
-            quad_order=int(opts.get("quad_order") or 8),
-            tol_point=float(opts.get("tol_point") or TOL_POINT),
-            tol_int=float(opts.get("tol_int") or TOL_INT),
-            seed=int(opts.get("seed") or 0),
-            k=k_um,
-            closed_omega=bool(opts.get("closed_omega")),
-            keep_omega4_1=bool(opts.get("keep_omega4_1")),
+            case=case, patch=patch_name, generator=opts["generator"], count=opts["count"],
+            quad_order=opts["quad_order"], tol_point=opts["tol_point"],
+            tol_int=opts["tol_int"], seed=opts["seed"], k=opts["k"],
+            closed_omega=opts["closed_omega"], keep_omega4_1=opts["keep_omega4_1"],
         )
         patch = config.make_patch()
         if case == "um" and patch.k != 2 * config.k:
@@ -345,40 +331,34 @@ def cmd_theorem(opts) -> int:
             background = UmBackground.wavy(m, rng0, eps=0.01, frequency_axes=tangent_axes)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.count)
-    jobs = []
+    records = []
     tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes \
         else tuple(range(1, patch.k + 1))
 
     for i in range(config.count):
-        exp_id = f"theorem-{case}-{patch.name}-{config.generator}-{i:03d}"
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(seeds[i])
+        inputs = {"case": case, "patch": patch.name, "generator": config.generator,
+                  "index": i, "quad_order": rule.order, "seed": config.seed,
+                  "keep_omega4_1": config.keep_omega4_1}
+        if config.generator == "test-variation":
+            results, passed = _test_variation_results(
+                case, patch, rule, config.keep_omega4_1, config.tol_point)
+        else:
+            gen = _random_generator(case, patch.n, rng, tangent_axes)
+            if case == "um" and background is not None and not background.is_flat:
+                gen = _resonant_um_generator(background, rng)
+            fam = _family_for(case, gen, background, config.k, config.keep_omega4_1)
+            verdict = theorem_A_experiment(case, patch, fam, rule,
+                                           config.tol_point, config.tol_int)
+            results = verdict.scalars()
+            results["chain_consistency"] = chain_consistency(
+                case, patch, rule, nodes=rule.nodes[:1])
+            passed = verdict.all_pass and results["chain_consistency"] < config.tol_point
+        records.append(_record(f"theorem-{case}-{patch.name}-{config.generator}-{i:03d}",
+                               inputs, results, passed, 1000 * (time.perf_counter() - t0)))
 
-        def job(i=i, exp_id=exp_id):
-            t0 = time.perf_counter()
-            rng = np.random.default_rng(seeds[i])
-            inputs = {"case": case, "patch": patch.name, "generator": config.generator,
-                      "index": i, "quad_order": rule.order, "seed": config.seed,
-                      "keep_omega4_1": config.keep_omega4_1}
-            if config.generator == "test-variation":
-                results, passed = _test_variation_results(
-                    case, patch, rule, config.keep_omega4_1, config.tol_point)
-            else:
-                gen = _random_generator(case, patch.n, rng, tangent_axes)
-                if case == "um" and background is not None and not background.is_flat:
-                    gen = _resonant_um_generator(background, rng)
-                fam = _family_for(case, gen, background, config.k, config.keep_omega4_1)
-                verdict = theorem_A_experiment(case, patch, fam, rule,
-                                               config.tol_point, config.tol_int)
-                results = verdict.scalars()
-                results["chain_consistency"] = chain_consistency(
-                    case, patch, rule, nodes=rule.nodes[:1])
-                passed = verdict.all_pass and results["chain_consistency"] < config.tol_point
-            return _record(exp_id, inputs, results, passed,
-                           1000 * (time.perf_counter() - t0))
-
-        jobs.append((exp_id, job))
-
-    records = _run_jobs(jobs)
-    _write_records(records, opts.get("out"), opts.get("format") or "jsonl")
+    _write_records(records, opts["out"], opts["format"])
     return 0 if all(r.passed for r in records) else 1
 
 
@@ -481,9 +461,7 @@ def random_triple(rng) -> MapTriple:
 
 
 def cmd_smith(opts) -> int:
-    seed = int(opts.get("seed") or 0)
-    trials = int(opts.get("trials") or 50)
-    order = int(opts.get("quad_order") or 8)
+    seed, trials, order = opts["seed"], opts["trials"], opts["quad_order"]
     records = []
     rng = np.random.default_rng(seed)
 
@@ -548,7 +526,7 @@ def cmd_smith(opts) -> int:
                             "gap": abs(tv - afv)}, abs(tv - afv) < 1e-6,
                            1000 * (time.perf_counter() - t0)))
 
-    _write_records(records, opts.get("out"), opts.get("format") or "jsonl")
+    _write_records(records, opts["out"], opts["format"])
     return 0 if all(r.passed for r in records) else 1
 
 
@@ -556,50 +534,27 @@ def cmd_smith(opts) -> int:
 # minimal suite
 
 def cmd_minimal(opts) -> int:
-    seed = int(opts.get("seed") or 0)
-    count = int(opts.get("count") or 5)
-    order = int(opts.get("quad_order") or 8)
-    tol_int = float(opts.get("tol_int") or TOL_INT)
+    seed, count, order, tol_int = opts["seed"], opts["count"], opts["quad_order"], opts["tol_int"]
     records = []
     seeds = np.random.SeedSequence(seed).spawn(count)
 
     curved = [make_patch("sphere"), make_patch("circle-r2"), make_patch("torus2-r3")]
     flat = make_patch("t2-in-r4")
-    jobs = []
     for i in range(count):
-        for patch in curved:
-            exp_id = f"minimal-{patch.name}-{i:03d}"
-
-            def job(i=i, patch=patch, exp_id=exp_id):
-                t0 = time.perf_counter()
-                rng = np.random.default_rng(seeds[i])
-                x = VectorField.random(patch.n, rng)
-                rule = QuadratureRule(patch.box, order)
-                out = minimal_comparison(patch, x, rule)
-                passed = out["fd_vs_divergence"] < tol_int \
-                    and out["analytic_vs_divergence"] < tol_int
-                return _record(exp_id, {"patch": patch.name, "index": i},
-                               out, passed, 1000 * (time.perf_counter() - t0))
-
-            jobs.append((exp_id, job))
-
-        exp_id = f"minimal-{flat.name}-{i:03d}"
-
-        def job(i=i, exp_id=exp_id):
+        for patch in curved + [flat]:
             t0 = time.perf_counter()
             rng = np.random.default_rng(seeds[i])
-            x = VectorField.random(flat.n, rng, with_linear=False)
-            rule = QuadratureRule(flat.box, order)
-            out = minimal_comparison(flat, x, rule)
-            passed = abs(out["analytic_first_variation"]) < 1e-8 \
-                and out["analytic_vs_divergence"] < tol_int
-            return _record(exp_id, {"patch": flat.name, "index": i},
-                           out, passed, 1000 * (time.perf_counter() - t0))
-
-        jobs.append((exp_id, job))
-
-    records = _run_jobs(jobs)
-    _write_records(records, opts.get("out"), opts.get("format") or "jsonl")
+            x = VectorField.random(patch.n, rng, with_linear=patch is not flat)
+            out = minimal_comparison(patch, x, QuadratureRule(patch.box, order))
+            if patch is flat:
+                passed = abs(out["analytic_first_variation"]) < 1e-8
+            else:
+                passed = out["fd_vs_divergence"] < tol_int
+            passed = passed and out["analytic_vs_divergence"] < tol_int
+            records.append(_record(f"minimal-{patch.name}-{i:03d}",
+                                   {"patch": patch.name, "index": i}, out, passed,
+                                   1000 * (time.perf_counter() - t0)))
+    _write_records(records, opts["out"], opts["format"])
     return 0 if all(r.passed for r in records) else 1
 
 
@@ -703,6 +658,11 @@ def main(argv=None) -> int:
         opts = _merged_options(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        _check_numbers(opts)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = {
         "identities": cmd_identities,

@@ -28,6 +28,7 @@ from .exterior import (
     interior,
     n_coeffs,
     wedge,
+    wedge_coeffs,
 )
 from .structures import G2Kit, Spin7Kit, _g2_tensors, _spin7_tensor
 
@@ -303,11 +304,10 @@ def _metric_tables():
     ax, pi, po, sg = _interior_table(7, 3)
     int_maps = np.zeros((7, 21, 35))
     int_maps[ax, po, pi] = sg
-    ia, ib, io, sg23 = _wedge_table(7, 2, 3)
-    ia25, ib25, _, sg25 = _wedge_table(7, 2, 5)
+    ia25, ib25, sg25 = _wedge_table(7, 2, 5)
     pair = np.zeros((21, 21))
     pair[ia25, ib25] = sg25
-    return int_maps, (ia, ib, io, sg23), pair
+    return int_maps, pair
 
 
 def metric_from_3form(phi_t: KForm) -> tuple[SymTensor2, float]:
@@ -319,13 +319,10 @@ def metric_from_3form(phi_t: KForm) -> tuple[SymTensor2, float]:
     """
     if (phi_t.n, phi_t.k) != (7, 3):
         raise DimensionError("metric_from_3form needs a 3-form on R^7")
-    int_maps, (ia, ib, io, sg23), pair = _metric_tables()
+    int_maps, pair = _metric_tables()
     v = phi_t.coeffs
     contractions = int_maps @ v                       # (7, 21): e_i _| phi
-    fives = np.zeros((7, 21))                         # (e_j _| phi) ^ phi
-    prods = sg23 * contractions[:, ia] * v[ib]
-    for j in range(7):
-        np.add.at(fives[j], io, prods[j])
+    fives = wedge_coeffs(contractions, v, 7, 2, 3)    # (e_j _| phi) ^ phi
     b = -(contractions @ pair @ fives.T) / 144.0
     b = 0.5 * (b + b.T)
     det = np.linalg.det(b)

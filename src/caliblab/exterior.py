@@ -62,8 +62,9 @@ def sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, ka: int, kb: int):
-    """Index arrays (ia, ib, iout, sign) of all nonzero basis products."""
-    ia, ib, io, sg = [], [], [], []
+    """Index arrays (ia, ib, sign) of all nonzero basis products, each of
+    shape (C(ka+kb, ka), C(n, ka+kb)): column p holds the terms of output p."""
+    by_out = [[] for _ in range(n_coeffs(n, ka + kb))]
     pos_out = index_position(n, ka + kb)
     for pa, idx_a in enumerate(multi_indices(n, ka)):
         set_a = set(idx_a)
@@ -71,12 +72,9 @@ def _wedge_table(n: int, ka: int, kb: int):
             if set_a & set(idx_b):
                 continue
             merged, sign = sort_with_sign(idx_a + idx_b)
-            ia.append(pa)
-            ib.append(pb)
-            io.append(pos_out[merged])
-            sg.append(sign)
-    return (np.asarray(ia), np.asarray(ib), np.asarray(io),
-            np.asarray(sg, dtype=np.int64))
+            by_out[pos_out[merged]].append((pa, pb, sign))
+    terms = np.array(by_out).transpose(2, 1, 0)
+    return terms[0], terms[1], terms[2].astype(float)
 
 
 @lru_cache(maxsize=None)
@@ -291,16 +289,52 @@ class KForm:
 # ---------------------------------------------------------------------------
 # operations
 
+def wedge_coeffs(a, b, n: int, ka: int, kb: int) -> np.ndarray:
+    """Wedge of coefficient arrays (..., C(n, ka)) and (..., C(n, kb)).
+
+    The leading shapes must agree, or one of them must hold a single form,
+    which is then used for every row of the other.  Batches are processed
+    coefficient-major, one pass per term of an output coefficient, so the
+    temporaries stay the size of the output.
+    """
+    if ka + kb > n:
+        raise DimensionError(f"degree overflow: {ka}+{kb} > {n}")
+    ia, ib, sg = _wedge_table(n, ka, kb)
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.ndim == b.ndim == 1:
+        # one form each: a single gather of all terms
+        return (sg * a[ia] * b[ib]).sum(axis=0)
+    lead = max(a.shape[:-1], b.shape[:-1], key=math.prod)
+    if a.size == a.shape[-1] and b.size == b.shape[-1]:
+        return wedge_coeffs(a.ravel(), b.ravel(), n, ka, kb).reshape(lead + (-1,))
+    at = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+    bt = np.ascontiguousarray(b.reshape(-1, b.shape[-1]).T)
+    out = 0.0
+    for j in range(ia.shape[0]):
+        term = at[ia[j]] * bt[ib[j]]
+        term *= sg[j][:, None]
+        out += term
+    return out.T.reshape(lead + out.shape[:1])
+
+
+def minors(rows) -> np.ndarray:
+    """Coefficients of v_1 ^ ... ^ v_k for rows (..., k, n): the k x k minors,
+    shape (..., C(n, k))."""
+    rows = np.asarray(rows, float)
+    k, n = rows.shape[-2:]
+    if k == 0:
+        return np.ones(rows.shape[:-2] + (1,))
+    out = rows[..., 0, :]
+    for i in range(1, k):
+        out = wedge_coeffs(out, rows[..., i, :], n, i, 1)
+    return out
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Graded-commutative wedge product."""
     if a.n != b.n:
         raise DimensionError("ambient dimension mismatch")
-    if a.k + b.k > a.n:
-        raise DimensionError(f"degree overflow: {a.k}+{b.k} > {a.n}")
-    ia, ib, io, sg = _wedge_table(a.n, a.k, b.k)
-    out = np.zeros(n_coeffs(a.n, a.k + b.k))
-    np.add.at(out, io, sg * a.coeffs[ia] * b.coeffs[ib])
-    return KForm(a.n, a.k + b.k, out)
+    return KForm(a.n, a.k + b.k, wedge_coeffs(a.coeffs, b.coeffs, a.n, a.k, b.k))
 
 
 def interior(v, a: KForm) -> KForm:
@@ -321,11 +355,7 @@ def evaluate(a: KForm, vectors) -> float:
     vecs = np.asarray(vectors, float)
     if vecs.shape != (a.k, a.n):
         raise DimensionError(f"need {a.k} vectors of dimension {a.n}")
-    if a.k == 0:
-        return float(a.coeffs[0])
-    idxs = np.asarray(multi_indices(a.n, a.k))
-    minors = np.linalg.det(vecs[:, idxs].transpose(1, 0, 2))
-    return float(a.coeffs @ minors)
+    return float(a.coeffs @ minors(vecs))
 
 
 def pullback(a: KForm, mat) -> KForm:
@@ -358,14 +388,20 @@ def _orthonormalizing_basis(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(r)
 
 
+def star_coeffs(coeffs, n: int, k: int) -> np.ndarray:
+    """Euclidean Hodge star on coefficient arrays (..., C(n, k))."""
+    perm, sg = _star_table(n, k)
+    coeffs = np.asarray(coeffs, float)
+    out = np.empty_like(coeffs)
+    out[..., perm] = sg * coeffs
+    return out
+
+
 def hodge_star(a: KForm, metric=None, orientation: int = 1) -> KForm:
     """Hodge dual with respect to a constant metric and orientation sign."""
     g = _metric_matrix(metric, a.n)
     if g is None:
-        perm, sg = _star_table(a.n, a.k)
-        out = np.zeros(n_coeffs(a.n, a.n - a.k))
-        out[perm] = sg * a.coeffs
-        return KForm(a.n, a.n - a.k, orientation * out)
+        return KForm(a.n, a.n - a.k, orientation * star_coeffs(a.coeffs, a.n, a.k))
     basis = _orthonormalizing_basis(g)
     in_frame = pullback(a, basis)
     starred = hodge_star(in_frame, None, orientation)

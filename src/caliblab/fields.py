@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import KForm, n_coeffs, wedge
+from .exterior import KForm, index_position, n_coeffs, wedge
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,12 @@ class UmBackground:
         return all(not w for w in self.waves)
 
     def lambdas(self, y) -> np.ndarray:
+        """lambda_a at one point (m,) or at a batch of points (N, m)."""
         y = np.asarray(y, float)
-        out = np.ones(self.m)
+        out = np.ones(y.shape[:-1] + (self.m,))
         for a, wlist in enumerate(self.waves):
             for amp, freq, phase in wlist:
-                out[a] += amp * math.sin(2 * math.pi * float(freq @ y) + phase)
+                out[..., a] += amp * np.sin(2 * math.pi * (y @ freq) + phase)
         return out
 
     def lambda_grads(self, y) -> np.ndarray:
@@ -228,16 +229,22 @@ class UmBackground:
                 out[a] += amp * 2 * math.pi * math.cos(2 * math.pi * float(freq @ y) + phase) * freq
         return out
 
-    def omega(self, y) -> KForm:
+    def omega_coeffs(self, y) -> np.ndarray:
+        """Coefficients of omega at one point or at a batch of points (..., C(n, 2))."""
         lam = self.lambdas(y)
-        return KForm.from_components(
-            self.n, 2, {(2 * a + 1, 2 * a + 2): lam[a] for a in range(self.m)}
-        )
+        out = np.zeros(lam.shape[:-1] + (n_coeffs(self.n, 2),))
+        pos = index_position(self.n, 2)
+        for a in range(self.m):
+            out[..., pos[(2 * a, 2 * a + 1)]] = lam[..., a]
+        return out
+
+    def omega(self, y) -> KForm:
+        return KForm(self.n, 2, self.omega_coeffs(y))
 
     def metric(self, y) -> np.ndarray:
-        lam = self.lambdas(y)
-        diag = np.repeat(lam, 2)
-        return np.diag(diag)
+        """The background metric at one point (n, n) or at a batch of points (N, n, n)."""
+        diag = np.repeat(self.lambdas(y), 2, axis=-1)
+        return diag[..., None] * np.eye(self.n)
 
     def d_omega(self, y) -> KForm:
         grads = self.lambda_grads(y)

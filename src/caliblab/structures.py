@@ -262,27 +262,6 @@ def spin7_identity_violations(Phi: np.ndarray) -> dict[str, int]:
     return {name: int(np.abs(v).max()) for name, v in checks.items()}
 
 
-def associative_equality_residual(kit: G2Kit, X, Y, Z) -> float:
-    """|chi(X,Y,Z)|^2 + phi(X,Y,Z)^2 - |X^Y^Z|^2."""
-    chi = chi_3fold(kit, X, Y, Z)
-    phi_val = evaluate(kit.phi, [X, Y, Z])
-    gram = np.array([X, Y, Z]) @ np.array([X, Y, Z]).T
-    return float(chi @ chi + phi_val**2 - np.linalg.det(gram))
-
-
-def coassociative_equality_residual(kit: G2Kit, X, Y, Z, W) -> float:
-    """psi(X,Y,Z,W)^2 + |phi-corrected combination|^2 - |X^Y^Z^W|^2."""
-    phi_t = kit.phi_tensor.astype(float)
-    psi_val = evaluate(kit.psi, [X, Y, Z, W])
-
-    def p(a, b, c):
-        return np.einsum("ijk,i,j,k->", phi_t, a, b, c)
-
-    vec = p(Y, Z, W) * X - p(X, Z, W) * Y + p(X, Y, W) * Z - p(X, Y, Z) * W
-    gram = np.array([X, Y, Z, W]) @ np.array([X, Y, Z, W]).T
-    return float(psi_val**2 + vec @ vec - np.linalg.det(gram))
-
-
 def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
     """Batched residuals of the associative equality over triples of rows."""
     phi_t = kit.phi_tensor.astype(float)

@@ -83,14 +83,24 @@ class Patch:
     _eval: Callable = field(repr=False)
     _jac: Callable | None = field(default=None, repr=False)
     _hess: Callable | None = field(default=None, repr=False)
-    flat: bool = False
+    flat: bool = False                   # affine: constant Jacobian
     axes: tuple[int, ...] | None = None  # 0-based spanned axes when flat
 
     def position(self, x) -> np.ndarray:
         return np.asarray(self._eval(np.asarray(x, float)), float)
 
     def positions(self, xs: np.ndarray) -> np.ndarray:
+        """Points u(x) for parameter rows xs (N, k), shape (N, n)."""
+        if self.flat:
+            return self.position(np.zeros(self.k)) + xs @ self.jacobian(xs[0]).T
         return np.array([self.position(x) for x in xs])
+
+    def jacobians(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at parameter rows xs, shape (N, n, k); a flat patch has a
+        constant Jacobian and returns it once, shape (1, n, k), to broadcast."""
+        if self.flat:
+            return self.jacobian(xs[0])[None]
+        return np.array([self.jacobian(x) for x in xs])
 
     def jacobian(self, x) -> np.ndarray:
         """Columns are the coordinate tangent vectors du/dx^a, shape (n, k)."""

@@ -3,10 +3,12 @@
 Each family records the analytic velocity h of the ambient metric along a
 patch, the velocity of the calibration form, and (where a nonlinear family
 exists) a black-box metric evaluator for finite-difference cross checks.
-Position-dependent generators are represented by their values and first
-derivatives along the patch only; exterior derivatives of the test variations
-use the 2-jet of the distance function, with terms linear in its gradient
-dropped since they vanish on the patch.
+Analytic evaluators are batched over quadrature nodes; the experiments run
+them over fixed-size blocks of nodes.  Position-dependent generators are
+represented by their values and first derivatives along the patch only;
+exterior derivatives of the test variations use the 2-jet of the distance
+function, with terms linear in its gradient dropped since they vanish on the
+patch.
 """
 from __future__ import annotations
 
@@ -25,12 +27,19 @@ from .decomposition import (
     metric_from_3form,
     project_35_7_batch,
 )
-from .exterior import KForm, evaluate, gram_schmidt_adapt, hodge_star, wedge
+from .exterior import (
+    KForm,
+    evaluate,
+    hodge_star,
+    minors,
+    star_coeffs,
+    wedge,
+    wedge_coeffs,
+)
 from .fields import FormField, UmBackground, VectorField
 from .structures import (
     G2Kit,
     Spin7Kit,
-    UmKit,
     cayley_cross,
     chi_3fold,
     cross_2fold,
@@ -48,6 +57,9 @@ TOL_POINT = 1e-8
 TOL_INT = 1e-6
 TOL_FRAME = 1e-9
 
+# quadrature nodes evaluated together; bounds the batched temporaries
+NODE_BLOCK = 512
+
 CASES = ("um", "associative", "coassociative", "cayley")
 
 # sign of Tr_g h for each case's test variation, times the defect integrand;
@@ -57,18 +69,36 @@ CHAIN_SIGN = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 1.
 
 @dataclass
 class VariationFamily:
-    """A one-parameter metric variation with analytic velocity along a patch."""
+    """A one-parameter metric variation with analytic velocity along a patch.
+
+    The batched evaluators take a patch and parameter rows xs (N, k) and
+    return one row per node, or a single row that holds at every node.
+    """
     case: str
-    h_at: Callable                      # (patch, x) -> ambient (n, n) velocity
-    mu_dot_at: Callable | None = None   # (patch, x) -> KForm of calibration degree
-    gbar_at: Callable | None = None     # (patch, x, t) -> ambient (n, n) metric
-    gbar0_at: Callable | None = None    # background metric; None means Euclidean
+    h: Callable                       # (patch, xs) -> (N, n, n) ambient velocity
+    mu_dot: Callable | None = None    # (patch, xs) -> (N, C(n, p)) calibration-form velocity
+    mu: Callable | None = None        # (patch, xs) -> (N, C(n, p)) calibration form
+    gbar_at: Callable | None = None   # (patch, x, t) -> ambient (n, n) metric, one point
+    gbar0: Callable | None = None     # (patch, xs) -> (N, n, n) background; None is Euclidean
     meta: dict = field(default_factory=dict)
 
-    def background_metric(self, patch: Patch, x) -> np.ndarray:
-        if self.gbar0_at is None:
-            return np.eye(patch.n)
-        return self.gbar0_at(patch, x)
+
+def _constant(form: KForm) -> Callable:
+    return lambda patch, xs: form.coeffs[None]
+
+
+def _at_positions(fn: Callable) -> Callable:
+    """Batched evaluator from a function of one ambient point."""
+    return lambda patch, xs: np.array([fn(y) for y in patch.positions(xs)])
+
+
+def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Antisymmetric matrices (..., n, n) of 2-form coefficient rows."""
+    i, j = np.triu_indices(n, 1)  # lexicographic pairs, the coefficient order
+    out = np.zeros(coeffs.shape[:-1] + (n, n))
+    out[..., i, j] = coeffs
+    out[..., j, i] = -coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -80,73 +110,68 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
     if alphadot.n != background.n:
         raise ValueError("1-form field dimension does not match the background")
     J = background.J
-    m = background.m
+    n = background.n
 
-    def a_matrix(y):
-        return alphadot.d(y).to_tensor()
+    def omega(patch, xs):
+        # constant on the flat background: one row serves every node
+        return background.omega_coeffs(patch.positions(xs[:1] if background.is_flat else xs))
 
-    def h_at(patch, x):
-        a = a_matrix(patch.position(x))
-        aj = a @ J
-        return 0.5 * (aj + aj.T)
+    def wedge_omegas(c, om, first):
+        # c ^ om^(k-1) / (first (first + 1) ... (first + k - 2))
+        for i in range(k - 1):
+            c = wedge_coeffs(c, om, n, 2 + 2 * i, 2) * (1.0 / (first + i))
+        return c
 
-    def mu_dot_at(patch, x):
-        y = patch.position(x)
-        da = alphadot.d(y)
-        out = da
-        omega = background.omega(y)
-        for j in range(1, k):
-            out = wedge(out, omega) * (1.0 / j)
-        return out
+    def h(patch, xs):
+        aj = _antisym_mats(alphadot.d_coeffs_batch(patch.positions(xs)), n) @ J
+        return 0.5 * (aj + np.swapaxes(aj, -1, -2))
+
+    def mu_dot(patch, xs):
+        return wedge_omegas(alphadot.d_coeffs_batch(patch.positions(xs)), omega(patch, xs), 1)
+
+    def mu(patch, xs):
+        om = omega(patch, xs)
+        return wedge_omegas(om, om, 2)
 
     def gbar_at(patch, x, t):
         y = patch.position(x)
-        a = a_matrix(y)
+        a = alphadot.d(y).to_tensor()
         a11 = 0.5 * (a + J.T @ a @ J)
         omega_t = background.omega(y).to_tensor() + t * a11
         oj = omega_t @ J
         return 0.5 * (oj + oj.T)
 
-    def gbar0_at(patch, x):
-        return background.metric(patch.position(x))
+    def gbar0(patch, xs):
+        return background.metric(patch.positions(xs))
 
-    return VariationFamily("um", h_at, mu_dot_at, gbar_at, gbar0_at,
-                           meta={"background": background, "k": k,
-                                 "generator": alphadot,
-                                 "flat_background": background.is_flat})
+    return VariationFamily("um", h, mu_dot, mu, gbar_at,
+                           None if background.is_flat else gbar0,
+                           meta={"background": background, "k": k, "generator": alphadot})
 
 
 def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
     """Metric family induced by phi_t = phi + t d(betadot)."""
     phi = kit.phi
 
-    def h_at(patch, x):
-        eta = betadot.d_coeffs(patch.position(x))
-        return h_from_3form_batch(eta)[0]
-
-    def mu_dot_at(patch, x):
-        return betadot.d(patch.position(x))
+    def d(patch, xs):
+        return betadot.d_coeffs_batch(patch.positions(xs))
 
     def gbar_at(patch, x, t):
         eta = betadot.d(patch.position(x))
         return metric_from_3form(phi + t * eta)[0].entries
 
-    return VariationFamily("associative", h_at, mu_dot_at, gbar_at,
-                           meta={"generator": betadot, "kit": kit})
+    return VariationFamily("associative", lambda p, xs: h_from_3form_batch(d(p, xs)), d,
+                           _constant(phi), gbar_at, meta={"generator": betadot, "kit": kit})
 
 
 def coassoc_family_from_gamma(gammadot: FormField, kit: G2Kit) -> VariationFamily:
     """Metric family induced by psi_t = psi + t d(gammadot); linearized route only."""
 
-    def h_at(patch, x):
-        rho = gammadot.d_coeffs(patch.position(x))
-        return h_from_4form_batch(rho)[0]
+    def d(patch, xs):
+        return gammadot.d_coeffs_batch(patch.positions(xs))
 
-    def mu_dot_at(patch, x):
-        return gammadot.d(patch.position(x))
-
-    return VariationFamily("coassociative", h_at, mu_dot_at, None,
-                           meta={"generator": gammadot, "kit": kit})
+    return VariationFamily("coassociative", lambda p, xs: h_from_4form_batch(d(p, xs)), d,
+                           _constant(kit.psi), meta={"generator": gammadot, "kit": kit})
 
 
 def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
@@ -158,30 +183,21 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
     class excludes; it is kept available to demonstrate the failure mode.
     """
 
-    def sigma_at(patch, x):
-        d = gammadot.d_coeffs(patch.position(x))
-        out = project_35_7_batch(d)[0]
+    def sigma(patch, xs):
+        d = gammadot.d_coeffs_batch(patch.positions(xs))
+        out = project_35_7_batch(d)
         if keep_omega4_1:
             u = _phi_unit()
-            out = out + float(d @ u) * u
+            out = out + (d @ u)[:, None] * u
         return out
 
-    def h_at(patch, x):
-        d = gammadot.d_coeffs(patch.position(x))
-        if keep_omega4_1:
-            return h_sp7_batch(d)[0]
-        return h0_sp7_batch(d)[0]
+    def h(patch, xs):
+        d = gammadot.d_coeffs_batch(patch.positions(xs))
+        return (h_sp7_batch if keep_omega4_1 else h0_sp7_batch)(d)
 
-    def mu_dot_at(patch, x):
-        return KForm(8, 4, sigma_at(patch, x))
-
-    def dgamma_at(patch, x):
-        return gammadot.d(patch.position(x))
-
-    return VariationFamily("cayley", h_at, mu_dot_at, None,
+    return VariationFamily("cayley", h, sigma, _constant(kit.Phi),
                            meta={"generator": gammadot, "kit": kit,
-                                 "keep_omega4_1": keep_omega4_1,
-                                 "sigma_at": sigma_at, "dgamma_at": dgamma_at})
+                                 "keep_omega4_1": keep_omega4_1})
 
 
 def _phi_unit():
@@ -193,30 +209,24 @@ def _phi_unit():
 def lie_family(xfield: VectorField) -> VariationFamily:
     """Pullback family along the flow of an ambient field (Euclidean background)."""
 
-    def h_at(patch, x):
-        dx = xfield.jacobian(patch.position(x))
+    def lie_derivative(y):
+        dx = xfield.jacobian(y)
         return dx + dx.T
 
-    return VariationFamily("flow", h_at, meta={"field": xfield})
+    return VariationFamily("flow", _at_positions(lie_derivative), meta={"field": xfield})
 
 
 def scaling_family(n: int) -> VariationFamily:
     """The family e^t gbar around the Euclidean metric."""
 
-    def h_at(patch, x):
-        return np.eye(n)
-
     def gbar_at(patch, x, t):
         return math.exp(t) * np.eye(n)
 
-    return VariationFamily("scaling", h_at, None, gbar_at)
+    return VariationFamily("scaling", lambda patch, xs: np.eye(n)[None], gbar_at=gbar_at)
 
 
 def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
     """Generic family gbar_t = I + t H(y) + t^2 K(y) with velocity H."""
-
-    def h_at(patch, x):
-        return h_field.value(patch.position(x))
 
     def gbar_at(patch, x, t):
         y = patch.position(x)
@@ -225,22 +235,41 @@ def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
             g = g + t * t * quadratic_field.value(y)
         return g
 
-    return VariationFamily("ambient", h_at, None, gbar_at)
+    return VariationFamily("ambient", _at_positions(h_field.value), gbar_at=gbar_at)
 
 
 # ---------------------------------------------------------------------------
 # first variations
 
+def _node_blocks(patch: Patch, rule: QuadratureRule):
+    """(slice, parameter rows, Jacobians) over blocks of at most NODE_BLOCK nodes."""
+    for start in range(0, rule.nodes.shape[0], NODE_BLOCK):
+        sl = slice(start, start + NODE_BLOCK)
+        xs = rule.nodes[sl]
+        yield sl, xs, patch.jacobians(xs)
+
+
+def _trace_g(g: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr_g of the restriction J^T h J at each node."""
+    jt = np.swapaxes(jac, -1, -2)
+    # inverting g, not solving against it, inverts a flat patch's single g once
+    return np.einsum("...ab,...ba->...", np.linalg.inv(g), jt @ h @ jac)
+
+
+def _first_variation_integrand(patch: Patch, family: VariationFamily, xs, jac):
+    """(1/2) Tr_g h, sqrt(det g) and the induced metric g at the nodes."""
+    jt = np.swapaxes(jac, -1, -2)
+    g = jt @ jac if family.gbar0 is None else jt @ family.gbar0(patch, xs) @ jac
+    return 0.5 * _trace_g(g, jac, family.h(patch, xs)), np.sqrt(np.linalg.det(g)), g
+
+
 def analytic_first_variation(patch: Patch, family: VariationFamily,
                              rule: QuadratureRule) -> float:
     """(1/2) integral of Tr_g h over the patch by quadrature."""
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        j = patch.jacobian(x)
-        gbar = family.background_metric(patch, x)
-        g = j.T @ gbar @ j
-        hp = j.T @ family.h_at(patch, x) @ j
-        vals[i] = 0.5 * np.trace(np.linalg.solve(g, hp)) * math.sqrt(np.linalg.det(g))
+    for sl, xs, jac in _node_blocks(patch, rule):
+        half_tr, density, _ = _first_variation_integrand(patch, family, xs, jac)
+        vals[sl] = half_tr * density
     return rule.integrate(vals)
 
 
@@ -264,15 +293,11 @@ def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRu
 # ---------------------------------------------------------------------------
 # test variations (jet-reduced exterior derivatives along the patch)
 
-def _tangent_frame_from_jacobian(j: np.ndarray, gbar=None) -> np.ndarray:
-    """Oriented orthonormal tangent rows; same frame Gram-Schmidt produces."""
-    g = j.T @ j if gbar is None else j.T @ gbar @ j
-    l = np.linalg.cholesky(g)
-    return (j @ np.linalg.inv(l).T).T
-
-
 def _tangent_frame(patch: Patch, x) -> np.ndarray:
-    return _tangent_frame_from_jacobian(patch.jacobian(x))
+    """Oriented orthonormal tangent rows; same frame Gram-Schmidt produces."""
+    j = patch.jacobian(x)
+    l = np.linalg.cholesky(j.T @ j)
+    return (j @ np.linalg.inv(l).T).T
 
 
 def _resolve_tangent(sel, frame: np.ndarray, patch: Patch, x) -> np.ndarray:
@@ -356,12 +381,10 @@ def test_variation_family(case: str, patch: Patch, V=None, W=None,
                           keep_omega4_1: bool = False) -> VariationFamily:
     """Family whose velocity is the jet-reduced test variation along the patch."""
 
-    def h_at(p, x):
-        return _test_variation_h(case, p, x, V, W, keep_omega4_1)
+    def h(p, xs):
+        return np.array([_test_variation_h(case, p, x, V, W, keep_omega4_1) for x in xs])
 
-    return VariationFamily(case, h_at,
-                           meta={"V": V, "W": W, "keep_omega4_1": keep_omega4_1,
-                                 "flat_background": False})
+    return VariationFamily(case, h, meta={"V": V, "W": W, "keep_omega4_1": keep_omega4_1})
 
 
 test_variation_family.__test__ = False
@@ -519,20 +542,6 @@ class TheoremVerdict:
         return out
 
 
-def _calibration_value(case: str, family: VariationFamily, patch: Patch, x,
-                       frame: np.ndarray) -> float:
-    if case == "um":
-        background: UmBackground = family.meta["background"]
-        k = family.meta["k"]
-        y = patch.position(x)
-        mu = background.omega(y)
-        for j in range(2, k + 1):
-            mu = wedge(mu, background.omega(y)) * (1.0 / j)
-        return evaluate(mu, frame)
-    kit = family.meta["kit"]
-    return evaluate(kit.mu, frame)
-
-
 def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
                          rule: QuadratureRule, tol_point: float = TOL_POINT,
                          tol_int: float = TOL_INT,
@@ -544,66 +553,53 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
     form restricted to the patch, (iii) the direct quadrature of that
     restricted velocity (zero by Stokes on closed patches), and, in the
     Cayley case, the extra condition integral.
+
+    One minors array per node serves every restriction: forms are evaluated
+    on the coordinate frame through the Jacobian minors, and on the
+    orthonormal tangent frame through the same minors over sqrt(det g).
     """
-    if patch.flat and patch.axes is not None and family.meta.get("flat_background", True):
-        return _theorem_A_flat(case, patch, family, rule, tol_point, tol_int,
-                               compute_fd)
-    fv = 0.0
-    stokes = 0.0
-    identity_err = 0.0
-    condition = 0.0 if case == "cayley" else None
-    raw_err = 0.0 if case == "cayley" else None
-    plane_value = None
-    plane_defect = 0.0
+    cayley = case == "cayley"
+    fv, value, identity, stokes, condition, raw = np.empty((6, rule.nodes.shape[0]))
+    for sl, xs, jac in _node_blocks(patch, rule):
+        half_tr, density, g = _first_variation_integrand(patch, family, xs, jac)
+        fv[sl] = half_tr * density
+        jac_minors = minors(np.swapaxes(jac, -1, -2))
+        frame = jac_minors / density[:, None]
+        value[sl] = np.sum(family.mu(patch, xs) * frame, axis=-1)
+        # the calibrated orientation of the tangent frame
+        orient = np.where(value[sl] < 0, -1.0, 1.0)
+        mu_dot = family.mu_dot(patch, xs)
+        identity[sl] = np.abs(half_tr - orient * np.sum(mu_dot * frame, axis=-1))
+        if not cayley:
+            stokes[sl] = np.sum(mu_dot * jac_minors, axis=-1)
+            continue
+        # Stokes route uses the exact form d(gammadot), not its projection
+        d = family.meta["generator"].d_coeffs_batch(patch.positions(xs))
+        star_d = star_coeffs(d, patch.n, 4)
+        stokes[sl] = np.sum(d * jac_minors, axis=-1)
+        condition[sl] = np.sum(star_d * jac_minors, axis=-1)
+        # raw trace identity Tr_g h(sigma) = sigma_T - sigma_N + Tr(sigma^)/168 for
+        # unprojected sigma (valid along Cayley planes), where sigma_N, sigma on
+        # the completing normal frame, is (*sigma) on the oriented tangent frame
+        sig_tn = orient * np.sum((d - star_d) * frame, axis=-1)
+        tr_hat = np.trace(hat_sigma_batch(d), axis1=-2, axis2=-1)
+        raw[sl] = np.abs(_trace_g(g, jac, h_sp7_batch(d)) - (sig_tn + tr_hat / 168.0))
 
-    for i, x in enumerate(rule.nodes):
-        wgt = rule.weights[i]
-        j = patch.jacobian(x)
-        gbar = family.background_metric(patch, x)
-        g = j.T @ gbar @ j
-        density = math.sqrt(np.linalg.det(g))
-        h = family.h_at(patch, x)
-        tr = float(np.trace(np.linalg.solve(g, j.T @ h @ j)))
-        fv += wgt * 0.5 * tr * density
-
-        frame = _tangent_frame_from_jacobian(j, gbar)
-        value = _calibration_value(case, family, patch, x, frame)
-        if plane_value is None:
-            plane_value = value
-        plane_defect = max(plane_defect, abs(abs(value) - 1.0))
-
-        mu_dot = family.mu_dot_at(patch, x)
-        # pointwise identity: (1/2) Tr_g h = mu_dot on the calibrated-oriented frame
-        frame_cal = frame
-        if value < 0:
-            frame_cal = frame.copy()
-            frame_cal[-1] = -frame_cal[-1]
-        identity_err = max(identity_err, abs(0.5 * tr - evaluate(mu_dot, frame_cal)))
-
-        if case == "cayley":
-            # Stokes route uses the exact form d(gammadot), not its projection
-            dgamma = family.meta["dgamma_at"](patch, x)
-            stokes += wgt * evaluate(dgamma, j.T)
-            star_d = hodge_star(dgamma)
-            condition += wgt * evaluate(star_d, j.T)
-            raw_err = max(raw_err, _cayley_raw_identity_error(dgamma, j, g))
-        else:
-            stokes += wgt * evaluate(mu_dot, j.T)
-
+    plane_value = float(value[0])
+    plane_defect = float(np.max(np.abs(np.abs(value) - 1.0)))
     verdict = TheoremVerdict(
         case=case, patch=patch.name, calibrated=plane_defect < 1e-8,
-        plane_value=float(plane_value), plane_defect=float(plane_defect),
-        analytic_first_variation=float(fv),
+        plane_value=plane_value, plane_defect=plane_defect,
+        analytic_first_variation=rule.integrate(fv),
         defect_integral=theorem_B_defect(case, patch, rule),
-        identity_max_err=float(identity_err), stokes_value=float(stokes),
-        cayley_condition=condition, cayley_raw_identity_err=raw_err,
+        identity_max_err=float(identity.max()), stokes_value=rule.integrate(stokes),
+        cayley_condition=rule.integrate(condition) if cayley else None,
+        cayley_raw_identity_err=float(raw.max()) if cayley else None,
         tolerances={"point": tol_point, "int": tol_int},
     )
-    orient = 1.0
-    if case == "cayley" and plane_value is not None and plane_value < 0:
-        orient = -1.0
+    orient_sign = -1.0 if cayley and plane_value < 0 else 1.0
     _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int,
-                      compute_fd, orient_sign=orient)
+                      compute_fd, orient_sign)
     return verdict
 
 
@@ -633,149 +629,6 @@ def _finalize_verdict(verdict: TheoremVerdict, case: str, patch: Patch,
     elif verdict.um_dw_route is None and patch.closed:
         verdict.passes["first_variation_zero"] = abs(fv) < tol_int
         verdict.passes["stokes_zero"] = abs(verdict.stokes_value) < tol_int
-
-
-def _theorem_A_flat(case: str, patch: Patch, family: VariationFamily,
-                    rule: QuadratureRule, tol_point: float, tol_int: float,
-                    compute_fd: bool) -> TheoremVerdict:
-    """Batched evaluation on axis planes with the standard flat background."""
-    from .exterior import index_position
-
-    n, k = patch.n, patch.k
-    axes = list(patch.axes)
-    ys = rule.nodes @ np.eye(n)[axes]
-    w = rule.weights
-    pos_t = index_position(n, k)[tuple(axes)]
-    condition = None
-    raw_err = None
-
-    if case == "um":
-        background: UmBackground = family.meta["background"]
-        kk = family.meta["k"]
-        alphadot: FormField = family.meta["generator"]
-        kit = standard_kit("um", m=n // 2, k=kk)
-        a_c = alphadot.d_coeffs_batch(ys)
-        mats = _antisym_mats(a_c, n)
-        aj = mats @ kit.J
-        h = 0.5 * (aj + np.swapaxes(aj, 1, 2))
-        tr = h[:, axes, axes].sum(axis=1)
-        mu = kit.mu
-        lvec = _um_identity_vector(kit, kk, pos_t)
-        mu_dot_frame = a_c @ lvec
-        stokes = float(np.dot(w, mu_dot_frame))
-        plane_value = float(mu.coeffs[pos_t])
-    else:
-        kit = family.meta["kit"]
-        gen: FormField = family.meta["generator"]
-        d_c = gen.d_coeffs_batch(ys)
-        if case == "associative":
-            h = h_from_3form_batch(d_c)
-            sig = d_c
-            plane_value = float(kit.phi.coeffs[pos_t])
-        elif case == "coassociative":
-            h = h_from_4form_batch(d_c)
-            sig = d_c
-            plane_value = float(kit.psi.coeffs[pos_t])
-        else:
-            keep = family.meta.get("keep_omega4_1", False)
-            sig = project_35_7_batch(d_c)
-            if keep:
-                u = _phi_unit()
-                sig = sig + (d_c @ u)[:, None] * u
-                h = h_sp7_batch(d_c)
-            else:
-                h = h0_sp7_batch(d_c)
-            plane_value = float(kit.Phi.coeffs[pos_t])
-        tr = h[:, axes, axes].sum(axis=1)
-        c_t = 1.0 if plane_value >= 0 else -1.0
-        mu_dot_frame = c_t * sig[:, pos_t]
-        stokes = float(np.dot(w, d_c[:, pos_t]))
-        if case == "cayley":
-            from .decomposition import _sp7_maps
-
-            star = _sp7_maps()[2]
-            condition = float(np.dot(w, (d_c @ star.T)[:, pos_t]))
-            raw_err = _cayley_raw_flat_error(d_c, axes, c_t, n)
-
-    fv = float(np.dot(w, 0.5 * tr))
-    identity_err = float(np.max(np.abs(0.5 * tr - mu_dot_frame)))
-    plane_defect = abs(abs(plane_value) - 1.0)
-    verdict = TheoremVerdict(
-        case=case, patch=patch.name, calibrated=plane_defect < 1e-8,
-        plane_value=plane_value, plane_defect=plane_defect,
-        analytic_first_variation=fv,
-        defect_integral=theorem_B_defect(case, patch, rule),
-        identity_max_err=identity_err, stokes_value=stokes,
-        cayley_condition=condition, cayley_raw_identity_err=raw_err,
-        tolerances={"point": tol_point, "int": tol_int},
-    )
-    orient = -1.0 if (case == "cayley" and plane_value < 0) else 1.0
-    _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int,
-                      compute_fd, orient_sign=orient)
-    return verdict
-
-
-def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
-    from .exterior import multi_indices
-
-    pairs = multi_indices(n, 2)
-    out = np.zeros((coeffs.shape[0], n, n))
-    for c, (i, j) in enumerate(pairs):
-        out[:, i, j] = coeffs[:, c]
-        out[:, j, i] = -coeffs[:, c]
-    return out
-
-
-def _um_identity_vector(kit: UmKit, k: int, pos_t: int) -> np.ndarray:
-    """Coefficient functional: d(adot) -> (d(adot) ^ omega^{k-1}/(k-1)!) on the plane."""
-    from .exterior import n_coeffs
-
-    n = kit.n
-    power = KForm(n, 0, np.ones(1))
-    for j in range(1, k):
-        power = wedge(power, kit.omega) * (1.0 / j)
-    dim = n_coeffs(n, 2)
-    eye = np.eye(dim)
-    out = np.empty(dim)
-    for c in range(dim):
-        out[c] = wedge(KForm(n, 2, eye[c]), power).coeffs[pos_t]
-    return out
-
-
-def _cayley_raw_flat_error(d_c: np.ndarray, axes, c_t: float, n: int) -> float:
-    """Flat-plane version of the raw trace identity for unprojected sigma."""
-    from .exterior import index_position, sort_with_sign
-
-    comp = tuple(i for i in range(n) if i not in axes)
-    pos_n = index_position(n, 4)[comp]
-    _, s_p = sort_with_sign(tuple(axes) + comp)
-    h_full = h_sp7_batch(d_c)
-    tr_full = h_full[:, axes, axes].sum(axis=1)
-    sig_t = c_t * d_c[:, index_position(n, 4)[tuple(axes)]]
-    sig_n = (s_p * c_t) * d_c[:, pos_n]
-    tr_hat = np.trace(hat_sigma_batch(d_c), axis1=1, axis2=2)
-    return float(np.max(np.abs(tr_full - (sig_t - sig_n + tr_hat / 168.0))))
-
-
-def _cayley_raw_identity_error(dgamma: KForm, j, g) -> float:
-    """Check Tr_g h(sigma) = sigma_T - sigma_N + Tr(sigma^)/168 for raw sigma.
-
-    Valid along Cayley planes only; needs the tangent frame in its calibrated
-    orientation and the normal frame completing it to the standard one.
-    """
-    kit = standard_kit("cayley")
-    frame = gram_schmidt_adapt(j.T).vectors.copy()
-    if evaluate(kit.Phi, frame[:4]) < 0:
-        frame[3] = -frame[3]
-    if np.linalg.det(frame) < 0:
-        frame[-1] = -frame[-1]
-    tangent, normal = frame[:4], frame[4:]
-    h = h_sp7_batch(dgamma.coeffs)[0]
-    tr = float(np.trace(np.linalg.solve(g, j.T @ h @ j)))
-    sig_t = evaluate(dgamma, tangent)
-    sig_n = evaluate(dgamma, normal)
-    tr_hat = float(np.trace(hat_sigma_batch(dgamma.coeffs)[0]))
-    return abs(tr - (sig_t - sig_n + tr_hat / 168.0))
 
 
 def _um_dw_route(patch: Patch, family: VariationFamily, rule: QuadratureRule) -> float:

@@ -2,16 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "caliblab.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    # the child interpreter finds the package in this checkout, installed or not
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
 
 
@@ -102,13 +104,31 @@ class TestTheoremCommand:
         proc = run_cli("theorem", "--case", "um", "--keep-omega4-1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("theorem", "--case", "associative", "--count", "0"),
+        ("theorem", "--case", "associative", "--quad-order", "0"),
+        ("theorem", "--case", "associative", "--tol-point", "0"),
+        ("theorem", "--case", "associative", "--tol-point", "nan"),
+        ("theorem", "--case", "associative", "--tol-int", "0"),
+        ("theorem", "--case", "associative", "--seed", "-1"),
+        ("minimal", "--count", "-2"),
+        ("identities", "--trials", "-5"),
+        ("smith", "--quad-order", "0"),
+    ])
+    def test_out_of_range_option_exits_2(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestDeterminismAndFormats:
     def test_byte_identical_given_seed(self):
         args = ("theorem", "--case", "associative", "--count", "2",
                 "--seed", "11", "--quad-order", "4")
-        a = run_cli(*args, env_extra={"CALIBLAB_THREADS": "4"})
-        b = run_cli(*args, env_extra={"CALIBLAB_THREADS": "1"})
+        a = run_cli(*args)
+        b = run_cli(*args)
         ra = strip_wall(parse_jsonl(a.stdout))
         rb = strip_wall(parse_jsonl(b.stdout))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)

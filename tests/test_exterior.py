@@ -15,8 +15,10 @@ from caliblab.exterior import (
     gram_schmidt_adapt,
     hodge_star,
     interior,
+    minors,
     multi_indices,
     wedge,
+    wedge_coeffs,
 )
 
 
@@ -101,6 +103,18 @@ class TestWedge:
         assert np.array_equal(wedge(wedge(a, b), c).coeffs,
                               wedge(a, wedge(b, c)).coeffs)
 
+    def test_batched_coeffs_match_rowwise(self):
+        # the batched kernel against one product per row, with both operands
+        # batched, with one broadcast, and with a single row each
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((70, 28))
+        b = rng.standard_normal((70, 56))
+        want = np.array([wedge(KForm(8, 2, x), KForm(8, 3, y)).coeffs for x, y in zip(a, b)])
+        assert np.allclose(wedge_coeffs(a, b, 8, 2, 3), want, rtol=0, atol=1e-12)
+        want_b0 = np.array([wedge(KForm(8, 2, x), KForm(8, 3, b[0])).coeffs for x in a])
+        assert np.allclose(wedge_coeffs(a, b[:1], 8, 2, 3), want_b0, rtol=0, atol=1e-12)
+        assert np.allclose(wedge_coeffs(a[:1], b[:1], 8, 2, 3), want[:1], rtol=0, atol=1e-12)
+
     def test_errors(self):
         with pytest.raises(DimensionError):
             wedge(KForm.basis(7, 1), KForm.basis(8, 1))
@@ -163,6 +177,13 @@ class TestEvaluate:
         vecs = rng.standard_normal((k, n))
         assert evaluate(a, vecs) == pytest.approx(
             brute_force_evaluate(a, vecs), rel=1e-12, abs=1e-12)
+
+    def test_batched_minors(self):
+        rng = np.random.default_rng(7)
+        a = random_form(rng, 8, 4)
+        rows = rng.standard_normal((9, 4, 8))
+        want = [brute_force_evaluate(a, r) for r in rows]
+        assert np.allclose(minors(rows) @ a.coeffs, want, rtol=0, atol=1e-12)
 
     def test_tensor_round_trip(self):
         rng = np.random.default_rng(60)

@@ -59,14 +59,14 @@ class TestFamilies:
     def test_um_zero_generator(self):
         fam = um_family_from_alpha(FormField(6, 1), UmBackground.flat(3), 1)
         p = flat_plane((1, 2), 6)
-        assert np.abs(fam.h_at(p, np.array([0.3, 0.3]))).max() == 0.0
+        assert np.abs(fam.h(p, np.array([[0.3, 0.3]]))[0]).max() == 0.0
 
     def test_um_h_J_invariant(self):
         rng = np.random.default_rng(0)
         bg = UmBackground.flat(3)
         fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
         p = flat_plane((1, 2), 6)
-        h = fam.h_at(p, np.array([0.4, 0.9]))
+        h = fam.h(p, np.array([[0.4, 0.9]]))[0]
         assert np.abs(bg.J.T @ h @ bg.J - h).max() < 1e-12
 
     def test_um_gbar_fd_matches_h(self):
@@ -80,7 +80,7 @@ class TestFamilies:
             assert np.abs(fam.gbar_at(p, x, 0.0)
                           - bg.metric(p.position(x))).max() < 1e-14
             fd, _ = fd_derivative(lambda t: fam.gbar_at(p, x, t), 0.0, 1e-4)
-            assert np.abs(fd - fam.h_at(p, x)).max() < 1e-8
+            assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-8
 
     def test_assoc_gbar_fd_matches_h(self):
         rng = np.random.default_rng(2)
@@ -89,7 +89,7 @@ class TestFamilies:
         for _ in range(5):
             fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
             fd, _ = fd_derivative(lambda t: fam.gbar_at(p, x, t), 0.0, 1e-4)
-            assert np.abs(fd - fam.h_at(p, x)).max() < 1e-7
+            assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-7
 
     def test_assoc_constant_phi_direction(self):
         # velocity d(beta) = phi is the scaling direction: h = (2/3) Id, the
@@ -111,11 +111,11 @@ class TestFamilies:
         p8 = flat_plane((1, 2, 3, 4), 8)
         x3, x4 = np.full(3, 0.3), np.full(4, 0.3)
         assert np.abs(assoc_family_from_beta(FormField(7, 2), G2)
-                      .h_at(p3, x3)).max() == 0.0
+                      .h(p3, x3[None])[0]).max() == 0.0
         assert np.abs(coassoc_family_from_gamma(FormField(7, 3), COASSOC)
-                      .h_at(p47, x4)).max() == 0.0
+                      .h(p47, x4[None])[0]).max() == 0.0
         assert np.abs(cayley_family_from_gamma(FormField(8, 3), SP7)
-                      .h_at(p8, x4)).max() == 0.0
+                      .h(p8, x4[None])[0]).max() == 0.0
 
     def test_coassoc_trace_relation_propagates(self):
         rng = np.random.default_rng(3)
@@ -126,7 +126,7 @@ class TestFamilies:
         for _ in range(5):
             gen = FormField.random_fourier(7, 3, rng)
             fam = coassoc_family_from_gamma(gen, COASSOC)
-            h = fam.h_at(p, x)
+            h = fam.h(p, x[None])[0]
             rho = gen.d_coeffs(p.position(x))
             hat = hat_rho_batch(rho)[0]
             assert 2 * np.trace(hat) == pytest.approx(96 * np.trace(h), abs=1e-9)
@@ -139,8 +139,8 @@ class TestFamilies:
         x = np.array([0.3, 0.1, 0.8, 0.5])
         gen = FormField.random_fourier(8, 3, rng)
         fam = cayley_family_from_gamma(gen, SP7)
-        sigma = fam.meta["sigma_at"](p, x)
-        assert np.abs(h_sp7_batch(sigma)[0] - fam.h_at(p, x)).max() < 1e-10
+        sigma = fam.mu_dot(p, x[None])[0]
+        assert np.abs(h_sp7_batch(sigma)[0] - fam.h(p, x[None])[0]).max() < 1e-10
 
     def test_scaling_family(self):
         p = flat_plane((1, 2, 3), 7)
@@ -401,24 +401,35 @@ class TestTheoremA:
         assert b.identity_max_err == pytest.approx(a.identity_max_err, abs=1e-10)
 
     def test_flat_and_generic_paths_agree(self):
-        # the batched axis-plane evaluation and the generic per-node loop must
-        # produce the same verdict on the same geometry
+        # an axis plane broadcasts its one constant Jacobian over the nodes; its
+        # rotated_plane twin supplies one Jacobian per node.  Both must produce
+        # the same verdict; the U(m) pair spans several node blocks.
         from caliblab.submanifold import rotated_plane
+        from caliblab.variation import NODE_BLOCK
 
         rng = np.random.default_rng(19)
         pairs = [
             ("associative", flat_plane((1, 2, 3), 7),
              rotated_plane(np.eye(7)[:3], 7, "slow-123"),
-             assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)),
+             assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2), 4),
             ("cayley", flat_plane((1, 2, 3, 4), 8),
              rotated_plane(np.eye(8)[:4], 8, "slow-1234"),
              cayley_family_from_gamma(
-                 FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)), SP7)),
+                 FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)), SP7), 4),
+            ("um", flat_plane((1, 2, 3, 4), 6),
+             rotated_plane(np.eye(6)[:4], 6, "slow-1234-r6"),
+             um_family_from_alpha(FormField.random_fourier(6, 1, rng),
+                                  UmBackground.flat(3), 2), 6),
+            ("coassociative", flat_plane((4, 5, 6, 7), 7),
+             rotated_plane(np.eye(7)[3:], 7, "slow-4567"),
+             coassoc_family_from_gamma(FormField.random_fourier(7, 3, rng), COASSOC), 4),
         ]
-        for case, fast_patch, slow_patch, fam in pairs:
-            rule = QuadratureRule(fast_patch.box, 4)
+        assert max(order ** p.k for _, p, _, _, order in pairs) > 2 * NODE_BLOCK
+        for case, fast_patch, slow_patch, fam, order in pairs:
+            rule = QuadratureRule(fast_patch.box, order)
             a = theorem_A_experiment(case, fast_patch, fam, rule)
             b = theorem_A_experiment(case, slow_patch, fam, rule)
+            assert a.calibrated and b.calibrated
             assert a.analytic_first_variation == pytest.approx(
                 b.analytic_first_variation, abs=1e-12)
             assert a.stokes_value == pytest.approx(b.stokes_value, abs=1e-12)
