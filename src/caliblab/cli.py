@@ -15,9 +15,11 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
+from .exterior import DimensionError
 from .fields import FormField, SymTensorField, UmBackground, VectorField
 from .smith import (
     MapTriple,
@@ -73,52 +75,11 @@ DEFAULT_PATCH = {
 
 GENERATOR_DEGREE = {"um": 1, "associative": 2, "coassociative": 3, "cayley": 3}
 
+GENERATORS = ("random", "test-variation")
+
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_numbers(opts: dict) -> None:
-    """Reject numeric options outside their range instead of replacing them."""
-    for key, val in opts.items():
-        flag = "--" + key.replace("_", "-")
-        if key in ("seed", "count", "trials", "quad_order", "k"):
-            lo = 0 if key == "seed" else 1
-            if isinstance(val, bool) or not isinstance(val, int) or val < lo:
-                raise ConfigError(f"{flag} must be an integer >= {lo}, got {val!r}")
-        elif key in ("tol_point", "tol_int"):
-            if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                    or not (math.isfinite(val) and val > 0):
-                raise ConfigError(f"{flag} must be a positive finite number, got {val!r}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated inputs of one theorem-experiment batch."""
-    case: str
-    patch: str
-    generator: str = "random"
-    count: int = 5
-    quad_order: int = 8
-    tol_point: float = TOL_POINT
-    tol_int: float = TOL_INT
-    seed: int = 0
-    k: int = 1
-    closed_omega: bool = False
-    keep_omega4_1: bool = False
-
-    def __post_init__(self):
-        if self.case not in CASES:
-            raise ConfigError(f"--case must be one of {CASES}")
-        if self.generator not in ("random", "test-variation"):
-            raise ConfigError(f"unknown generator {self.generator!r}")
-        _check_numbers(vars(self))
-        if self.keep_omega4_1 and self.case != "cayley":
-            raise ConfigError("--keep-omega4-1 only applies to the cayley case")
-        make_patch(self.patch)  # referenced catalog ids must exist
-
-    def make_patch(self) -> Patch:
-        return make_patch(self.patch)
 
 
 @dataclass(frozen=True)
@@ -298,64 +259,71 @@ def _family_for(case: str, gen: FormField, background=None, k: int = 1,
     return cayley_family_from_gamma(gen, standard_kit("cayley"), keep_omega4_1)
 
 
+def theorem_patch(opts) -> Patch:
+    """The patch of a theorem run, checked against the case's structure kit.
+    Raises ConfigError if it does not fit, KeyError for an unknown patch."""
+    case, k = opts["case"], opts["k"]
+    if opts["keep_omega4_1"] and case != "cayley":
+        raise ConfigError("--keep-omega4-1 only applies to the cayley case")
+    name = opts["patch"]
+    if name is None:
+        name = "t4-in-r6" if case == "um" and k == 2 else DEFAULT_PATCH[case]
+    patch = make_patch(name)
+    try:
+        kit = standard_kit(case, m=patch.n // 2, k=k)
+    except DimensionError as exc:
+        raise ConfigError(f"--case {case} --k {k} does not fit patch {name}: {exc}") from exc
+    # the U(m) kit lives in R^{2m}, so this also rejects an odd ambient dimension
+    if (patch.n, patch.k) != (kit.n, kit.calibration_dim):
+        raise ConfigError(f"--case {case} calibrates {kit.calibration_dim}-planes in "
+                          f"R^{kit.n}; patch {name} is a {patch.k}-patch in R^{patch.n}")
+    return patch
+
+
 def cmd_theorem(opts) -> int:
     try:
-        case = opts["case"]
-        if case not in CASES:
-            raise ConfigError(f"--case must be one of {CASES}")
-        patch_name = opts["patch"]
-        if patch_name is None:
-            patch_name = "t4-in-r6" if case == "um" and opts["k"] == 2 else DEFAULT_PATCH[case]
-        config = ExperimentConfig(
-            case=case, patch=patch_name, generator=opts["generator"], count=opts["count"],
-            quad_order=opts["quad_order"], tol_point=opts["tol_point"],
-            tol_int=opts["tol_int"], seed=opts["seed"], k=opts["k"],
-            closed_omega=opts["closed_omega"], keep_omega4_1=opts["keep_omega4_1"],
-        )
-        patch = config.make_patch()
-        if case == "um" and patch.k != 2 * config.k:
-            raise ConfigError(f"patch dimension {patch.k} does not match --k {config.k}")
+        patch = theorem_patch(opts)
     except (ConfigError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    case, generator, seed, k = opts["case"], opts["generator"], opts["seed"], opts["k"]
+    keep, tol_point = opts["keep_omega4_1"], opts["tol_point"]
 
-    rule = QuadratureRule(patch.box, config.quad_order)
+    rule = QuadratureRule(patch.box, opts["quad_order"])
     background = None
     if case == "um":
         m = patch.n // 2
-        rng0 = np.random.default_rng(config.seed)
-        if config.closed_omega or config.k == 1:
+        rng0 = np.random.default_rng(seed)
+        if opts["closed_omega"] or k == 1:
             background = UmBackground.flat(m)
         else:
             tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes else None
             background = UmBackground.wavy(m, rng0, eps=0.01, frequency_axes=tangent_axes)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.count)
+    seeds = np.random.SeedSequence(seed).spawn(opts["count"])
     records = []
     tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes \
         else tuple(range(1, patch.k + 1))
 
-    for i in range(config.count):
+    for i in range(opts["count"]):
         t0 = time.perf_counter()
         rng = np.random.default_rng(seeds[i])
-        inputs = {"case": case, "patch": patch.name, "generator": config.generator,
-                  "index": i, "quad_order": rule.order, "seed": config.seed,
-                  "keep_omega4_1": config.keep_omega4_1}
-        if config.generator == "test-variation":
-            results, passed = _test_variation_results(
-                case, patch, rule, config.keep_omega4_1, config.tol_point)
+        inputs = {"case": case, "patch": patch.name, "generator": generator,
+                  "index": i, "quad_order": rule.order, "seed": seed,
+                  "keep_omega4_1": keep}
+        if generator == "test-variation":
+            results, passed = _test_variation_results(case, patch, rule, keep, tol_point)
         else:
             gen = _random_generator(case, patch.n, rng, tangent_axes)
             if case == "um" and background is not None and not background.is_flat:
                 gen = _resonant_um_generator(background, rng)
-            fam = _family_for(case, gen, background, config.k, config.keep_omega4_1)
-            verdict = theorem_A_experiment(case, patch, fam, rule,
-                                           config.tol_point, config.tol_int)
+            fam = _family_for(case, gen, background, k, keep)
+            verdict = theorem_A_experiment(case, patch, fam, rule, tol_point, opts["tol_int"])
             results = verdict.scalars()
             results["chain_consistency"] = chain_consistency(
                 case, patch, rule, nodes=rule.nodes[:1])
-            passed = verdict.all_pass and results["chain_consistency"] < config.tol_point
-        records.append(_record(f"theorem-{case}-{patch.name}-{config.generator}-{i:03d}",
+            passed = verdict.all_pass and results["chain_consistency"] < tol_point
+        records.append(_record(f"theorem-{case}-{patch.name}-{generator}-{i:03d}",
                                inputs, results, passed, 1000 * (time.perf_counter() - t0)))
 
     _write_records(records, opts["out"], opts["format"])
@@ -561,7 +529,7 @@ def cmd_minimal(opts) -> int:
 def cmd_catalog(opts) -> int:
     listing = {
         "patches": catalog_patches(),
-        "generators": ["random", "test-variation"],
+        "generators": list(GENERATORS),
         "cases": list(CASES),
         "smith_maps": [name for name, _, _ in smith_catalog()],
     }
@@ -572,35 +540,93 @@ def cmd_catalog(opts) -> int:
 # ---------------------------------------------------------------------------
 # argument handling
 
-_DEFAULTS = {
-    "identities": {"case": None, "seed": 0, "trials": 10_000,
-                   "corrupt_structure_constant": False, "out": None, "format": "jsonl"},
-    "theorem": {"case": None, "patch": None, "generator": "random", "count": 5,
-                "quad_order": 8, "tol_point": TOL_POINT, "tol_int": TOL_INT,
-                "seed": 0, "k": 1, "closed_omega": False, "keep_omega4_1": False,
-                "out": None, "format": "jsonl"},
-    "smith": {"seed": 0, "trials": 50, "quad_order": 8, "out": None, "format": "jsonl"},
-    "minimal": {"seed": 0, "count": 5, "quad_order": 8, "tol_int": TOL_INT,
-                "out": None, "format": "jsonl"},
-    "catalog": {},
+@dataclass(frozen=True)
+class Option:
+    """One row of the option table: ``kind`` int (an integer >= ``lo``), float (a
+    positive finite number), str (a path or name, or one of ``choices``) or bool
+    (a flag).  A None default means unset; a ``required`` option must be set."""
+    kind: type
+    default: object
+    help: str
+    choices: tuple = ()
+    lo: int = 0
+    required: bool = False
+
+
+_QUAD_ORDER = Option(int, 8, "quadrature points per axis", lo=1)
+_TOL_INT = Option(float, TOL_INT, "tolerance of integrated checks")
+_REPORT = {"seed": Option(int, 0, "random seed"),
+           "out": Option(str, None, "write the report to this file, not stdout"),
+           "format": Option(str, "jsonl", "report format", ("jsonl", "csv"))}
+
+# Each subcommand's help and options.  An option's flag is "--" and its key with
+# dashes; its --config key is the key itself.
+COMMANDS = {
+    "identities": ("exact contraction identity suites", {
+        "case": Option(str, None, "one family only", ("g2", "sp7")),
+        "trials": Option(int, 10_000, "random vectors per equality check", lo=1),
+        "corrupt_structure_constant": Option(bool, False,
+                                             "test hook: flip one structure constant"),
+        **_REPORT}),
+    "theorem": ("criticality experiments for one case", {
+        "case": Option(str, None, "calibration case", CASES, required=True),
+        "patch": Option(str, None, "catalog patch (default set by --case and --k)"),
+        "generator": Option(str, "random", "variation generator", GENERATORS),
+        "count": Option(int, 5, "experiments to run", lo=1),
+        "quad_order": _QUAD_ORDER,
+        "tol_point": Option(float, TOL_POINT, "tolerance of pointwise checks"),
+        "tol_int": _TOL_INT,
+        "k": Option(int, 1, "U(m) case: calibrate 2k-planes", lo=1),
+        "closed_omega": Option(bool, False, "U(m) case: keep d omega = 0"),
+        "keep_omega4_1": Option(bool, False, "Cayley case: keep the pure-trace part"),
+        **_REPORT}),
+    "smith": ("map-functional inequality and variation suite", {
+        "trials": Option(int, 50, "random map triples", lo=1),
+        "quad_order": _QUAD_ORDER,
+        **_REPORT}),
+    "minimal": ("flow variations versus mean curvature", {
+        "count": Option(int, 5, "random flows per patch", lo=1),
+        "quad_order": _QUAD_ORDER,
+        "tol_int": _TOL_INT,
+        **_REPORT}),
+    "catalog": ("list built-in patches and generators", {}),
 }
 
 
-def _merged_options(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS[args.command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            file_conf = json.load(fh)
-        for key, val in file_conf.items():
-            if key in merged:
-                merged[key] = val
-    for key in merged:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            merged[key] = val
-    return merged
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _check(key: str, opt: Option, val) -> None:
+    if val is None and opt.default is None and not opt.required:
+        return
+    if opt.choices:
+        ok, want = val in opt.choices, f"one of {opt.choices}"
+    elif opt.kind is float:
+        ok, want = type(val) in (int, float) and 0 < val < math.inf, "a positive finite number"
+    elif opt.kind is int:  # type(), not isinstance(): true is not an integer
+        ok, want = type(val) is int and val >= opt.lo, f"an integer >= {opt.lo}"
+    else:
+        ok, want = type(val) is opt.kind, "true or false" if opt.kind is bool else "a string"
+    if not ok:
+        raise ConfigError(f"{_flag(key)} must be {want}, got {val!r}")
+
+
+def validate_options(command: str, file_values=None, flags=None) -> MappingProxyType:
+    """Read-only options of one subcommand: table defaults < ``file_values``
+    (a --config file's JSON object) < ``flags``.  Raises ConfigError on an
+    unknown key or a value that the option's table row does not allow."""
+    table = COMMANDS[command][1]
+    file_values = {} if file_values is None else file_values
+    if not isinstance(file_values, dict):
+        raise ConfigError(f"a config file must hold a JSON object, got {file_values!r}")
+    unknown = sorted(set(file_values) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {command} option(s) in config: {', '.join(unknown)}")
+    merged = {key: opt.default for key, opt in table.items()} | file_values | (flags or {})
+    for key, opt in table.items():
+        _check(key, opt, merged[key])
+    return MappingProxyType(merged)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,70 +634,43 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="caliblab",
         description="Calibration-geometry identity suites and variation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("jsonl", "csv"))
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-
-    p = sub.add_parser("identities", help="exact contraction identity suites")
-    p.add_argument("--case", choices=("g2", "sp7"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--corrupt-structure-constant", action="store_true",
-                   dest="corrupt_structure_constant",
-                   help="test hook: flip one structure constant")
-    common(p)
-
-    p = sub.add_parser("theorem", help="criticality experiments for one case")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--patch")
-    p.add_argument("--generator", choices=("random", "test-variation"))
-    p.add_argument("--count", type=int)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
-    p.add_argument("--tol-point", type=float, dest="tol_point")
-    p.add_argument("--tol-int", type=float, dest="tol_int")
-    p.add_argument("--k", type=int)
-    p.add_argument("--closed-omega", action="store_true", dest="closed_omega")
-    p.add_argument("--keep-omega4-1", action="store_true", dest="keep_omega4_1")
-    common(p)
-
-    p = sub.add_parser("smith", help="map-functional inequality and variation suite")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
-    common(p)
-
-    p = sub.add_parser("minimal", help="flow variations versus mean curvature")
-    p.add_argument("--count", type=int)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
-    p.add_argument("--tol-int", type=float, dest="tol_int")
-    common(p)
-
-    sub.add_parser("catalog", help="list built-in patches and generators")
+    for command, (help_text, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, opt in table.items():
+            if opt.kind is bool:
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None,
+                               help=opt.help)
+            else:
+                p.add_argument(_flag(key), dest=key, type=opt.kind,
+                               choices=opt.choices or None, help=opt.help)
+        if table:
+            p.add_argument("--config", help="JSON file of option values; explicit flags win")
     return parser
 
 
+def _read_config(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    table = COMMANDS[args.command][1]
+    flags = {key: val for key, val in vars(args).items() if key in table and val is not None}
     try:
-        opts = _merged_options(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _check_numbers(opts)
-    except ConfigError as exc:
+        file_values = _read_config(args.config) if getattr(args, "config", None) else None
+        opts = validate_options(args.command, file_values, flags)
+        if opts.get("out"):  # an unwritable report path fails before any experiment runs
+            open(opts["out"], "a").close()
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = {
-        "identities": cmd_identities,
-        "theorem": cmd_theorem,
-        "smith": cmd_smith,
-        "minimal": cmd_minimal,
-        "catalog": cmd_catalog,
-    }[args.command]
-    return handler(opts)
+    handlers = {"identities": cmd_identities, "theorem": cmd_theorem, "smith": cmd_smith,
+                "minimal": cmd_minimal, "catalog": cmd_catalog}
+    return handlers[args.command](opts)
 
 
 if __name__ == "__main__":

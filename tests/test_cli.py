@@ -21,6 +21,17 @@ def parse_jsonl(text):
     return [json.loads(line) for line in text.strip().splitlines()]
 
 
+def assert_config_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# a cheap valid theorem command line for --config values to break
+THEOREM = ("theorem", "--case", "associative", "--quad-order", "2")
+
+
 def strip_wall(records):
     out = []
     for r in records:
@@ -114,13 +125,33 @@ class TestTheoremCommand:
         ("minimal", "--count", "-2"),
         ("identities", "--trials", "-5"),
         ("smith", "--quad-order", "0"),
+        # the patch must fit the case's structure kit
+        ("theorem", "--case", "um", "--patch", "plane-12-r7"),
+        ("theorem", "--case", "um", "--k", "3", "--patch", "plane-123456-r6"),
+        ("theorem", "--case", "um", "--patch", "plane-12-r2"),
+        ("theorem", "--case", "associative", "--patch", "sphere"),
+        ("theorem", "--case", "cayley", "--patch", "t3-in-r7"),
+        ("theorem", "--case", "coassociative", "--patch", "t3-in-r7"),
+        # an unwritable report path fails before any experiment runs
+        ("theorem", "--case", "associative", "--out", "/nonexistent/dir/x.jsonl"),
     ])
     def test_out_of_range_option_exits_2(self, args):
-        proc = run_cli(*args)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_config_error(run_cli(*args))
+
+    @pytest.mark.parametrize("command,conf", [
+        (("identities",), {"case": "foo"}),
+        (THEOREM, {"format": "xml"}),
+        (THEOREM, {"cuont": 3}),
+        (THEOREM, {"patch": 7}),
+        (THEOREM, [1, 2]),
+        (THEOREM, {"closed_omega": "no"}),
+        (THEOREM, {"out": 1}),
+        (THEOREM, {"count": "3"}),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, command, conf):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        assert_config_error(run_cli(*command, "--config", str(path)))
 
 
 class TestDeterminismAndFormats:
@@ -183,18 +214,22 @@ class TestRecordTypes:
         assert ReportRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
 
     def test_experiment_config_validation(self):
-        from caliblab.cli import ConfigError, ExperimentConfig
+        from caliblab.cli import ConfigError, theorem_patch, validate_options
 
-        good = ExperimentConfig(case="cayley", patch="t4-in-r8", keep_omega4_1=True)
-        assert good.make_patch().n == 8
+        good = validate_options("theorem", {"case": "cayley", "patch": "t4-in-r8",
+                                            "keep_omega4_1": True})
+        assert theorem_patch(good).n == 8
         with pytest.raises(ConfigError):
-            ExperimentConfig(case="nonsense", patch="t3-in-r7")
+            validate_options("theorem", {"case": "nonsense", "patch": "t3-in-r7"})
         with pytest.raises(ConfigError):
-            ExperimentConfig(case="associative", patch="t3-in-r7", tol_int=0.0)
+            validate_options("theorem", {"case": "associative", "patch": "t3-in-r7",
+                                         "tol_int": 0.0})
         with pytest.raises(ConfigError):
-            ExperimentConfig(case="um", patch="t2-in-r6", keep_omega4_1=True)
+            theorem_patch(validate_options("theorem", {"case": "um", "patch": "t2-in-r6",
+                                                       "keep_omega4_1": True}))
         with pytest.raises(KeyError):
-            ExperimentConfig(case="associative", patch="missing-patch")
+            theorem_patch(validate_options("theorem", {"case": "associative",
+                                                       "patch": "missing-patch"}))
 
 
 class TestOtherCommands:
