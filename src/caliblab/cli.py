@@ -12,9 +12,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -31,6 +33,7 @@ from .smith import (
     smith_residual,
 )
 from .structures import (
+    CROSS_ARITY,
     associative_equality_residuals,
     coassociative_equality_residuals,
     g2_identity_violations,
@@ -72,8 +75,6 @@ DEFAULT_PATCH = {
     "coassociative": "t4-in-r7",
     "cayley": "t4-in-r8",
 }
-
-GENERATOR_DEGREE = {"um": 1, "associative": 2, "coassociative": 3, "cayley": 3}
 
 GENERATORS = ("random", "test-variation")
 
@@ -243,7 +244,7 @@ def cmd_identities(opts) -> int:
 # theorem experiments
 
 def _random_generator(case: str, n: int, rng, tangent_axes) -> FormField:
-    deg = GENERATOR_DEGREE[case]
+    deg = CROSS_ARITY[case]  # d(generator) is a velocity of the cross product's form
     freq_axes = tangent_axes if case == "cayley" else None
     return FormField.random_fourier(n, deg, rng, n_modes=3, frequency_axes=freq_axes)
 
@@ -290,6 +291,7 @@ def cmd_theorem(opts) -> int:
     keep, tol_point = opts["keep_omega4_1"], opts["tol_point"]
 
     rule = QuadratureRule(patch.box, opts["quad_order"])
+    tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes else None
     background = None
     if case == "um":
         m = patch.n // 2
@@ -297,13 +299,10 @@ def cmd_theorem(opts) -> int:
         if opts["closed_omega"] or k == 1:
             background = UmBackground.flat(m)
         else:
-            tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes else None
             background = UmBackground.wavy(m, rng0, eps=0.01, frequency_axes=tangent_axes)
 
     seeds = np.random.SeedSequence(seed).spawn(opts["count"])
     records = []
-    tangent_axes = tuple(a + 1 for a in patch.axes) if patch.axes \
-        else tuple(range(1, patch.k + 1))
 
     for i in range(opts["count"]):
         t0 = time.perf_counter()
@@ -314,7 +313,8 @@ def cmd_theorem(opts) -> int:
         if generator == "test-variation":
             results, passed = _test_variation_results(case, patch, rule, keep, tol_point)
         else:
-            gen = _random_generator(case, patch.n, rng, tangent_axes)
+            gen = _random_generator(case, patch.n, rng,
+                                    tangent_axes or tuple(range(1, patch.k + 1)))
             if case == "um" and background is not None and not background.is_flat:
                 gen = _resonant_um_generator(background, rng)
             fam = _family_for(case, gen, background, k, keep)
@@ -629,6 +629,7 @@ def validate_options(command: str, file_values=None, flags=None) -> MappingProxy
     return MappingProxyType(merged)
 
 
+@lru_cache(maxsize=None)  # one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caliblab",
@@ -656,6 +657,13 @@ def _read_config(path: str):
         raise ConfigError(f"cannot read config: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless a report can be written to path; creates nothing."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write the report to --out {path}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     table = COMMANDS[args.command][1]
@@ -664,8 +672,8 @@ def main(argv=None) -> int:
         file_values = _read_config(args.config) if getattr(args, "config", None) else None
         opts = validate_options(args.command, file_values, flags)
         if opts.get("out"):  # an unwritable report path fails before any experiment runs
-            open(opts["out"], "a").close()
-    except (ConfigError, OSError) as exc:
+            _check_writable(opts["out"])
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handlers = {"identities": cmd_identities, "theorem": cmd_theorem, "smith": cmd_smith,

@@ -30,7 +30,7 @@ from .exterior import (
     wedge,
     wedge_coeffs,
 )
-from .structures import G2Kit, Spin7Kit, _g2_tensors, _spin7_tensor
+from .structures import G2Kit, Spin7Kit, _float_tensors, standard_kit
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def _basis_tensors(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _g2_maps():
-    phi_t, psi_t = (t.astype(float) for t in _g2_tensors())
+    phi_t, psi_t, _ = _float_tensors()
     b3 = _basis_tensors(7, 3)
     b4 = _basis_tensors(7, 4)
     hat3 = np.einsum("cpij,qij->cpq", b3, phi_t).reshape(35, 49).T  # eta^ = hat3 @ coeffs
@@ -57,8 +57,6 @@ def _g2_maps():
     asm3 = np.zeros((35, 49))
     asm4 = np.zeros((35, 49))
     eye = np.eye(7)
-    from .structures import standard_kit
-
     kit = standard_kit("associative")
     for i in range(7):
         for j in range(7):
@@ -74,13 +72,11 @@ def _g2_maps():
 
 @lru_cache(maxsize=None)
 def _sp7_maps():
-    Phi_t = _spin7_tensor().astype(float)
+    Phi_t = _float_tensors()[2]
     b4 = _basis_tensors(8, 4)
     hat = np.einsum("cpijk,qijk->cpq", b4, Phi_t).reshape(70, 64).T
     asm = np.zeros((70, 64))
     eye = np.eye(8)
-    from .structures import standard_kit
-
     kit = standard_kit("cayley")
     for i in range(8):
         for j in range(8):
@@ -258,7 +254,7 @@ def project_35_7(sigma: KForm, kit: Spin7Kit | None = None) -> KForm:
 
 def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
     """2 eta_ijk = h_ip phi_pjk + h_jp phi_ipk + h_kp phi_ijp + X_p psi_pijk."""
-    phi_t, psi_t = (t.astype(float) for t in _g2_tensors())
+    phi_t, psi_t, _ = _float_tensors()
     t = (np.einsum("ip,pjk->ijk", h, phi_t)
          + np.einsum("jp,ipk->ijk", h, phi_t)
          + np.einsum("kp,ijp->ijk", h, phi_t)
@@ -268,7 +264,7 @@ def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
 
 def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
     """2 rho = (h acting on psi) + X ^ phi, written out index by index."""
-    phi_t, psi_t = (t.astype(float) for t in _g2_tensors())
+    phi_t, psi_t, _ = _float_tensors()
     t = (np.einsum("ip,pjkl->ijkl", h, psi_t)
          + np.einsum("jp,ipkl->ijkl", h, psi_t)
          + np.einsum("kp,ijpl->ijkl", h, psi_t)
@@ -282,7 +278,7 @@ def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
 
 def four_form_from_a_27(A: np.ndarray, sigma27: KForm) -> KForm:
     """2 sigma = (A acting on Phi) + 2 sigma_27 with A = h + beta."""
-    Phi_t = _spin7_tensor().astype(float)
+    Phi_t = _float_tensors()[2]
     t = (np.einsum("ip,pjkl->ijkl", A, Phi_t)
          + np.einsum("jp,ipkl->ijkl", A, Phi_t)
          + np.einsum("kp,ijpl->ijkl", A, Phi_t)

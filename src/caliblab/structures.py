@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -42,8 +43,7 @@ SPIN7_PHI_TERMS = (
 
 
 def _int_form(n: int, k: int, terms) -> KForm:
-    f = KForm.from_components(n, k, {idx: float(s) for idx, s in terms})
-    return f
+    return KForm.from_components(n, k, {idx: float(s) for idx, s in terms})
 
 
 def _int_tensor(form: KForm) -> np.ndarray:
@@ -54,6 +54,12 @@ def _int_tensor(form: KForm) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # kits
 
+# Each kit's cross product kit.cross(v_1, ..., v_r), r = kit.arity, is the vector
+# with <cross(v_1, ..., v_r), w> = omega, phi, psi or Phi on (v_1, ..., v_r, w):
+# J v, V x W, chi(U, V, W) or P(U, V, W).  Stacked vectors (..., n) broadcast.
+CROSS_ARITY = {"um": 1, "associative": 2, "coassociative": 3, "cayley": 3}
+
+
 @dataclass(frozen=True)
 class UmKit:
     """Standard U(m) structure on R^{2m}, calibrating 2k-dimensional planes."""
@@ -61,6 +67,7 @@ class UmKit:
     k: int
 
     case = "um"
+    arity = CROSS_ARITY["um"]
 
     @property
     def n(self) -> int:
@@ -77,6 +84,9 @@ class UmKit:
             j[2 * a + 1, 2 * a] = 1.0
             j[2 * a, 2 * a + 1] = -1.0
         return j
+
+    def cross(self, v) -> np.ndarray:
+        return np.asarray(v, float) @ self.J.T
 
     @property
     def omega(self) -> KForm:
@@ -112,6 +122,10 @@ class G2Kit:
         return self.flavor
 
     @property
+    def arity(self) -> int:
+        return CROSS_ARITY[self.flavor]
+
+    @property
     def calibration_dim(self) -> int:
         return 3 if self.flavor == "associative" else 4
 
@@ -139,12 +153,16 @@ class G2Kit:
     def psi_tensor(self) -> np.ndarray:
         return _g2_tensors()[1]
 
+    def cross(self, *vectors) -> np.ndarray:
+        return (cross_2fold if self.flavor == "associative" else chi_3fold)(self, *vectors)
+
 
 @dataclass(frozen=True)
 class Spin7Kit:
     """Standard Spin(7) structure on R^8; Phi is self-dual and calibrates Cayley 4-planes."""
 
     case = "cayley"
+    arity = CROSS_ARITY["cayley"]
     n = 8
     calibration_dim = 4
     orientation = 1
@@ -164,6 +182,9 @@ class Spin7Kit:
     @property
     def Phi_tensor(self) -> np.ndarray:
         return _spin7_tensor()
+
+    def cross(self, u, v, w) -> np.ndarray:
+        return cayley_cross(self, u, v, w)
 
 
 StructureKit = UmKit | G2Kit | Spin7Kit
@@ -191,6 +212,12 @@ def _spin7_tensor():
     return _int_tensor(_spin7_form())
 
 
+@lru_cache(maxsize=None)
+def _float_tensors():
+    """Float copies of phi, psi and Phi, shared by every contraction with them."""
+    return tuple(t.astype(float) for t in (*_g2_tensors(), _spin7_tensor()))
+
+
 def standard_kit(case: str, m: int | None = None, k: int | None = None) -> StructureKit:
     """Build the standard-frame structure data for one calibration case."""
     if case == "um":
@@ -207,21 +234,28 @@ def standard_kit(case: str, m: int | None = None, k: int | None = None) -> Struc
 
 
 # ---------------------------------------------------------------------------
-# cross products
+# cross products (stacked vectors (..., n) broadcast)
+
+def _contract(tensor: np.ndarray, vectors) -> np.ndarray:
+    """tensor(v_1, ..., v_r, .)."""
+    idx = "ijkl"[: tensor.ndim]
+    spec = ",".join("..." + c for c in idx[:-1])
+    return np.einsum(f"{idx},{spec}->...{idx[-1]}", tensor, *vectors)
+
 
 def cross_2fold(kit: G2Kit, X, Y) -> np.ndarray:
     """The 7-dimensional cross product: <X x Y, Z> = phi(X, Y, Z)."""
-    return np.einsum("ijk,i,j->k", kit.phi_tensor.astype(float), X, Y)
+    return _contract(_float_tensors()[0], (X, Y))
 
 
 def chi_3fold(kit: G2Kit, X, Y, Z) -> np.ndarray:
     """The vector-valued 3-form chi: <chi(X,Y,Z), W> = psi(X, Y, Z, W)."""
-    return np.einsum("ijkl,i,j,k->l", kit.psi_tensor.astype(float), X, Y, Z)
+    return _contract(_float_tensors()[1], (X, Y, Z))
 
 
 def cayley_cross(kit: Spin7Kit, X, Y, Z) -> np.ndarray:
     """The 3-fold cross product on R^8: <P(X,Y,Z), W> = Phi(X, Y, Z, W)."""
-    return np.einsum("ijkl,i,j,k->l", kit.Phi_tensor.astype(float), X, Y, Z)
+    return _contract(_float_tensors()[2], (X, Y, Z))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +264,7 @@ def cayley_cross(kit: Spin7Kit, X, Y, Z) -> np.ndarray:
 def contraction_identity_check(kit) -> dict[str, int]:
     """Max absolute integer violation of each contraction identity family."""
     if isinstance(kit, G2Kit):
-        phi, psi = kit.phi_tensor, kit.psi_tensor
-        return g2_identity_violations(phi, psi)
+        return g2_identity_violations(kit.phi_tensor, kit.psi_tensor)
     if isinstance(kit, Spin7Kit):
         return spin7_identity_violations(kit.Phi_tensor)
     raise ValueError("contraction identities apply to G2 and Spin(7) kits")
@@ -264,8 +297,7 @@ def spin7_identity_violations(Phi: np.ndarray) -> dict[str, int]:
 
 def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
     """Batched residuals of the associative equality over triples of rows."""
-    phi_t = kit.phi_tensor.astype(float)
-    psi_t = kit.psi_tensor.astype(float)
+    phi_t, psi_t, _ = _float_tensors()
     chi = np.einsum("ijkl,bi,bj,bk->bl", psi_t, xs, ys, zs)
     phi_vals = np.einsum("ijk,bi,bj,bk->b", phi_t, xs, ys, zs)
     stacks = np.stack([xs, ys, zs], axis=1)
@@ -275,8 +307,7 @@ def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
 
 def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
     """Batched residuals of the coassociative equality over quadruples of rows."""
-    phi_t = kit.phi_tensor.astype(float)
-    psi_t = kit.psi_tensor.astype(float)
+    phi_t, psi_t, _ = _float_tensors()
     psi_vals = np.einsum("ijkl,bi,bj,bk,bl->b", psi_t, xs, ys, zs, ws)
 
     def p(a, b, c):
@@ -301,36 +332,15 @@ class CalibrationReport:
 
 
 def invariance_defect(kit, tangent: np.ndarray) -> float:
-    """Squared-norm failure of the tangent space to be preserved by J / x / chi / P."""
-    n = kit.n
-    p_normal = np.eye(n) - tangent.T @ tangent
-    k = tangent.shape[0]
-    if isinstance(kit, UmKit):
-        return float(sum(np.linalg.norm(p_normal @ (kit.J @ f)) ** 2 for f in tangent))
-    if isinstance(kit, G2Kit) and kit.flavor == "associative":
-        total = 0.0
-        for b in range(k):
-            for a in range(k):
-                v = cross_2fold(kit, tangent[b], tangent[a])
-                total += np.linalg.norm(p_normal @ v) ** 2
-        return float(total)
-    if isinstance(kit, G2Kit):
-        total = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                for c in range(b + 1, k):
-                    v = chi_3fold(kit, tangent[a], tangent[b], tangent[c])
-                    total += np.linalg.norm(p_normal @ v) ** 2
-        return float(total)
-    if isinstance(kit, Spin7Kit):
-        total = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                for c in range(b + 1, k):
-                    v = cayley_cross(kit, tangent[a], tangent[b], tangent[c])
-                    total += np.linalg.norm(p_normal @ v) ** 2
-        return float(total)
-    raise ValueError("unknown kit")
+    """Squared-norm failure of the tangent space to be closed under the kit's
+    cross product: sum over selections S of arity - 1 tangent rows and over
+    tangent rows f of |pi_N cross(S, f)|^2 (so a 3-fold product counts each
+    triple of rows once per pair in it)."""
+    sel = np.array(list(combinations(range(tangent.shape[0]), kit.arity - 1)), dtype=int)
+    # (s, 1, n) stacks of the selections' rows, broadcast against the f rows
+    crossed = kit.cross(*np.moveaxis(tangent[sel][:, :, None], 1, 0), tangent)
+    normal = crossed - (crossed @ tangent.T) @ tangent
+    return float(np.sum(normal * normal))
 
 
 def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> CalibrationReport:

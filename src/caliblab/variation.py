@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,6 @@ from .decomposition import (
 from .exterior import (
     KForm,
     evaluate,
-    hodge_star,
     minors,
     star_coeffs,
     wedge,
@@ -38,11 +39,11 @@ from .exterior import (
 )
 from .fields import FormField, UmBackground, VectorField
 from .structures import (
+    CROSS_ARITY,
     G2Kit,
     Spin7Kit,
-    cayley_cross,
-    chi_3fold,
-    cross_2fold,
+    UmKit,
+    invariance_defect,
     standard_kit,
 )
 from .submanifold import (
@@ -50,7 +51,6 @@ from .submanifold import (
     QuadratureRule,
     fd_derivative,
     mean_curvature,
-    normal_projector,
 )
 
 TOL_POINT = 1e-8
@@ -62,9 +62,9 @@ NODE_BLOCK = 512
 
 CASES = ("um", "associative", "coassociative", "cayley")
 
-# sign of Tr_g h for each case's test variation, times the defect integrand;
+# Tr_g h of the test variation over sum_f |pi_N cross(S, f)|^2; the sign is
 # pinned by direct evaluation of the construction (see tests)
-CHAIN_SIGN = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 1.0}
+CLOSED_FORM_SCALE = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 0.5}
 
 
 @dataclass
@@ -101,6 +101,19 @@ def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _linearized_metric(kit, coeffs: np.ndarray, keep_omega4_1: bool = False) -> np.ndarray:
+    """Ambient metric velocities (N, n, n) of velocity rows (N, C(n, p)) of omega
+    (fixed J), phi, psi or Phi (trace-free unless keep_omega4_1)."""
+    if kit.case == "um":
+        aj = _antisym_mats(coeffs, kit.n) @ kit.J
+        return 0.5 * (aj + np.swapaxes(aj, -1, -2))
+    if kit.case == "associative":
+        return h_from_3form_batch(coeffs)
+    if kit.case == "coassociative":
+        return h_from_4form_batch(coeffs)
+    return (h_sp7_batch if keep_omega4_1 else h0_sp7_batch)(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # family constructors
 
@@ -109,8 +122,8 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
     """Metric family from omega_t = omega + t (d alphadot)^(1,1), fixed J."""
     if alphadot.n != background.n:
         raise ValueError("1-form field dimension does not match the background")
-    J = background.J
-    n = background.n
+    kit = UmKit(background.m, k)
+    J, n = kit.J, kit.n
 
     def omega(patch, xs):
         # constant on the flat background: one row serves every node
@@ -123,8 +136,7 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
         return c
 
     def h(patch, xs):
-        aj = _antisym_mats(alphadot.d_coeffs_batch(patch.positions(xs)), n) @ J
-        return 0.5 * (aj + np.swapaxes(aj, -1, -2))
+        return _linearized_metric(kit, alphadot.d_coeffs_batch(patch.positions(xs)))
 
     def mu_dot(patch, xs):
         return wedge_omegas(alphadot.d_coeffs_batch(patch.positions(xs)), omega(patch, xs), 1)
@@ -160,7 +172,7 @@ def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
         eta = betadot.d(patch.position(x))
         return metric_from_3form(phi + t * eta)[0].entries
 
-    return VariationFamily("associative", lambda p, xs: h_from_3form_batch(d(p, xs)), d,
+    return VariationFamily("associative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
                            _constant(phi), gbar_at, meta={"generator": betadot, "kit": kit})
 
 
@@ -170,7 +182,7 @@ def coassoc_family_from_gamma(gammadot: FormField, kit: G2Kit) -> VariationFamil
     def d(patch, xs):
         return gammadot.d_coeffs_batch(patch.positions(xs))
 
-    return VariationFamily("coassociative", lambda p, xs: h_from_4form_batch(d(p, xs)), d,
+    return VariationFamily("coassociative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
                            _constant(kit.psi), meta={"generator": gammadot, "kit": kit})
 
 
@@ -192,17 +204,17 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
         return out
 
     def h(patch, xs):
-        d = gammadot.d_coeffs_batch(patch.positions(xs))
-        return (h_sp7_batch if keep_omega4_1 else h0_sp7_batch)(d)
+        return _linearized_metric(kit, gammadot.d_coeffs_batch(patch.positions(xs)),
+                                  keep_omega4_1)
 
     return VariationFamily("cayley", h, sigma, _constant(kit.Phi),
                            meta={"generator": gammadot, "kit": kit,
                                  "keep_omega4_1": keep_omega4_1})
 
 
+@lru_cache(maxsize=None)
 def _phi_unit():
-    kit = standard_kit("cayley")
-    c = kit.Phi.coeffs.astype(float)
+    c = standard_kit("cayley").Phi.coeffs
     return c / np.linalg.norm(c)
 
 
@@ -291,72 +303,84 @@ def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRu
 
 
 # ---------------------------------------------------------------------------
-# test variations (jet-reduced exterior derivatives along the patch)
+# test variations (jet-reduced exterior derivatives along the patch), one per
+# selection S of arity - 1 tangent vectors
 
-def _tangent_frame(patch: Patch, x) -> np.ndarray:
-    """Oriented orthonormal tangent rows; same frame Gram-Schmidt produces."""
-    j = patch.jacobian(x)
-    l = np.linalg.cholesky(j.T @ j)
-    return (j @ np.linalg.inv(l).T).T
+def _frames(jac: np.ndarray):
+    """Oriented orthonormal tangent rows (..., k, n), the frame Gram-Schmidt
+    produces, and sqrt(det g) from Jacobians (..., n, k)."""
+    jt = np.swapaxes(jac, -1, -2)
+    l = np.linalg.cholesky(jt @ jac)
+    return np.linalg.solve(l, jt), np.prod(np.diagonal(l, axis1=-2, axis2=-1), axis=-1)
 
 
-def _resolve_tangent(sel, frame: np.ndarray, patch: Patch, x) -> np.ndarray:
-    if isinstance(sel, int):
-        return frame[sel]
-    if callable(sel):
-        v = np.asarray(sel(x), float)
-    else:
-        v = np.asarray(sel, float)
-    pn = normal_projector(patch, x)
-    if np.linalg.norm(pn @ v) > TOL_FRAME * max(1.0, np.linalg.norm(v)):
-        raise ValueError(f"selector {sel} is not tangent at x={x}")
-    return v
+def _frame_and_normal(patch: Patch, x):
+    """Oriented orthonormal tangent rows and the normal projector at one point."""
+    frame = _frames(patch.jacobian(x))[0]
+    return frame, np.eye(patch.n) - frame.T @ frame
+
+
+def _kit(case: str, patch: Patch):
+    return standard_kit(case, m=patch.n // 2, k=max(1, patch.k // 2))
+
+
+def _selection(kit, frame, p_normal, x, V, W) -> list:
+    """The vectors of the selection (V, W): frame row indices (0 and 1 by
+    default), or tangent vectors or functions of x giving them."""
+    out = []
+    for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]:
+        v = sel(x) if callable(sel) else frame[sel] if isinstance(sel, int) else sel
+        v = np.asarray(v, float)
+        if np.linalg.norm(p_normal @ v) > TOL_FRAME * max(1.0, np.linalg.norm(v)):
+            raise ValueError(f"selector {sel} is not tangent at x={x}")
+        out.append(v)
+    return out
+
+
+def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
+    """Coefficients of sum_i e^i ^ S ^ cross(S, pi_N e_i)."""
+    n = kit.n
+    crossed = kit.cross(*S, p_normal)  # row i is cross(S, pi_N e_i)
+    rows = np.stack([np.eye(n), *(np.broadcast_to(v, (n, n)) for v in S), crossed], axis=1)
+    return minors(rows).sum(axis=0)
+
+
+def _velocity(kit, p_normal, S, keep_omega4_1: bool = False) -> np.ndarray:
+    """Ambient metric velocity of the test variation: derivative minors -> h-map."""
+    return _linearized_metric(kit, _derivative(kit, p_normal, S)[None], keep_omega4_1)[0]
+
+
+def _trace(frame: np.ndarray, h: np.ndarray) -> float:
+    """Tr_g of the restriction of h, from an orthonormal tangent frame."""
+    return float(np.einsum("an,nm,am->", frame, h, frame))
+
+
+def _closed_form(kit, frame, p_normal, S) -> float:
+    """The proof's closed form: scale * sum_f |pi_N cross(S, f)|^2."""
+    normal = kit.cross(*S, frame) @ p_normal
+    return CLOSED_FORM_SCALE[kit.case] * float(np.sum(normal * normal))
+
+
+def _at_point(case: str, patch: Patch, x, V, W):
+    kit = _kit(case, patch)
+    frame, p_normal = _frame_and_normal(patch, x)
+    return kit, frame, p_normal, _selection(kit, frame, p_normal, x, V, W)
 
 
 def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KForm:
     """Exterior derivative along the patch of the case's test variation.
 
     The generators themselves vanish on the patch (they are linear in the
-    gradient of the distance function); only the derivative survives:
+    gradient of the distance function); only the derivative
+    sum_i e^i ^ S ^ cross(S, e_i_perp) survives:
 
         um:            d adot = sum_i e^i ^ (J e_i_perp)
         associative:   d bdot = sum_i e^i ^ V ^ (V x e_i_perp)
         coassociative: d gdot = sum_i e^i ^ V ^ W ^ chi(V, W, e_i_perp)
         cayley:        d gdot = sum_i e^i ^ V ^ W ^ P(V, W, e_i_perp)
     """
-    n = patch.n
-    pn = normal_projector(patch, x)
-    frame = _tangent_frame(patch, x)
-    if case == "um":
-        kit = standard_kit("um", m=n // 2, k=max(1, patch.k // 2))
-        w = kit.J @ pn
-        return KForm.from_tensor(w.T - w)
-    if case == "associative":
-        kit = standard_kit("associative")
-        v = _resolve_tangent(V if V is not None else 0, frame, patch, x)
-        out = KForm.zero(7, 3)
-        vb = KForm.covector(v)
-        for i in range(7):
-            ci = cross_2fold(kit, v, pn[:, i])
-            if np.any(ci):
-                out = out + wedge(KForm.covector(np.eye(7)[i]), wedge(vb, KForm.covector(ci)))
-        return out
-    if case in ("coassociative", "cayley"):
-        kit = standard_kit(case)
-        v = _resolve_tangent(V if V is not None else 0, frame, patch, x)
-        w = _resolve_tangent(W if W is not None else 1, frame, patch, x)
-        vw = wedge(KForm.covector(v), KForm.covector(w))
-        out = KForm.zero(kit.n, 4)
-        for i in range(kit.n):
-            if case == "coassociative":
-                ci = chi_3fold(kit, v, w, pn[:, i])
-            else:
-                ci = cayley_cross(kit, v, w, pn[:, i])
-            if np.any(ci):
-                out = out + wedge(KForm.covector(np.eye(kit.n)[i]),
-                                  wedge(vw, KForm.covector(ci)))
-        return out
-    raise ValueError(f"unknown case {case!r}")
+    kit, _, p_normal, S = _at_point(case, patch, x, V, W)
+    return KForm(kit.n, kit.arity + 1, _derivative(kit, p_normal, S))
 
 
 test_variation_derivative.__test__ = False  # keep pytest from collecting it
@@ -365,16 +389,8 @@ test_variation_derivative.__test__ = False  # keep pytest from collecting it
 def _test_variation_h(case: str, patch: Patch, x, V=None, W=None,
                       keep_omega4_1: bool = False) -> np.ndarray:
     """Ambient metric velocity of the test variation at a patch point."""
-    d = test_variation_derivative(case, patch, x, V, W)
-    if case == "um":
-        kit = standard_kit("um", m=patch.n // 2, k=max(1, patch.k // 2))
-        aj = d.to_tensor() @ kit.J
-        return 0.5 * (aj + aj.T)
-    if case == "associative":
-        return h_from_3form_batch(d.coeffs)[0]
-    if case == "coassociative":
-        return h_from_4form_batch(d.coeffs)[0]
-    return (h_sp7_batch if keep_omega4_1 else h0_sp7_batch)(d.coeffs)[0]
+    kit, _, p_normal, S = _at_point(case, patch, x, V, W)
+    return _velocity(kit, p_normal, S, keep_omega4_1)
 
 
 def test_variation_family(case: str, patch: Patch, V=None, W=None,
@@ -393,55 +409,34 @@ test_variation_family.__test__ = False
 def chain_trace(case: str, patch: Patch, x, V=None, W=None,
                 keep_omega4_1: bool = False) -> float:
     """Tr_g h through the full chain: jet derivative -> decomposition -> trace."""
-    j = patch.jacobian(x)
-    g = j.T @ j
-    h = _test_variation_h(case, patch, x, V, W, keep_omega4_1)
-    return float(np.trace(np.linalg.solve(g, j.T @ h @ j)))
+    kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
+    return _trace(frame, _velocity(kit, p_normal, S, keep_omega4_1))
 
 
 def closed_form_trace(case: str, patch: Patch, x, V=None, W=None) -> float:
     """The proof's closed-form value of Tr_g h for the test variation."""
-    pn = normal_projector(patch, x)
-    frame = _tangent_frame(patch, x)
-    if case == "um":
-        kit = standard_kit("um", m=patch.n // 2, k=max(1, patch.k // 2))
-        total = sum(np.linalg.norm(pn @ (kit.J @ f)) ** 2 for f in frame)
-        return CHAIN_SIGN[case] * float(total)
-    if case == "associative":
-        kit = standard_kit("associative")
-        v = _resolve_tangent(V if V is not None else 0, frame, patch, x)
-        total = sum(np.linalg.norm(pn @ cross_2fold(kit, v, f)) ** 2 for f in frame)
-        return CHAIN_SIGN[case] * float(total)
-    kit = standard_kit(case)
-    v = _resolve_tangent(V if V is not None else 0, frame, patch, x)
-    w = _resolve_tangent(W if W is not None else 1, frame, patch, x)
-    if case == "coassociative":
-        total = sum(np.linalg.norm(pn @ chi_3fold(kit, v, w, f)) ** 2 for f in frame)
-        return CHAIN_SIGN[case] * float(total)
-    total = 0.5 * sum(np.linalg.norm(pn @ cayley_cross(kit, v, w, f)) ** 2 for f in frame)
-    return CHAIN_SIGN[case] * float(total)
+    kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
+    return _closed_form(kit, frame, p_normal, S)
 
 
 def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
                       nodes=None) -> float:
     """Max pointwise gap between the chain trace and its closed form."""
     pts = rule.nodes if nodes is None else nodes
+    kit = _kit(case, patch)
     selections = _canonical_selections(case, patch.k)
     worst = 0.0
     for x in pts:
+        frame, p_normal = _frame_and_normal(patch, x)
         for sel in selections:
-            got = chain_trace(case, patch, x, *sel)
-            want = closed_form_trace(case, patch, x, *sel)
-            worst = max(worst, abs(got - want))
+            S = frame[list(sel)]
+            chain = _trace(frame, _velocity(kit, p_normal, S))
+            worst = max(worst, abs(chain - _closed_form(kit, frame, p_normal, S)))
     return worst
 
 
 def _canonical_selections(case: str, k: int):
-    if case == "um":
-        return [()]
-    if case == "associative":
-        return [(a,) for a in range(k)]
-    return [(a, b) for a in range(k) for b in range(a + 1, k)]
+    return list(combinations(range(k), CROSS_ARITY[case] - 1))
 
 
 PLANE_CATALOG = {
@@ -482,19 +477,14 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     Zero exactly when the sampled tangent planes are calibrated; equals
     2 |first variation| of the matching test-variation family.
     """
-    selections = _canonical_selections(case, patch.k)
-
-    def integrand(x):
-        j = patch.jacobian(x)
-        density = math.sqrt(np.linalg.det(j.T @ j))
-        total = sum(abs(closed_form_trace(case, patch, x, *sel)) for sel in selections)
-        return total * density
-
+    kit = _kit(case, patch)
+    # constant integrand on axis planes
+    xs = 0.5 * (patch.box.lo + patch.box.hi)[None] if patch.flat else rule.nodes
+    frames, density = _frames(patch.jacobians(xs))
+    vals = abs(CLOSED_FORM_SCALE[case]) * density * np.array(
+        [invariance_defect(kit, frame) for frame in frames])
     if patch.flat:
-        # constant integrand on axis planes
-        center = 0.5 * (patch.box.lo + patch.box.hi)
-        return integrand(center) * float(np.prod(patch.box.hi - patch.box.lo))
-    vals = np.array([integrand(x) for x in rule.nodes])
+        return float(vals[0] * np.prod(patch.box.hi - patch.box.lo))
     return rule.integrate(vals)
 
 
@@ -655,23 +645,17 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     Returns the max deviation of (1/2)(Tr_g h - Tr_g h0) from (2/7)|V ^ W|^2
     and the max of |star(d gdot) restricted to the patch|.
     """
+    kit = standard_kit("cayley")
     max_dev = 0.0
     max_star = 0.0
     for x in rule.nodes:
-        j = patch.jacobian(x)
-        g = j.T @ j
-        frame = _tangent_frame(patch, x)
-        v = _resolve_tangent(V, frame, patch, x)
-        w = _resolve_tangent(W, frame, patch, x)
-        d = test_variation_derivative("cayley", patch, x, V, W)
-        h_full = h_sp7_batch(d.coeffs)[0]
-        h_zero = h0_sp7_batch(d.coeffs)[0]
-        tr_full = np.trace(np.linalg.solve(g, j.T @ h_full @ j))
-        tr_zero = np.trace(np.linalg.solve(g, j.T @ h_zero @ j))
+        frame, p_normal = _frame_and_normal(patch, x)
+        v, w = _selection(kit, frame, p_normal, x, V, W)
+        d = _derivative(kit, p_normal, (v, w))
+        half_gap = 0.5 * _trace(frame, h_sp7_batch(d)[0] - h0_sp7_batch(d)[0])
         vw2 = (v @ v) * (w @ w) - (v @ w) ** 2
-        max_dev = max(max_dev, abs(0.5 * (tr_full - tr_zero) - (2.0 / 7.0) * vw2))
-        star_d = hodge_star(d)
-        max_star = max(max_star, abs(evaluate(star_d, frame)))
+        max_dev = max(max_dev, abs(half_gap - (2.0 / 7.0) * vw2))
+        max_star = max(max_star, abs(float(star_coeffs(d, 8, 4) @ minors(frame))))
     return {"trace_discrepancy_err": max_dev, "star_restriction_max": max_star}
 
 

@@ -134,9 +134,16 @@ class TestTheoremCommand:
         ("theorem", "--case", "coassociative", "--patch", "t3-in-r7"),
         # an unwritable report path fails before any experiment runs
         ("theorem", "--case", "associative", "--out", "/nonexistent/dir/x.jsonl"),
+        # a rejected run leaves no report file behind
+        ("theorem", "--case", "associative", "--patch", "sphere", "--out", "{tmp}/r.jsonl"),
+        ("theorem", "--case", "um", "--keep-omega4-1", "--out", "{tmp}/r.jsonl"),
+        ("theorem", "--case", "associative", "--patch", "nope", "--out", "{tmp}/r.jsonl"),
+        ("minimal", "--count", "-2", "--out", "{tmp}/r.jsonl"),
+        ("theorem", "--case", "associative", "--out", "{tmp}"),
     ])
-    def test_out_of_range_option_exits_2(self, args):
-        assert_config_error(run_cli(*args))
+    def test_out_of_range_option_exits_2(self, tmp_path, args):
+        assert_config_error(run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args)))
+        assert list(tmp_path.iterdir()) == []  # not even an empty report file
 
     @pytest.mark.parametrize("command,conf", [
         (("identities",), {"case": "foo"}),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caliblab.exterior import KForm, evaluate, hodge_star
+from caliblab.exterior import KForm, evaluate, hodge_star, minors
 from caliblab.fields import FormField, FourierMode, UmBackground, VectorField
 from caliblab.structures import calibration_report, standard_kit
 from caliblab.submanifold import (
@@ -174,9 +174,9 @@ class TestTestVariations:
             x = patch.box.lo + 0.37 * (patch.box.hi - patch.box.lo)
             d = test_variation_derivative("cayley", patch, x, 0, 1)
             star = hodge_star(d)
-            from caliblab.variation import _tangent_frame
+            from caliblab.variation import _frame_and_normal
 
-            frame = _tangent_frame(patch, x)
+            frame, _ = _frame_and_normal(patch, x)
             assert abs(evaluate(star, frame)) < 1e-10
 
     def test_non_tangent_selector_rejected(self):
@@ -233,6 +233,25 @@ class TestTheoremB:
         for patch in bad:
             rule = rule_cache.setdefault(patch.k, QuadratureRule(patch.box, 2))
             assert theorem_B_defect(case, patch, rule) > 1e-3
+
+    def test_defect_matches_calibration_value(self):
+        # by the Harvey-Lawson equalities the defect integrand is
+        # C (1 - mu(T_xM)^2) sqrt(det g); this route uses no cross product
+        from caliblab.cli import make_patch
+
+        weight = {"um": 2.0, "associative": 6.0, "coassociative": 9.0, "cayley": 6.0}
+        for case, name in (("um", "graph-um-r6"), ("associative", "graph-assoc-r7"),
+                           ("coassociative", "graph-coassoc-r7"),
+                           ("cayley", "graph-cayley-r8")):
+            patch = make_patch(name)
+            kit = standard_kit(case, m=patch.n // 2, k=patch.k // 2)
+            rule = QuadratureRule(patch.box, 4)
+            jac_t = np.swapaxes(patch.jacobians(rule.nodes), 1, 2)
+            density = np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
+            mu = minors(jac_t) @ kit.mu.coeffs / density
+            want = rule.integrate(weight[case] * (1.0 - mu**2) * density)
+            assert want > 1e-3
+            assert theorem_B_defect(case, patch, rule) == pytest.approx(want, rel=1e-12)
 
     def test_defect_matches_calibration_report(self):
         kit_of = {"um": standard_kit("um", m=3, k=1), "associative": G2,
