@@ -44,6 +44,7 @@ from .submanifold import (
     Box,
     Patch,
     QuadratureRule,
+    QuadratureSizeError,
     circle_patch,
     flat_plane,
     graph_patch,
@@ -678,7 +679,11 @@ def main(argv=None) -> int:
         return 2
     handlers = {"identities": cmd_identities, "theorem": cmd_theorem, "smith": cmd_smith,
                 "minimal": cmd_minimal, "catalog": cmd_catalog}
-    return handlers[args.command](opts)
+    try:
+        return handlers[args.command](opts)
+    except QuadratureSizeError as exc:  # reports are written last, so none is left behind
+        print(f"error: --quad-order: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

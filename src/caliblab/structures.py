@@ -331,16 +331,23 @@ class CalibrationReport:
     is_calibrated: bool
 
 
-def invariance_defect(kit, tangent: np.ndarray) -> float:
+def invariance_defect(kit, tangent: np.ndarray):
     """Squared-norm failure of the tangent space to be closed under the kit's
     cross product: sum over selections S of arity - 1 tangent rows and over
     tangent rows f of |pi_N cross(S, f)|^2 (so a 3-fold product counts each
-    triple of rows once per pair in it)."""
-    sel = np.array(list(combinations(range(tangent.shape[0]), kit.arity - 1)), dtype=int)
-    # (s, 1, n) stacks of the selections' rows, broadcast against the f rows
-    crossed = kit.cross(*np.moveaxis(tangent[sel][:, :, None], 1, 0), tangent)
-    normal = crossed - (crossed @ tangent.T) @ tangent
-    return float(np.sum(normal * normal))
+    triple of rows once per pair in it).
+
+    tangent holds orthonormal rows (k, n), or stacked frames (..., k, n); the
+    result is a float, or one defect per frame (...)."""
+    tangent = np.asarray(tangent, float)
+    sel = np.array(list(combinations(range(tangent.shape[-2]), kit.arity - 1)), dtype=int)
+    # (..., s, 1, n) stacks of the selections' rows, broadcast against the f rows
+    rows = tangent[..., sel, None, :]
+    frame = tangent[..., None, :, :]
+    crossed = kit.cross(*(rows[..., j, :, :] for j in range(sel.shape[1])), frame)
+    normal = crossed - (crossed @ np.swapaxes(frame, -1, -2)) @ frame
+    out = np.sum(normal * normal, axis=(-3, -2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> CalibrationReport:

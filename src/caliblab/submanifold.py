@@ -24,6 +24,12 @@ from .exterior import (
 GEOM_FD_STEP = 1e-5
 CLOSEST_POINT_TOL = 1e-12
 CLOSEST_POINT_MAX_ITER = 50
+# a tensor rule holds order**k nodes; larger rules are refused before any grid is built
+MAX_QUAD_NODES = 10**6
+
+
+class QuadratureSizeError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,10 @@ class QuadratureRule:
     def __init__(self, box: Box, order: int):
         if order < 1:
             raise ValueError("quadrature order must be >= 1")
+        if order ** box.k > MAX_QUAD_NODES:
+            raise QuadratureSizeError(
+                f"quadrature order {order} on a {box.k}-dimensional domain needs "
+                f"{order ** box.k} nodes, above the cap of {MAX_QUAD_NODES}")
         self.box = box
         self.order = order
         pts, wts = np.polynomial.legendre.leggauss(order)
@@ -85,6 +95,8 @@ class Patch:
     _hess: Callable | None = field(default=None, repr=False)
     flat: bool = False                   # affine: constant Jacobian
     axes: tuple[int, ...] | None = None  # 0-based spanned axes when flat
+    # (N, k) parameter rows -> positions (N, n) and Jacobians (N, n, k) in one call
+    _rows: Callable | None = field(default=None, repr=False)
 
     def position(self, x) -> np.ndarray:
         return np.asarray(self._eval(np.asarray(x, float)), float)
@@ -93,13 +105,18 @@ class Patch:
         """Points u(x) for parameter rows xs (N, k), shape (N, n)."""
         if self.flat:
             return self.position(np.zeros(self.k)) + xs @ self.jacobian(xs[0]).T
+        if self._rows is not None:
+            return self._rows(np.asarray(xs, float))[0]
         return np.array([self.position(x) for x in xs])
 
     def jacobians(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobians at parameter rows xs, shape (N, n, k); a flat patch has a
-        constant Jacobian and returns it once, shape (1, n, k), to broadcast."""
+        """Jacobians at parameter rows xs (N, k), stacked as (N, n, k): column a
+        of entry i is du/dx^a at row i.  A flat patch has a constant Jacobian
+        and returns it once, shape (1, n, k), to broadcast against the rows."""
         if self.flat:
             return self.jacobian(xs[0])[None]
+        if self._rows is not None:
+            return self._rows(np.asarray(xs, float))[1]
         return np.array([self.jacobian(x) for x in xs])
 
     def jacobian(self, x) -> np.ndarray:
@@ -375,17 +392,14 @@ def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
         basis[a, col] = 1.0
     terms = [(m - 1, amp, np.asarray(freq, float), phase) for m, amp, freq, phase in waves]
 
-    def ev(x):
-        y = basis @ x
+    def rows(xs):
+        pos = xs @ basis.T
+        jac = np.repeat(basis[None], xs.shape[0], axis=0)
         for m, amp, freq, phase in terms:
-            y[m] += amp * math.sin(2 * math.pi * float(freq @ x) + phase)
-        return y
-
-    def jac(x):
-        j = basis.copy()
-        for m, amp, freq, phase in terms:
-            j[m, :] += amp * 2 * math.pi * math.cos(2 * math.pi * float(freq @ x) + phase) * freq
-        return j
+            arg = 2 * math.pi * (xs @ freq) + phase
+            pos[:, m] += amp * np.sin(arg)
+            jac[:, m, :] += (amp * 2 * math.pi * np.cos(arg))[:, None] * freq
+        return pos, jac
 
     def hess(x):
         h = np.zeros((n, k, k))
@@ -394,7 +408,8 @@ def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
                 * np.outer(freq, freq)
         return h
 
-    return Patch(name, k, n, Box.unit(k), closed, ev, jac, hess)
+    return Patch(name, k, n, Box.unit(k), closed, lambda x: rows(x[None])[0][0],
+                 lambda x: rows(x[None])[1][0], hess, _rows=rows)
 
 
 def circle_patch(radius: float = 1.0, n: int = 2, name: str | None = None) -> Patch:

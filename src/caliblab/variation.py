@@ -4,11 +4,11 @@ Each family records the analytic velocity h of the ambient metric along a
 patch, the velocity of the calibration form, and (where a nonlinear family
 exists) a black-box metric evaluator for finite-difference cross checks.
 Analytic evaluators are batched over quadrature nodes; the experiments run
-them over fixed-size blocks of nodes.  Position-dependent generators are
-represented by their values and first derivatives along the patch only;
-exterior derivatives of the test variations use the 2-jet of the distance
-function, with terms linear in its gradient dropped since they vanish on the
-patch.
+them over blocks of nodes whose length bounds the largest temporary.
+Position-dependent generators are represented by their values and first
+derivatives along the patch only; exterior derivatives of the test variations
+use the 2-jet of the distance function, with terms linear in its gradient
+dropped since they vanish on the patch.
 """
 from __future__ import annotations
 
@@ -59,6 +59,10 @@ TOL_FRAME = 1e-9
 
 # quadrature nodes evaluated together; bounds the batched temporaries
 NODE_BLOCK = 512
+# the defect, chain check, anomaly and test-variation velocity size their node
+# blocks so that the largest temporary stays within this; glibc keeps the freed
+# heap of larger blocks resident, which reads as a higher peak RSS
+BLOCK_BYTES = 256 * 1024
 
 CASES = ("um", "associative", "coassociative", "cayley")
 
@@ -261,6 +265,14 @@ def _node_blocks(patch: Patch, rule: QuadratureRule):
         yield sl, xs, patch.jacobians(xs)
 
 
+def _blocks(count: int, floats_per_node: int):
+    """Slices over count nodes, each of the largest power-of-two length whose
+    temporary of floats_per_node floats a node fits in BLOCK_BYTES."""
+    step = 1 << max(0, (BLOCK_BYTES // (8 * floats_per_node)).bit_length() - 1)
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
 def _trace_g(g: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Tr_g of the restriction J^T h J at each node."""
     jt = np.swapaxes(jac, -1, -2)
@@ -304,7 +316,8 @@ def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRu
 
 # ---------------------------------------------------------------------------
 # test variations (jet-reduced exterior derivatives along the patch), one per
-# selection S of arity - 1 tangent vectors
+# selection S of arity - 1 tangent vectors.  The helpers take stacked nodes:
+# frames (..., k, n), normal projectors (..., n, n), selection vectors (..., n).
 
 def _frames(jac: np.ndarray):
     """Oriented orthonormal tangent rows (..., k, n), the frame Gram-Schmidt
@@ -314,57 +327,77 @@ def _frames(jac: np.ndarray):
     return np.linalg.solve(l, jt), np.prod(np.diagonal(l, axis1=-2, axis2=-1), axis=-1)
 
 
-def _frame_and_normal(patch: Patch, x):
-    """Oriented orthonormal tangent rows and the normal projector at one point."""
-    frame = _frames(patch.jacobian(x))[0]
-    return frame, np.eye(patch.n) - frame.T @ frame
-
-
 def _kit(case: str, patch: Patch):
     return standard_kit(case, m=patch.n // 2, k=max(1, patch.k // 2))
 
 
-def _selection(kit, frame, p_normal, x, V, W) -> list:
-    """The vectors of the selection (V, W): frame row indices (0 and 1 by
-    default), or tangent vectors or functions of x giving them."""
+def _selection(kit, frames, p_normal, xs, V=None, W=None) -> list:
+    """The vectors of the selection (V, W) at parameter rows xs (N, k): frame
+    row indices (0 and 1 by default), tangent vectors (n,) or (N, n), or
+    functions of the rows xs giving them."""
     out = []
     for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]:
-        v = sel(x) if callable(sel) else frame[sel] if isinstance(sel, int) else sel
-        v = np.asarray(v, float)
-        if np.linalg.norm(p_normal @ v) > TOL_FRAME * max(1.0, np.linalg.norm(v)):
-            raise ValueError(f"selector {sel} is not tangent at x={x}")
+        if isinstance(sel, int):  # frame rows are tangent
+            out.append(frames[..., sel, :])
+            continue
+        v = np.asarray(sel(xs) if callable(sel) else sel, float)
+        off = np.linalg.norm(np.einsum("...n,...nm->...m", v, p_normal), axis=-1)
+        bad = off > TOL_FRAME * np.maximum(1.0, np.linalg.norm(v, axis=-1))
+        if bad.any():
+            raise ValueError(f"selector {sel} is not tangent at x={xs[np.argmax(bad)]}")
         out.append(v)
     return out
 
 
+def _frames_and_normals(patch: Patch, xs: np.ndarray):
+    """Frames and normal projectors at parameter rows xs; a flat patch gives
+    one of each for every row."""
+    frames = _frames(patch.jacobians(xs))[0]
+    return frames, np.eye(patch.n) - np.swapaxes(frames, -1, -2) @ frames
+
+
 def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
-    """Coefficients of sum_i e^i ^ S ^ cross(S, pi_N e_i)."""
-    n = kit.n
-    crossed = kit.cross(*S, p_normal)  # row i is cross(S, pi_N e_i)
-    rows = np.stack([np.eye(n), *(np.broadcast_to(v, (n, n)) for v in S), crossed], axis=1)
-    return minors(rows).sum(axis=0)
+    """Coefficients (..., C(n, arity + 1)) of sum_i e^i ^ S ^ cross(S, pi_N e_i)."""
+    # rows[..., i, :, :] is [e_i, *S, cross(S, pi_N e_i)]
+    crossed = kit.cross(*(v[..., None, :] for v in S), p_normal)
+    rows = np.empty(crossed.shape[:-1] + (len(S) + 2, kit.n))
+    rows[..., 0, :] = np.eye(kit.n)
+    for j, v in enumerate(S, 1):
+        rows[..., j, :] = v[..., None, :]
+    rows[..., -1, :] = crossed
+    return minors(rows).sum(axis=-2)
 
 
 def _velocity(kit, p_normal, S, keep_omega4_1: bool = False) -> np.ndarray:
-    """Ambient metric velocity of the test variation: derivative minors -> h-map."""
-    return _linearized_metric(kit, _derivative(kit, p_normal, S)[None], keep_omega4_1)[0]
+    """Ambient metric velocities (..., n, n) of the test variation: derivative
+    minors -> h-map."""
+    d = _derivative(kit, p_normal, S)
+    h = _linearized_metric(kit, d.reshape(-1, d.shape[-1]), keep_omega4_1)
+    return h.reshape(d.shape[:-1] + h.shape[-2:])
 
 
-def _trace(frame: np.ndarray, h: np.ndarray) -> float:
-    """Tr_g of the restriction of h, from an orthonormal tangent frame."""
-    return float(np.einsum("an,nm,am->", frame, h, frame))
+def _trace(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr_g of the restriction of h, from orthonormal tangent frames."""
+    return np.einsum("...an,...nm,...am->...", frame, h, frame)
 
 
-def _closed_form(kit, frame, p_normal, S) -> float:
+def _closed_form(kit, frame, p_normal, S) -> np.ndarray:
     """The proof's closed form: scale * sum_f |pi_N cross(S, f)|^2."""
-    normal = kit.cross(*S, frame) @ p_normal
-    return CLOSED_FORM_SCALE[kit.case] * float(np.sum(normal * normal))
+    normal = kit.cross(*(v[..., None, :] for v in S), frame) @ p_normal
+    return CLOSED_FORM_SCALE[kit.case] * np.sum(normal * normal, axis=(-2, -1))
+
+
+def _minors_floats(kit) -> int:
+    """Floats a node takes in the derivative minors of one selection."""
+    return kit.n * math.comb(kit.n, kit.arity + 1)
 
 
 def _at_point(case: str, patch: Patch, x, V, W):
     kit = _kit(case, patch)
-    frame, p_normal = _frame_and_normal(patch, x)
-    return kit, frame, p_normal, _selection(kit, frame, p_normal, x, V, W)
+    xs = np.asarray(x, float)[None]
+    frames, p_normal = _frames_and_normals(patch, xs)
+    S = _selection(kit, frames, p_normal, xs, V, W)
+    return kit, frames[0], p_normal[0], [v[0] if v.ndim > 1 else v for v in S]
 
 
 def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KForm:
@@ -386,19 +419,18 @@ def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KFo
 test_variation_derivative.__test__ = False  # keep pytest from collecting it
 
 
-def _test_variation_h(case: str, patch: Patch, x, V=None, W=None,
-                      keep_omega4_1: bool = False) -> np.ndarray:
-    """Ambient metric velocity of the test variation at a patch point."""
-    kit, _, p_normal, S = _at_point(case, patch, x, V, W)
-    return _velocity(kit, p_normal, S, keep_omega4_1)
-
-
 def test_variation_family(case: str, patch: Patch, V=None, W=None,
                           keep_omega4_1: bool = False) -> VariationFamily:
     """Family whose velocity is the jet-reduced test variation along the patch."""
 
     def h(p, xs):
-        return np.array([_test_variation_h(case, p, x, V, W, keep_omega4_1) for x in xs])
+        kit = _kit(case, p)
+        out = np.empty((len(xs), p.n, p.n))
+        for sl in _blocks(len(xs), _minors_floats(kit)):
+            frames, p_normal = _frames_and_normals(p, xs[sl])
+            S = _selection(kit, frames, p_normal, xs[sl], V, W)
+            out[sl] = _velocity(kit, p_normal, S, keep_omega4_1)
+        return out
 
     return VariationFamily(case, h, meta={"V": V, "W": W, "keep_omega4_1": keep_omega4_1})
 
@@ -410,28 +442,29 @@ def chain_trace(case: str, patch: Patch, x, V=None, W=None,
                 keep_omega4_1: bool = False) -> float:
     """Tr_g h through the full chain: jet derivative -> decomposition -> trace."""
     kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
-    return _trace(frame, _velocity(kit, p_normal, S, keep_omega4_1))
+    return float(_trace(frame, _velocity(kit, p_normal, S, keep_omega4_1)))
 
 
 def closed_form_trace(case: str, patch: Patch, x, V=None, W=None) -> float:
     """The proof's closed-form value of Tr_g h for the test variation."""
     kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
-    return _closed_form(kit, frame, p_normal, S)
+    return float(_closed_form(kit, frame, p_normal, S))
 
 
 def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
                       nodes=None) -> float:
-    """Max pointwise gap between the chain trace and its closed form."""
-    pts = rule.nodes if nodes is None else nodes
+    """Max gap between the chain trace and its closed form over the nodes and
+    the canonical selections."""
+    pts = rule.nodes if nodes is None else np.asarray(nodes, float)
     kit = _kit(case, patch)
-    selections = _canonical_selections(case, patch.k)
     worst = 0.0
-    for x in pts:
-        frame, p_normal = _frame_and_normal(patch, x)
-        for sel in selections:
-            S = frame[list(sel)]
-            chain = _trace(frame, _velocity(kit, p_normal, S))
-            worst = max(worst, abs(chain - _closed_form(kit, frame, p_normal, S)))
+    for sl in _blocks(len(pts), _minors_floats(kit)):
+        frames, p_normal = _frames_and_normals(patch, pts[sl])
+        for sel in _canonical_selections(case, patch.k):
+            S = _selection(kit, frames, p_normal, pts[sl], *sel)
+            chain = _trace(frames, _velocity(kit, p_normal, S))
+            gap = np.abs(chain - _closed_form(kit, frames, p_normal, S))
+            worst = max(worst, float(gap.max()))
     return worst
 
 
@@ -478,13 +511,17 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     2 |first variation| of the matching test-variation family.
     """
     kit = _kit(case, patch)
-    # constant integrand on axis planes
-    xs = 0.5 * (patch.box.lo + patch.box.hi)[None] if patch.flat else rule.nodes
-    frames, density = _frames(patch.jacobians(xs))
-    vals = abs(CLOSED_FORM_SCALE[case]) * density * np.array(
-        [invariance_defect(kit, frame) for frame in frames])
-    if patch.flat:
-        return float(vals[0] * np.prod(patch.box.hi - patch.box.lo))
+    scale = abs(CLOSED_FORM_SCALE[case])
+    if patch.flat:  # constant integrand on axis planes
+        frames, density = _frames(patch.jacobians(rule.nodes[:1]))
+        value = scale * density[0] * invariance_defect(kit, frames[0])
+        return float(value * np.prod(patch.box.hi - patch.box.lo))
+    # the defect's largest temporary is one cross product per selection and frame row
+    per_node = math.comb(patch.k, kit.arity - 1) * patch.k * patch.n
+    vals = np.empty(rule.nodes.shape[0])
+    for sl in _blocks(len(vals), per_node):
+        frames, density = _frames(patch.jacobians(rule.nodes[sl]))
+        vals[sl] = scale * density * invariance_defect(kit, frames)
     return rule.integrate(vals)
 
 
@@ -648,14 +685,16 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     kit = standard_kit("cayley")
     max_dev = 0.0
     max_star = 0.0
-    for x in rule.nodes:
-        frame, p_normal = _frame_and_normal(patch, x)
-        v, w = _selection(kit, frame, p_normal, x, V, W)
+    for sl in _blocks(rule.nodes.shape[0], _minors_floats(kit)):
+        xs = rule.nodes[sl]
+        frames, p_normal = _frames_and_normals(patch, xs)
+        v, w = _selection(kit, frames, p_normal, xs, V, W)
         d = _derivative(kit, p_normal, (v, w))
-        half_gap = 0.5 * _trace(frame, h_sp7_batch(d)[0] - h0_sp7_batch(d)[0])
-        vw2 = (v @ v) * (w @ w) - (v @ w) ** 2
-        max_dev = max(max_dev, abs(half_gap - (2.0 / 7.0) * vw2))
-        max_star = max(max_star, abs(float(star_coeffs(d, 8, 4) @ minors(frame))))
+        half_gap = 0.5 * _trace(frames, h_sp7_batch(d) - h0_sp7_batch(d))
+        vw2 = np.sum(v * v, -1) * np.sum(w * w, -1) - np.sum(v * w, -1) ** 2
+        max_dev = max(max_dev, float(np.max(np.abs(half_gap - (2.0 / 7.0) * vw2))))
+        star = np.sum(star_coeffs(d, 8, 4) * minors(frames), axis=-1)
+        max_star = max(max_star, float(np.max(np.abs(star))))
     return {"trace_discrepancy_err": max_dev, "star_restriction_max": max_star}
 
 

@@ -140,6 +140,9 @@ class TestTheoremCommand:
         ("theorem", "--case", "associative", "--patch", "nope", "--out", "{tmp}/r.jsonl"),
         ("minimal", "--count", "-2", "--out", "{tmp}/r.jsonl"),
         ("theorem", "--case", "associative", "--out", "{tmp}"),
+        # a rule above the node cap is refused before its grid is built
+        ("theorem", "--case", "cayley", "--quad-order", "200", "--out", "{tmp}/r.jsonl"),
+        ("minimal", "--quad-order", "1001"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, args):
         assert_config_error(run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args)))

@@ -218,6 +218,23 @@ class TestCalibrationReport:
             assert rep.is_calibrated == (rep.defect < 1e-8)
             assert rep.is_calibrated == (abs(rep.value) > 1 - 1e-8)
 
+    @pytest.mark.parametrize("case", ["um", "associative", "coassociative", "cayley"])
+    def test_stacked_defect_matches_per_frame(self, case):
+        from caliblab.variation import PLANE_CATALOG
+
+        n, good, _ = PLANE_CATALOG[case]
+        kit = standard_kit(case, m=n // 2, k=1)
+        k = kit.calibration_dim
+        q = np.linalg.qr(np.random.default_rng(9).standard_normal((3, 5, n, k)))[0]
+        frames = np.swapaxes(q, -1, -2)  # (3, 5, k, n), orthonormal rows
+        stacked = invariance_defect(kit, frames)
+        assert stacked.shape == (3, 5)
+        per_frame = [[invariance_defect(kit, f) for f in row] for row in frames]
+        assert np.allclose(stacked, per_frame, rtol=1e-12, atol=0)
+        assert stacked.min() > 1e-3
+        planes = np.stack([np.eye(n)[[a - 1 for a in axes]] for axes in good if len(axes) == k])
+        assert np.abs(invariance_defect(kit, planes)).max() < 1e-14
+
 
 class TestCoassociativeCondition:
     """Both directions of: coassociative iff chi preserves the tangent space."""

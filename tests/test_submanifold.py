@@ -61,6 +61,15 @@ class TestPatchCatalog:
             e[a] = h2
             hess_fd = (patch.jacobian(x + e) - patch.jacobian(x - e)) / (2 * h2)
             assert np.abs(hess_fd - patch.hessian(x)[:, :, a]).max() < 1e-6
+        # a block of rows in one call, against per-row points and central differences
+        xs = x + 0.07 * np.arange(-2, 3)[:, None]
+        assert np.abs(patch.positions(xs) - [patch.position(y) for y in xs]).max() < 1e-14
+        jacs = patch.jacobians(xs)
+        assert jacs.shape == (5, patch.n, patch.k)
+        for a in range(patch.k):
+            e = h * np.eye(patch.k)[a]
+            col_fd = (patch.positions(xs + e) - patch.positions(xs - e)) / (2 * h)
+            assert np.abs(col_fd - jacs[:, :, a]).max() < 1e-8
 
 
 class TestInducedMetricAndVolume:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,9 +175,9 @@ class TestTestVariations:
             x = patch.box.lo + 0.37 * (patch.box.hi - patch.box.lo)
             d = test_variation_derivative("cayley", patch, x, 0, 1)
             star = hodge_star(d)
-            from caliblab.variation import _frame_and_normal
+            from caliblab.variation import _frames
 
-            frame, _ = _frame_and_normal(patch, x)
+            frame = _frames(patch.jacobian(x))[0]
             assert abs(evaluate(star, frame)) < 1e-10
 
     def test_non_tangent_selector_rejected(self):
@@ -201,6 +202,58 @@ class TestChainConsistency:
         rule = QuadratureRule(patch.box, 2)
         nodes = rule.nodes[: 4]
         assert chain_consistency(case, patch, rule, nodes=nodes) < 1e-10
+
+    @pytest.mark.parametrize("case,name", [("associative", "graph-assoc-r7"),
+                                           ("cayley", "graph-cayley-r8")])
+    def test_batched_matches_per_point(self, case, name):
+        # the node-blocked paths against the public per-point traces
+        from caliblab.cli import make_patch
+        from caliblab.variation import _canonical_selections, test_variation_family
+
+        patch = make_patch(name)
+        rule = QuadratureRule(patch.box, 3)
+        selections = _canonical_selections(case, patch.k)
+        gaps = [abs(chain_trace(case, patch, x, *sel) - closed_form_trace(case, patch, x, *sel))
+                for x in rule.nodes for sel in selections]
+        # both maxima are round-off of one identity, so they agree to round-off
+        assert chain_consistency(case, patch, rule) == pytest.approx(max(gaps), abs=1e-14)
+        assert max(gaps) < 1e-12
+        # the blocked velocity integrates to the per-point chain traces
+        density = [math.sqrt(np.linalg.det(patch.jacobian(x).T @ patch.jacobian(x)))
+                   for x in rule.nodes]
+        for sel in selections:
+            per_point = [chain_trace(case, patch, x, *sel) for x in rule.nodes]
+            want = 0.5 * rule.integrate(np.array(per_point) * density)
+            fam = test_variation_family(case, patch, *sel)
+            assert analytic_first_variation(patch, fam, rule) == pytest.approx(want, rel=1e-12)
+        if case != "cayley":
+            return
+        out = cayley_anomaly(patch, rule)
+        dev = [abs(0.5 * (chain_trace(case, patch, x, keep_omega4_1=True)
+                          - chain_trace(case, patch, x)) - 2.0 / 7.0) for x in rule.nodes]
+        star = [abs(evaluate(hodge_star(test_variation_derivative(case, patch, x)),
+                             patch.frame(x).tangent)) for x in rule.nodes]
+        assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
+        assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
+
+    def test_blocked_paths_bound_memory(self):
+        # an unblocked batch over these 1296 nodes allocates 2 MB for each
+        # (1296, 6, 4, 8) array of cross products
+        from caliblab.cli import make_patch
+
+        patch = make_patch("graph-cayley-r8")
+        rule = QuadratureRule(patch.box, 6)
+        runs = (lambda r: theorem_B_defect("cayley", patch, r),
+                lambda r: chain_consistency("cayley", patch, r))
+        for run in runs:
+            run(QuadratureRule(patch.box, 2))  # build the lazy tables first
+            tracemalloc.start()
+            try:
+                run(rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20
 
     def test_defect_is_twice_first_variation(self):
         # the central identity of the converse proofs: the first variation of
