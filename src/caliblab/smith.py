@@ -16,6 +16,9 @@ import numpy as np
 from .exterior import DegenerateInputError, evaluate
 from .submanifold import Patch, QuadratureRule
 
+# points per axis of the uniform grid the residual sups sample beside the nodes
+SAMPLE_REFINE = 5
+
 
 @dataclass(frozen=True)
 class MapTriple:
@@ -77,10 +80,10 @@ def calibration_integral(triple: MapTriple, rule: QuadratureRule) -> float:
     return rule.integrate(vals)
 
 
-def sample_points(triple: MapTriple, rule: QuadratureRule, refine: int = 5) -> np.ndarray:
+def sample_points(triple: MapTriple, rule: QuadratureRule) -> np.ndarray:
     """Quadrature nodes plus a fixed uniform refinement grid."""
     box = triple.patch.box
-    axes = [np.linspace(box.lo[a], box.hi[a], refine) for a in range(box.k)]
+    axes = [np.linspace(box.lo[a], box.hi[a], SAMPLE_REFINE) for a in range(box.k)]
     grids = np.meshgrid(*axes, indexing="ij")
     extra = np.stack([g.ravel() for g in grids], axis=-1)
     return np.vstack([rule.nodes, extra])

@@ -25,6 +25,8 @@ from .exterior import (
 )
 
 TOL_CALIB = 1e-8
+# projected gradient-ascent steps of comass_sample after the random planes
+COMASS_ASCENT_STEPS = 60
 
 # e123 + e1^(e45 - e67) + e2^(e46 - e75) + e3^(e47 - e56), sorted indices
 G2_PHI_TERMS = (
@@ -362,7 +364,7 @@ def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> Calibratio
     return CalibrationReport(frame, value, defect, defect < tol)
 
 
-def comass_sample(kit, trials: int, seed: int = 0, ascent_steps: int = 60) -> float:
+def comass_sample(kit, trials: int, seed: int = 0) -> float:
     """Max of mu over sampled oriented k-planes, refined by projected gradient ascent."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -386,7 +388,7 @@ def comass_sample(kit, trials: int, seed: int = 0, ascent_steps: int = 60) -> fl
     # a few steps of projected gradient ascent on mu(plane)^2 from the best sample
     step = 0.2
     cur = best_q
-    for _ in range(ascent_steps):
+    for _ in range(COMASS_ASCENT_STEPS):
         cols = [cur[:, a] for a in range(k)]
         val = np.einsum(f"{spec}," + ",".join(spec) + "->", mu_t, *cols)
         grad = np.zeros_like(cur)

@@ -24,6 +24,9 @@ from .exterior import (
 GEOM_FD_STEP = 1e-5
 CLOSEST_POINT_TOL = 1e-12
 CLOSEST_POINT_MAX_ITER = 50
+# seeds per axis of the closest-point search; slack of the parameter-box test
+JET_SEED_GRID = 7
+BOX_SLACK = 1e-12
 # a tensor rule holds order**k nodes; larger rules are refused before any grid is built
 MAX_QUAD_NODES = 10**6
 
@@ -49,9 +52,9 @@ class Box:
     def k(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(np.all(x >= self.lo - BOX_SLACK) and np.all(x <= self.hi + BOX_SLACK))
 
 
 class QuadratureRule:
@@ -238,17 +241,9 @@ def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
     if ambient_metric_field is not None:
         raise ValueError("mean curvature is implemented for the Euclidean ambient metric")
     j = patch.jacobian(x)
-    h2 = patch.hessian(x)
-    g = j.T @ j
-    # orthonormal tangent coefficients: columns c_a with (J c_a) orthonormal
-    l = np.linalg.cholesky(g)
-    c = np.linalg.inv(l).T  # g-orthonormal coordinate directions
-    pn = np.eye(patch.n) - j @ np.linalg.solve(g, j.T)
-    h = np.zeros(patch.n)
-    for a in range(patch.k):
-        acc = np.einsum("nab,a,b->n", h2, c[:, a], c[:, a])
-        h += pn @ acc
-    return h
+    # g-orthonormal coordinate directions: columns c_a with (J c_a) orthonormal
+    c = np.linalg.inv(np.linalg.cholesky(j.T @ j)).T
+    return normal_projector(patch, x) @ np.einsum("nab,ac,bc->n", patch.hessian(x), c, c)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,7 @@ def _closest_parameter(patch: Patch, y: np.ndarray, seeds: np.ndarray):
     )
 
 
-def jet_of_F(patch: Patch, x, seed_grid: int = 7) -> JetOfF:
+def jet_of_F(patch: Patch, x) -> JetOfF:
     """On-patch jet of F (value 0, gradient 0, Hessian = normal projector).
 
     The off-patch evaluator computes F(y) = |y - closest point|^2 / 2 by
@@ -298,7 +293,7 @@ def jet_of_F(patch: Patch, x, seed_grid: int = 7) -> JetOfF:
     x = np.asarray(x, float)
     p = patch.position(x)
     pn = normal_projector(patch, x)
-    axes = [np.linspace(patch.box.lo[a], patch.box.hi[a], seed_grid)
+    axes = [np.linspace(patch.box.lo[a], patch.box.hi[a], JET_SEED_GRID)
             for a in range(patch.k)]
     grids = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([g.ravel() for g in grids], axis=-1)

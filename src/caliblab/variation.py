@@ -31,10 +31,8 @@ from .decomposition import (
 )
 from .exterior import (
     KForm,
-    evaluate,
     minors,
     star_coeffs,
-    wedge,
     wedge_coeffs,
 )
 from .fields import FormField, UmBackground, VectorField
@@ -51,11 +49,20 @@ from .submanifold import (
     QuadratureRule,
     fd_derivative,
     mean_curvature,
+    normal_projector,
 )
 
 TOL_POINT = 1e-8
 TOL_INT = 1e-6
 TOL_FRAME = 1e-9
+
+# FD oracles: t-steps of the family volume and the flowed volume, the parameter
+# step of the divergence route, Richardson levels, RK4 steps of one flow
+FD_STEP = 1e-4
+FLOW_FD_STEP = 1e-3
+DIVERGENCE_FD_STEP = 1e-5
+RICHARDSON_LEVELS = 2
+FLOW_RK4_STEPS = 8
 
 # quadrature nodes evaluated together; bounds the batched temporaries
 NODE_BLOCK = 512
@@ -89,11 +96,6 @@ class VariationFamily:
 
 def _constant(form: KForm) -> Callable:
     return lambda patch, xs: form.coeffs[None]
-
-
-def _at_positions(fn: Callable) -> Callable:
-    """Batched evaluator from a function of one ambient point."""
-    return lambda patch, xs: np.array([fn(y) for y in patch.positions(xs)])
 
 
 def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -140,10 +142,10 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
         return c
 
     def h(patch, xs):
-        return _linearized_metric(kit, alphadot.d_coeffs_batch(patch.positions(xs)))
+        return _linearized_metric(kit, alphadot.d_coeffs(patch.positions(xs)))
 
     def mu_dot(patch, xs):
-        return wedge_omegas(alphadot.d_coeffs_batch(patch.positions(xs)), omega(patch, xs), 1)
+        return wedge_omegas(alphadot.d_coeffs(patch.positions(xs)), omega(patch, xs), 1)
 
     def mu(patch, xs):
         om = omega(patch, xs)
@@ -170,7 +172,7 @@ def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
     phi = kit.phi
 
     def d(patch, xs):
-        return betadot.d_coeffs_batch(patch.positions(xs))
+        return betadot.d_coeffs(patch.positions(xs))
 
     def gbar_at(patch, x, t):
         eta = betadot.d(patch.position(x))
@@ -184,7 +186,7 @@ def coassoc_family_from_gamma(gammadot: FormField, kit: G2Kit) -> VariationFamil
     """Metric family induced by psi_t = psi + t d(gammadot); linearized route only."""
 
     def d(patch, xs):
-        return gammadot.d_coeffs_batch(patch.positions(xs))
+        return gammadot.d_coeffs(patch.positions(xs))
 
     return VariationFamily("coassociative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
                            _constant(kit.psi), meta={"generator": gammadot, "kit": kit})
@@ -200,7 +202,7 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
     """
 
     def sigma(patch, xs):
-        d = gammadot.d_coeffs_batch(patch.positions(xs))
+        d = gammadot.d_coeffs(patch.positions(xs))
         out = project_35_7_batch(d)
         if keep_omega4_1:
             u = _phi_unit()
@@ -208,7 +210,7 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
         return out
 
     def h(patch, xs):
-        return _linearized_metric(kit, gammadot.d_coeffs_batch(patch.positions(xs)),
+        return _linearized_metric(kit, gammadot.d_coeffs(patch.positions(xs)),
                                   keep_omega4_1)
 
     return VariationFamily("cayley", h, sigma, _constant(kit.Phi),
@@ -225,11 +227,11 @@ def _phi_unit():
 def lie_family(xfield: VectorField) -> VariationFamily:
     """Pullback family along the flow of an ambient field (Euclidean background)."""
 
-    def lie_derivative(y):
-        dx = xfield.jacobian(y)
-        return dx + dx.T
+    def lie_derivative(patch, xs):
+        dx = xfield.jacobian(patch.positions(xs))
+        return dx + np.swapaxes(dx, -1, -2)
 
-    return VariationFamily("flow", _at_positions(lie_derivative), meta={"field": xfield})
+    return VariationFamily("flow", lie_derivative, meta={"field": xfield})
 
 
 def scaling_family(n: int) -> VariationFamily:
@@ -251,7 +253,8 @@ def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
             g = g + t * t * quadratic_field.value(y)
         return g
 
-    return VariationFamily("ambient", _at_positions(h_field.value), gbar_at=gbar_at)
+    return VariationFamily("ambient", lambda patch, xs: h_field.value(patch.positions(xs)),
+                           gbar_at=gbar_at)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +300,7 @@ def analytic_first_variation(patch: Patch, family: VariationFamily,
     return rule.integrate(vals)
 
 
-def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRule,
-                       step: float = 1e-4, richardson_levels: int = 2):
+def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRule):
     """Finite-difference d/dt of the volume along the family's metric evaluator."""
     if family.gbar_at is None:
         raise ValueError(f"family for case {family.case!r} has no nonlinear evaluator")
@@ -311,7 +313,7 @@ def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRu
             vals[i] = math.sqrt(np.linalg.det(g))
         return rule.integrate(vals)
 
-    return fd_derivative(vol, 0.0, step, richardson_levels)
+    return fd_derivative(vol, 0.0, FD_STEP, RICHARDSON_LEVELS)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +541,6 @@ class TheoremVerdict:
     defect_integral: float
     identity_max_err: float
     stokes_value: float
-    fd_first_variation: float | None = None
-    fd_error: float | None = None
     cayley_condition: float | None = None
     cayley_raw_identity_err: float | None = None
     um_dw_route: float | None = None
@@ -561,8 +561,7 @@ class TheoremVerdict:
             "identity_max_err": self.identity_max_err,
             "stokes_value": self.stokes_value,
         }
-        for name in ("fd_first_variation", "fd_error", "cayley_condition",
-                     "cayley_raw_identity_err", "um_dw_route"):
+        for name in ("cayley_condition", "cayley_raw_identity_err", "um_dw_route"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = val
@@ -571,8 +570,7 @@ class TheoremVerdict:
 
 def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
                          rule: QuadratureRule, tol_point: float = TOL_POINT,
-                         tol_int: float = TOL_INT,
-                         compute_fd: bool = False) -> TheoremVerdict:
+                         tol_int: float = TOL_INT) -> TheoremVerdict:
     """Run the criticality experiment for one family on one patch.
 
     Checks (i) the analytic first variation, (ii) the pointwise integrand
@@ -601,7 +599,7 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
             stokes[sl] = np.sum(mu_dot * jac_minors, axis=-1)
             continue
         # Stokes route uses the exact form d(gammadot), not its projection
-        d = family.meta["generator"].d_coeffs_batch(patch.positions(xs))
+        d = family.meta["generator"].d_coeffs(patch.positions(xs))
         star_d = star_coeffs(d, patch.n, 4)
         stokes[sl] = np.sum(d * jac_minors, axis=-1)
         condition[sl] = np.sum(star_d * jac_minors, axis=-1)
@@ -625,21 +623,14 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
         tolerances={"point": tol_point, "int": tol_int},
     )
     orient_sign = -1.0 if cayley and plane_value < 0 else 1.0
-    _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int,
-                      compute_fd, orient_sign)
+    _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int, orient_sign)
     return verdict
 
 
 def _finalize_verdict(verdict: TheoremVerdict, case: str, patch: Patch,
                       family: VariationFamily, rule: QuadratureRule,
-                      tol_point: float, tol_int: float, compute_fd: bool,
-                      orient_sign: float) -> None:
+                      tol_point: float, tol_int: float, orient_sign: float) -> None:
     fv = verdict.analytic_first_variation
-    if compute_fd and family.gbar_at is not None:
-        val, err = fd_first_variation(patch, family, rule)
-        verdict.fd_first_variation = float(val)
-        verdict.fd_error = float(err)
-        verdict.passes["fd_matches"] = abs(val - fv) < tol_int
     if case == "um" and not family.meta["background"].is_flat and family.meta["k"] >= 2:
         verdict.um_dw_route = _um_dw_route(patch, family, rule)
         if verdict.calibrated:
@@ -662,14 +653,16 @@ def _um_dw_route(patch: Patch, family: VariationFamily, rule: QuadratureRule) ->
     """Quadrature of adot ^ d omega ^ omega^{k-2} / (k-2)! restricted to the patch."""
     background: UmBackground = family.meta["background"]
     alphadot: FormField = family.meta["generator"]
-    k = family.meta["k"]
+    k, n = family.meta["k"], patch.n
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        y = patch.position(x)
-        form = wedge(alphadot.value(y), background.d_omega(y))
+    # a wedge keeps about four rows of its output width alive, none wider than C(n, n/2)
+    for sl in _blocks(len(vals), 4 * math.comb(n, n // 2)):
+        xs = rule.nodes[sl]
+        ys = patch.positions(xs)
+        form = wedge_coeffs(alphadot.value_coeffs(ys), background.d_omega_coeffs(ys), n, 1, 3)
         for jj in range(1, k - 1):
-            form = wedge(form, background.omega(y)) * (1.0 / jj)
-        vals[i] = evaluate(form, patch.jacobian(x).T)
+            form = wedge_coeffs(form, background.omega_coeffs(ys), n, 2 + 2 * jj, 2) * (1.0 / jj)
+        vals[sl] = np.sum(form * minors(np.swapaxes(patch.jacobians(xs), -1, -2)), axis=-1)
     return rule.integrate(vals)
 
 
@@ -698,9 +691,7 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     return {"trace_discrepancy_err": max_dev, "star_restriction_max": max_star}
 
 
-def flow_volume_derivative(patch: Patch, xfield: VectorField, rule: QuadratureRule,
-                           step: float = 1e-3, richardson_levels: int = 2,
-                           rk4_steps: int = 8):
+def flow_volume_derivative(patch: Patch, xfield: VectorField, rule: QuadratureRule):
     """d/dt at 0 of the volume of the patch flowed along the field (FD oracle)."""
     base = [(x, patch.position(x), patch.jacobian(x)) for x in rule.nodes]
 
@@ -708,13 +699,13 @@ def flow_volume_derivative(patch: Patch, xfield: VectorField, rule: QuadratureRu
         vals = np.empty(len(base))
         for i, (x, y0, j0) in enumerate(base):
             y, m = y0.copy(), j0.copy()
-            dt = t / rk4_steps
-            for _ in range(rk4_steps):
+            dt = t / FLOW_RK4_STEPS
+            for _ in range(FLOW_RK4_STEPS):
                 y, m = _rk4_flow_step(xfield, y, m, dt)
             vals[i] = math.sqrt(np.linalg.det(m.T @ m))
         return rule.integrate(vals)
 
-    return fd_derivative(flowed_volume, 0.0, step, richardson_levels)
+    return fd_derivative(flowed_volume, 0.0, FLOW_FD_STEP, RICHARDSON_LEVELS)
 
 
 def _rk4_flow_step(xfield: VectorField, y, m, dt):
@@ -731,8 +722,7 @@ def _rk4_flow_step(xfield: VectorField, y, m, dt):
     return y_new, m_new
 
 
-def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule,
-                     fd_step: float = 1e-5) -> float:
+def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule) -> float:
     """Integral of div_g(X^T) - <X_perp, H> via parameter-space differences."""
     k = patch.k
 
@@ -750,11 +740,10 @@ def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule,
         div = 0.0
         for a in range(k):
             e = np.zeros(k)
-            e[a] = fd_step
-            div += (sqrtg_xi(x + e)[a] - sqrtg_xi(x - e)[a]) / (2 * fd_step)
+            e[a] = DIVERGENCE_FD_STEP
+            div += (sqrtg_xi(x + e)[a] - sqrtg_xi(x - e)[a]) / (2 * DIVERGENCE_FD_STEP)
         div /= sg
-        pn = np.eye(patch.n) - j @ np.linalg.solve(g, j.T)
-        xperp = pn @ xfield.value(patch.position(x))
+        xperp = normal_projector(patch, x) @ xfield.value(patch.position(x))
         hvec = mean_curvature(patch, x)
         vals[i] = (div - xperp @ hvec) * sg
     return rule.integrate(vals)

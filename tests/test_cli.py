@@ -62,6 +62,33 @@ class TestIdentitiesCommand:
         records = parse_jsonl(proc.stdout)
         assert any(not r["pass"] for r in records)
 
+    def test_chunked_equality_draw_bounds_memory(self, monkeypatch, capsys):
+        # the equality vectors are drawn and checked a chunk at a time, so the
+        # traced peak stays under a bound that one draw of every trial exceeds
+        import tracemalloc
+
+        from caliblab import cli
+
+        def peak(chunk):
+            monkeypatch.setattr(cli, "EQUALITY_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["identities", "--trials", "4000"])
+                return rc, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cli.main(["identities", "--trials", "10"])  # builds the cached kit tables
+        capsys.readouterr()
+        rc, chunked = peak(400)
+        records = [r for r in parse_jsonl(capsys.readouterr().out)
+                   if r["id"].startswith("equality-")]
+        assert rc == 0 and len(records) == 2 and all(r["pass"] for r in records)
+        assert all(r["inputs"]["trials"] == 4000 and r["wall_ms"] > 0 for r in records)
+        bound = 1_000_000
+        assert chunked < bound
+        assert peak(4000)[1] > bound
+
 
 class TestTheoremCommand:
     def test_associative_default(self):

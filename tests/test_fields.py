@@ -7,6 +7,13 @@ from caliblab.fields import FormField, FourierMode, SymTensorField, UmBackground
 H = 1e-6
 
 
+def assert_rows_match(fn, ys):
+    """fn on stacked points (..., n) equals fn on each point at rtol 1e-12."""
+    stacked = fn(ys)
+    for i in np.ndindex(ys.shape[:-1]):
+        np.testing.assert_allclose(stacked[i], fn(ys[i]), rtol=1e-12, atol=0)
+
+
 class TestFormField:
     def test_exterior_derivative_fd_oracle(self):
         # d coefficients must match sum_p (d coeffs/dy_p) e^p ^ (.)
@@ -26,8 +33,8 @@ class TestFormField:
         f = FormField.random_fourier(8, 3, rng, n_modes=3)
         ys = rng.standard_normal((6, 8))
         for i in range(6):
-            assert np.abs(f.value_coeffs_batch(ys)[i] - f.value_coeffs(ys[i])).max() < 1e-12
-            assert np.abs(f.d_coeffs_batch(ys)[i] - f.d_coeffs(ys[i])).max() < 1e-12
+            assert np.abs(f.value_coeffs(ys)[i] - f.value_coeffs(ys[i])).max() < 1e-12
+            assert np.abs(f.d_coeffs(ys)[i] - f.d_coeffs(ys[i])).max() < 1e-12
 
     def test_constant_field_has_zero_derivative(self):
         form = KForm.from_components(7, 2, {(1, 2): 2.0, (4, 6): -1.0})
@@ -35,6 +42,16 @@ class TestFormField:
         y = np.ones(7)
         assert np.array_equal(f.value(y).coeffs, form.coeffs)
         assert np.abs(f.d_coeffs(y)).max() == 0.0
+
+    def test_top_degree_and_function_fields_build(self):
+        # the d table is built with the field; a top-degree form has d = 0
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((2, 4))
+        top = FormField.random_fourier(4, 4, rng, n_modes=2)
+        assert top.value_coeffs(y).shape == (2, 1) and top.d_coeffs(y).shape == (2, 0)
+        fn = FormField.random_fourier(4, 0, rng, n_modes=2)
+        assert fn.d_coeffs(y).shape == (2, 4)
+        assert_rows_match(fn.d_coeffs, y)
 
     def test_frequency_axis_restriction(self):
         rng = np.random.default_rng(2)
@@ -69,6 +86,14 @@ class TestVectorField:
         v = VectorField.random(4, rng, with_linear=False)
         assert np.abs(v.linear).max() == 0.0
 
+    def test_stacked_points_match_rows(self):
+        rng = np.random.default_rng(10)
+        v = VectorField.random(6, rng, n_modes=3)
+        ys = rng.standard_normal((3, 5, 6))
+        assert v.value(ys).shape == (3, 5, 6) and v.jacobian(ys).shape == (3, 5, 6, 6)
+        assert_rows_match(v.value, ys)
+        assert_rows_match(v.jacobian, ys)
+
 
 class TestSymTensorField:
     def test_symmetric_values(self):
@@ -77,6 +102,13 @@ class TestSymTensorField:
         for _ in range(5):
             m = f.value(rng.standard_normal(5))
             assert np.abs(m - m.T).max() == 0.0
+
+    def test_stacked_points_match_rows(self):
+        rng = np.random.default_rng(11)
+        f = SymTensorField.random(5, rng, n_modes=3)
+        ys = rng.standard_normal((3, 5, 5))
+        assert f.value(ys).shape == (3, 5, 5, 5)
+        assert_rows_match(f.value, ys)
 
 
 class TestUmBackground:
@@ -118,6 +150,16 @@ class TestUmBackground:
         for _ in range(10):
             lam = bg.lambdas(rng.standard_normal(6))
             assert lam.min() > 0.5
+
+    def test_stacked_points_match_rows(self):
+        rng = np.random.default_rng(12)
+        bg = UmBackground(3, waves=[[(0.1, np.array([1.0, 0, 0, -1, 0, 0]), 0.3),
+                                     (0.05, np.array([0, 1.0, 1, 0, 0, 0]), 1.9)],
+                                    [], [(0.2, np.array([0, 0, 0, 0, 1.0, 1]), 4.0)]])
+        ys = rng.standard_normal((3, 5, 6))
+        for fn, width in ((bg.lambdas, 3), (bg.omega_coeffs, 15), (bg.d_omega_coeffs, 20)):
+            assert fn(ys).shape == (3, 5, width)
+            assert_rows_match(fn, ys)
 
 
 class TestFourierMode:

@@ -406,6 +406,33 @@ class TestTheoremA:
             found_nonzero = found_nonzero or abs(v.um_dw_route) > 1e-3
         assert found_nonzero
 
+    def test_dw_route_matches_per_node_forms(self):
+        # the blocked coefficient-row route against the per-node KForm wedge chain;
+        # at k = 3 the chain also wedges in omega once
+        from caliblab.exterior import wedge
+        from caliblab.variation import _um_dw_route
+
+        rng = np.random.default_rng(12)
+        for k, p in ((2, flat_plane((1, 2, 3, 4), 6, name="t4-in-r6")),
+                     (3, flat_plane((1, 2, 3, 4, 5, 6), 8, name="plane-123456-r8"))):
+            bg = UmBackground.wavy(p.n // 2, rng, eps=0.05, frequency_axes=range(1, 2 * k + 1))
+            # modes resonant with the background waves keep the integral away from 0
+            gen = FormField(p.n, 1, modes=[
+                FourierMode(rng.standard_normal(p.n), freq, float(rng.uniform(0, 2 * math.pi)))
+                for freq in bg.omega_field.freqs])
+            rule = QuadratureRule(p.box, 3)
+            vals = []
+            for x in rule.nodes:
+                y = p.position(x)
+                form = wedge(gen.value(y), bg.d_omega(y))
+                for jj in range(1, k - 1):
+                    form = wedge(form, bg.omega(y)) * (1.0 / jj)
+                vals.append(evaluate(form, p.jacobian(x).T))
+            ref = rule.integrate(np.array(vals))
+            assert abs(ref) > 1e-3
+            got = _um_dw_route(p, um_family_from_alpha(gen, bg, k), rule)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_fd_cross_checks(self):
         rng = np.random.default_rng(11)
         p = flat_plane((1, 2), 6, name="t2-in-r6")
