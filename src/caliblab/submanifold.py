@@ -95,6 +95,7 @@ class Patch:
     closed: bool
     _eval: Callable = field(repr=False)
     _jac: Callable | None = field(default=None, repr=False)
+    # (N, k) parameter rows -> Hessians (N, n, k, k)
     _hess: Callable | None = field(default=None, repr=False)
     flat: bool = False                   # affine: constant Jacobian
     axes: tuple[int, ...] | None = None  # 0-based spanned axes when flat
@@ -122,6 +123,13 @@ class Patch:
             return self._rows(np.asarray(xs, float))[1]
         return np.array([self.jacobian(x) for x in xs])
 
+    def rows(self, xs: np.ndarray):
+        """Positions and Jacobians at parameter rows xs, as `positions` and
+        `jacobians` give them, from one evaluation of a row formula."""
+        if self._rows is not None:
+            return self._rows(np.asarray(xs, float))
+        return self.positions(xs), self.jacobians(xs)
+
     def jacobian(self, x) -> np.ndarray:
         """Columns are the coordinate tangent vectors du/dx^a, shape (n, k)."""
         x = np.asarray(x, float)
@@ -134,23 +142,26 @@ class Patch:
             out[:, a] = (self.position(x + e) - self.position(x - e)) / (2 * GEOM_FD_STEP)
         return out
 
-    def hessian(self, x) -> np.ndarray:
-        """Second derivatives d2u/dx^a dx^b, shape (n, k, k)."""
-        x = np.asarray(x, float)
+    def hessians(self, xs: np.ndarray) -> np.ndarray:
+        """Second derivatives d2u/dx^a dx^b at parameter rows xs (N, k), stacked
+        as (N, n, k, k)."""
+        xs = np.asarray(xs, float)
         if self._hess is not None:
-            return np.asarray(self._hess(x), float)
-        out = np.zeros((self.n, self.k, self.k))
+            return np.asarray(self._hess(xs), float)
+        out = np.zeros((xs.shape[0], self.n, self.k, self.k))
         h = math.sqrt(GEOM_FD_STEP)
         for a in range(self.k):
-            ea = np.zeros(self.k)
-            ea[a] = h
+            ea = h * np.eye(self.k)[a]
             for b in range(a, self.k):
-                eb = np.zeros(self.k)
-                eb[b] = h
-                val = (self.position(x + ea + eb) - self.position(x + ea - eb)
-                       - self.position(x - ea + eb) + self.position(x - ea - eb)) / (4 * h * h)
-                out[:, a, b] = out[:, b, a] = val
+                eb = h * np.eye(self.k)[b]
+                val = (self.positions(xs + ea + eb) - self.positions(xs + ea - eb)
+                       - self.positions(xs - ea + eb) + self.positions(xs - ea - eb)) / (4 * h * h)
+                out[:, :, a, b] = out[:, :, b, a] = val
         return out
+
+    def hessian(self, x) -> np.ndarray:
+        """Second derivatives d2u/dx^a dx^b, shape (n, k, k)."""
+        return self.hessians(np.asarray(x, float)[None])[0]
 
     def frame(self, x, ambient_metric_field=None) -> OrientedFrame:
         gmat = None if ambient_metric_field is None else ambient_metric_field(self.position(x))
@@ -162,9 +173,9 @@ class Patch:
             raise DimensionError("cannot reverse a 0-patch")
         lo, hi = self.box.lo.copy(), self.box.hi.copy()
 
-        def flip(x):
-            y = np.asarray(x, float).copy()
-            y[0] = lo[0] + hi[0] - y[0]
+        def flip(x):  # one point (k,) or parameter rows (N, k)
+            y = np.array(x, float)
+            y[..., 0] = lo[0] + hi[0] - y[..., 0]
             return y
 
         ev = self._eval
@@ -183,10 +194,10 @@ class Patch:
 
         new_hess = None
         if hess is not None:
-            def new_hess(x):
-                h = np.asarray(hess(flip(x)), float).copy()
-                h[:, 0, :] *= -1
-                h[:, :, 0] *= -1
+            def new_hess(xs):
+                h = np.array(hess(flip(xs)), float)
+                h[..., 0, :] *= -1
+                h[..., :, 0] *= -1
                 return h
 
         return Patch(self.name + "-reversed", self.k, self.n, self.box, self.closed,
@@ -231,9 +242,7 @@ def tangent_normal_split(patch: Patch, ambient_metric_field, x, v):
 
 def normal_projector(patch: Patch, x) -> np.ndarray:
     """Euclidean orthogonal projector onto the normal space at u(x)."""
-    j = patch.jacobian(x)
-    g = j.T @ j
-    return np.eye(patch.n) - j @ np.linalg.solve(g, j.T)
+    return _normal_projector(patch.jacobian(x))
 
 
 def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
@@ -241,9 +250,22 @@ def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
     if ambient_metric_field is not None:
         raise ValueError("mean curvature is implemented for the Euclidean ambient metric")
     j = patch.jacobian(x)
+    return _mean_curvature(j, patch.hessian(x), _normal_projector(j))
+
+
+def _normal_projector(jac: np.ndarray) -> np.ndarray:
+    """Normal projectors (..., n, n) from Jacobians (..., n, k)."""
+    jt = np.swapaxes(jac, -1, -2)
+    return np.eye(jac.shape[-2]) - jac @ np.linalg.solve(jt @ jac, jt)
+
+
+def _mean_curvature(jac: np.ndarray, hess: np.ndarray, p_normal: np.ndarray) -> np.ndarray:
+    """Mean curvature vectors (..., n) from Jacobians (..., n, k), Hessians
+    (..., n, k, k) and normal projectors (..., n, n)."""
     # g-orthonormal coordinate directions: columns c_a with (J c_a) orthonormal
-    c = np.linalg.inv(np.linalg.cholesky(j.T @ j)).T
-    return normal_projector(patch, x) @ np.einsum("nab,ac,bc->n", patch.hessian(x), c, c)
+    c = np.swapaxes(np.linalg.inv(np.linalg.cholesky(np.swapaxes(jac, -1, -2) @ jac)), -1, -2)
+    trace = np.einsum("...nab,...ac,...bc->...n", hess, c, c)
+    return (p_normal @ trace[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +360,13 @@ def fd_derivative(f: Callable, t0: float, step: float = 1e-4,
 # ---------------------------------------------------------------------------
 # patch catalog
 
+def _from_rows(name: str, k: int, n: int, box: Box, closed: bool, rows, hess) -> Patch:
+    """Patch whose positions and Jacobians come from one formula on parameter
+    rows; the per-point evaluators pass it one row."""
+    return Patch(name, k, n, box, closed, lambda x: rows(x[None])[0][0],
+                 lambda x: rows(x[None])[1][0], hess, _rows=rows)
+
+
 def flat_plane(axes: tuple[int, ...], n: int, name: str | None = None,
                closed: bool = True) -> Patch:
     """Axis plane through the origin spanned by 1-based axes, unit box domain."""
@@ -355,8 +384,8 @@ def flat_plane(axes: tuple[int, ...], n: int, name: str | None = None,
     def jac(x):
         return basis
 
-    def hess(x):
-        return np.zeros((n, k, k))
+    def hess(xs):
+        return np.zeros((xs.shape[0], n, k, k))
 
     label = name or ("plane-" + "".join(str(a) for a in axes) + f"-r{n}")
     return Patch(label, k, n, Box.unit(k), closed, ev, jac, hess, flat=True, axes=ax0)
@@ -371,7 +400,7 @@ def rotated_plane(tangent_rows: np.ndarray, n: int, name: str) -> Patch:
         return basis @ x
 
     return Patch(name, k, n, Box.unit(k), True, ev, lambda x: basis,
-                 lambda x: np.zeros((n, k, k)), flat=False)
+                 lambda xs: np.zeros((xs.shape[0], n, k, k)), flat=False)
 
 
 def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
@@ -396,41 +425,33 @@ def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
             jac[:, m, :] += (amp * 2 * math.pi * np.cos(arg))[:, None] * freq
         return pos, jac
 
-    def hess(x):
-        h = np.zeros((n, k, k))
+    def hess(xs):
+        h = np.zeros((xs.shape[0], n, k, k))
         for m, amp, freq, phase in terms:
-            h[m] += -amp * (2 * math.pi) ** 2 * math.sin(2 * math.pi * float(freq @ x) + phase) \
+            arg = 2 * math.pi * (xs @ freq) + phase
+            h[:, m] += (-amp * (2 * math.pi) ** 2 * np.sin(arg))[:, None, None] \
                 * np.outer(freq, freq)
         return h
 
-    return Patch(name, k, n, Box.unit(k), closed, lambda x: rows(x[None])[0][0],
-                 lambda x: rows(x[None])[1][0], hess, _rows=rows)
+    return _from_rows(name, k, n, Box.unit(k), closed, rows, hess)
 
 
 def circle_patch(radius: float = 1.0, n: int = 2, name: str | None = None) -> Patch:
-    def ev(x):
-        t = x[0]
-        p = np.zeros(n)
-        p[0] = radius * math.cos(t)
-        p[1] = radius * math.sin(t)
-        return p
+    def rows(xs):
+        c, s = np.cos(xs[:, 0]), np.sin(xs[:, 0])
+        pos = np.zeros((xs.shape[0], n))
+        pos[:, 0], pos[:, 1] = radius * c, radius * s
+        jac = np.zeros((xs.shape[0], n, 1))
+        jac[:, 0, 0], jac[:, 1, 0] = -radius * s, radius * c
+        return pos, jac
 
-    def jac(x):
-        t = x[0]
-        j = np.zeros((n, 1))
-        j[0, 0] = -radius * math.sin(t)
-        j[1, 0] = radius * math.cos(t)
-        return j
-
-    def hess(x):
-        t = x[0]
-        h = np.zeros((n, 1, 1))
-        h[0, 0, 0] = -radius * math.cos(t)
-        h[1, 0, 0] = -radius * math.sin(t)
+    def hess(xs):
+        h = np.zeros((xs.shape[0], n, 1, 1))
+        h[:, :, 0, 0] = -rows(xs)[0]
         return h
 
-    return Patch(name or f"circle-r{n}", 1, n, Box.make([0.0], [2 * math.pi]),
-                 True, ev, jac, hess)
+    return _from_rows(name or f"circle-r{n}", 1, n, Box.make([0.0], [2 * math.pi]),
+                      True, rows, hess)
 
 
 def sphere_patch(radius: float = 1.0, full: bool = True, name: str | None = None) -> Patch:
@@ -438,30 +459,26 @@ def sphere_patch(radius: float = 1.0, full: bool = True, name: str | None = None
     lo = [0.0, 0.0] if full else [0.4, 0.3]
     hi = [math.pi, 2 * math.pi] if full else [math.pi - 0.4, 2 * math.pi - 0.3]
 
-    def ev(x):
-        th, ph = x
-        return radius * np.array([math.sin(th) * math.cos(ph),
-                                  math.sin(th) * math.sin(ph),
-                                  math.cos(th)])
+    def trig(xs):
+        return (np.sin(xs[:, 0]), np.cos(xs[:, 0]), np.sin(xs[:, 1]), np.cos(xs[:, 1]),
+                np.zeros(xs.shape[0]))
 
-    def jac(x):
-        th, ph = x
-        return radius * np.array([
-            [math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
-            [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
-            [-math.sin(th), 0.0],
-        ])
+    def rows(xs):
+        st, ct, sp, cp, zero = trig(xs)
+        pos = radius * np.stack([st * cp, st * sp, ct], axis=-1)
+        jac = radius * np.stack([np.stack([ct * cp, -st * sp], axis=-1),
+                                 np.stack([ct * sp, st * cp], axis=-1),
+                                 np.stack([-st, zero], axis=-1)], axis=-2)
+        return pos, jac
 
-    def hess(x):
-        th, ph = x
-        h = np.zeros((3, 2, 2))
-        st, ct, sp, cp = math.sin(th), math.cos(th), math.sin(ph), math.cos(ph)
-        h[0] = radius * np.array([[-st * cp, -ct * sp], [-ct * sp, -st * cp]])
-        h[1] = radius * np.array([[-st * sp, ct * cp], [ct * cp, -st * sp]])
-        h[2] = radius * np.array([[-ct, 0.0], [0.0, 0.0]])
-        return h
+    def hess(xs):
+        st, ct, sp, cp, zero = trig(xs)
+        mats = [[[-st * cp, -ct * sp], [-ct * sp, -st * cp]],
+                [[-st * sp, ct * cp], [ct * cp, -st * sp]],
+                [[-ct, zero], [zero, zero]]]
+        return radius * np.moveaxis(np.array(mats), -1, 0)
 
-    return Patch(name or "sphere", 2, 3, Box.make(lo, hi), full, ev, jac, hess)
+    return _from_rows(name or "sphere", 2, 3, Box.make(lo, hi), full, rows, hess)
 
 
 def torus_patch(big_radius: float = 2.0, small_radius: float = 0.5,
@@ -469,30 +486,24 @@ def torus_patch(big_radius: float = 2.0, small_radius: float = 0.5,
     """Embedded torus of revolution in R^3 (closed)."""
     R, r = big_radius, small_radius
 
-    def ev(x):
-        th, ph = x
-        w = R + r * math.cos(ph)
-        return np.array([w * math.cos(th), w * math.sin(th), r * math.sin(ph)])
+    def trig(xs):
+        st, ct, sp, cp = np.sin(xs[:, 0]), np.cos(xs[:, 0]), np.sin(xs[:, 1]), np.cos(xs[:, 1])
+        return st, ct, sp, cp, R + r * cp, np.zeros(xs.shape[0])
 
-    def jac(x):
-        th, ph = x
-        w = R + r * math.cos(ph)
-        return np.array([
-            [-w * math.sin(th), -r * math.sin(ph) * math.cos(th)],
-            [w * math.cos(th), -r * math.sin(ph) * math.sin(th)],
-            [0.0, r * math.cos(ph)],
-        ])
+    def rows(xs):
+        st, ct, sp, cp, w, zero = trig(xs)
+        pos = np.stack([w * ct, w * st, r * sp], axis=-1)
+        jac = np.stack([np.stack([-w * st, -r * sp * ct], axis=-1),
+                        np.stack([w * ct, -r * sp * st], axis=-1),
+                        np.stack([zero, r * cp], axis=-1)], axis=-2)
+        return pos, jac
 
-    def hess(x):
-        th, ph = x
-        w = R + r * math.cos(ph)
-        h = np.zeros((3, 2, 2))
-        h[0] = np.array([[-w * math.cos(th), r * math.sin(ph) * math.sin(th)],
-                         [r * math.sin(ph) * math.sin(th), -r * math.cos(ph) * math.cos(th)]])
-        h[1] = np.array([[-w * math.sin(th), -r * math.sin(ph) * math.cos(th)],
-                         [-r * math.sin(ph) * math.cos(th), -r * math.cos(ph) * math.sin(th)]])
-        h[2] = np.array([[0.0, 0.0], [0.0, -r * math.sin(ph)]])
-        return h
+    def hess(xs):
+        st, ct, sp, cp, w, zero = trig(xs)
+        mats = [[[-w * ct, r * sp * st], [r * sp * st, -r * cp * ct]],
+                [[-w * st, -r * sp * ct], [-r * sp * ct, -r * cp * st]],
+                [[zero, zero], [zero, -r * sp]]]
+        return np.moveaxis(np.array(mats), -1, 0)
 
-    return Patch(name or "torus2-r3", 2, 3,
-                 Box.make([0.0, 0.0], [2 * math.pi, 2 * math.pi]), True, ev, jac, hess)
+    return _from_rows(name or "torus2-r3", 2, 3,
+                      Box.make([0.0, 0.0], [2 * math.pi, 2 * math.pi]), True, rows, hess)

@@ -47,9 +47,9 @@ from .structures import (
 from .submanifold import (
     Patch,
     QuadratureRule,
+    _mean_curvature,
+    _normal_projector,
     fd_derivative,
-    mean_curvature,
-    normal_projector,
 )
 
 TOL_POINT = 1e-8
@@ -692,23 +692,31 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
 
 
 def flow_volume_derivative(patch: Patch, xfield: VectorField, rule: QuadratureRule):
-    """d/dt at 0 of the volume of the patch flowed along the field (FD oracle)."""
-    base = [(x, patch.position(x), patch.jacobian(x)) for x in rule.nodes]
+    """d/dt at 0 of the volume of the patch flowed along the field (FD oracle).
+
+    Every node's point y and tangent vectors M (the pushed-forward Jacobian)
+    follow the flow together: dy/dt = X(y), dM/dt = DX(y) M, by RK4 over
+    memory-bounded node blocks."""
+    n, k = patch.n, patch.k
+    # a step keeps about six (y, M) pairs and two field Jacobians per node alive
+    base = [(sl, *patch.rows(rule.nodes[sl]))
+            for sl in _blocks(rule.nodes.shape[0], 6 * n * (k + 1) + 2 * n * n)]
 
     def flowed_volume(t):
-        vals = np.empty(len(base))
-        for i, (x, y0, j0) in enumerate(base):
-            y, m = y0.copy(), j0.copy()
-            dt = t / FLOW_RK4_STEPS
+        vals = np.empty(rule.nodes.shape[0])
+        dt = t / FLOW_RK4_STEPS
+        for sl, y, m in base:
+            m = np.broadcast_to(m, y.shape + (k,))  # a flat patch's Jacobian is shared
             for _ in range(FLOW_RK4_STEPS):
                 y, m = _rk4_flow_step(xfield, y, m, dt)
-            vals[i] = math.sqrt(np.linalg.det(m.T @ m))
+            vals[sl] = np.sqrt(np.linalg.det(np.swapaxes(m, -1, -2) @ m))
         return rule.integrate(vals)
 
     return fd_derivative(flowed_volume, 0.0, FLOW_FD_STEP, RICHARDSON_LEVELS)
 
 
 def _rk4_flow_step(xfield: VectorField, y, m, dt):
+    """One RK4 step of dy/dt = X(y), dM/dt = DX(y) M for stacked (y, M)."""
     def rhs(state):
         yy, mm = state
         return xfield.value(yy), xfield.jacobian(yy) @ mm
@@ -723,29 +731,36 @@ def _rk4_flow_step(xfield: VectorField, y, m, dt):
 
 
 def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule) -> float:
-    """Integral of div_g(X^T) - <X_perp, H> via parameter-space differences."""
-    k = patch.k
+    """Integral of div_g(X^T) - <X_perp, H> via parameter-space differences.
 
-    def sqrtg_xi(x):
-        j = patch.jacobian(x)
-        g = j.T @ j
-        xi = np.linalg.solve(g, j.T @ xfield.value(patch.position(x)))
-        return math.sqrt(np.linalg.det(g)) * xi
+    Per node block: one patch evaluation at the nodes and one at each shifted
+    row set x +- h e_a, whose sqrt(g) xi give the divergence by central
+    differences; the normal projector and mean curvature share the nodes'
+    Jacobians."""
+    n, k = patch.n, patch.k
+
+    def sqrtg_xi(ys, j):
+        jt = np.swapaxes(j, -1, -2)
+        g = jt @ j
+        xi = np.linalg.solve(g, jt @ xfield.value(ys)[..., None])[..., 0]
+        return np.sqrt(np.linalg.det(g))[..., None] * xi
 
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        j = patch.jacobian(x)
-        g = j.T @ j
-        sg = math.sqrt(np.linalg.det(g))
-        div = 0.0
+    # the Hessians and normal projectors are the widest per-node temporaries
+    for sl in _blocks(len(vals), n * (n + k * k)):
+        xs = rule.nodes[sl]
+        ys, j = patch.rows(xs)
+        sg = np.sqrt(np.linalg.det(np.swapaxes(j, -1, -2) @ j))
+        div = np.zeros(xs.shape[0])
         for a in range(k):
-            e = np.zeros(k)
-            e[a] = DIVERGENCE_FD_STEP
-            div += (sqrtg_xi(x + e)[a] - sqrtg_xi(x - e)[a]) / (2 * DIVERGENCE_FD_STEP)
+            e = DIVERGENCE_FD_STEP * np.eye(k)[a]
+            div += (sqrtg_xi(*patch.rows(xs + e))[:, a]
+                    - sqrtg_xi(*patch.rows(xs - e))[:, a]) / (2 * DIVERGENCE_FD_STEP)
         div /= sg
-        xperp = normal_projector(patch, x) @ xfield.value(patch.position(x))
-        hvec = mean_curvature(patch, x)
-        vals[i] = (div - xperp @ hvec) * sg
+        p_normal = _normal_projector(j)
+        xperp = (p_normal @ xfield.value(ys)[..., None])[..., 0]
+        hvec = _mean_curvature(j, patch.hessians(xs), p_normal)
+        vals[sl] = (div - np.sum(xperp * hvec, axis=-1)) * sg
     return rule.integrate(vals)
 
 

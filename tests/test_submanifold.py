@@ -66,10 +66,21 @@ class TestPatchCatalog:
         assert np.abs(patch.positions(xs) - [patch.position(y) for y in xs]).max() < 1e-14
         jacs = patch.jacobians(xs)
         assert jacs.shape == (5, patch.n, patch.k)
+        assert np.abs(jacs - [patch.jacobian(y) for y in xs]).max() < 1e-14
+        hess = patch.hessians(xs)
+        assert hess.shape == (5, patch.n, patch.k, patch.k)
+        assert np.abs(hess - [patch.hessian(y) for y in xs]).max() < 1e-14
         for a in range(patch.k):
             e = h * np.eye(patch.k)[a]
             col_fd = (patch.positions(xs + e) - patch.positions(xs - e)) / (2 * h)
             assert np.abs(col_fd - jacs[:, :, a]).max() < 1e-8
+            e2 = h2 * np.eye(patch.k)[a]
+            hess_fd = (patch.jacobians(xs + e2) - patch.jacobians(xs - e2)) / (2 * h2)
+            # the O(h2^2) truncation scales with the third derivatives
+            assert np.abs(hess_fd - hess[..., a]).max() < 1e-6 * max(1.0, np.abs(hess).max())
+            rows_pos, rows_jac = patch.rows(xs + e)
+            assert np.array_equal(rows_pos, patch.positions(xs + e))
+            assert np.array_equal(rows_jac, patch.jacobians(xs + e))
 
 
 class TestInducedMetricAndVolume:

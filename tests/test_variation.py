@@ -578,6 +578,57 @@ class TestCayleyAnomaly:
         assert np.abs(h_proj - h_zero).max() < 1e-12
 
 
+def _flow_volume_per_node(patch, xfield, rule):
+    """The flowed-volume FD oracle with one RK4 integration per node."""
+    from caliblab.variation import FLOW_FD_STEP, FLOW_RK4_STEPS, RICHARDSON_LEVELS
+
+    def rhs(y, m):
+        return xfield.value(y), xfield.jacobian(y) @ m
+
+    def step(y, m, dt):
+        k1 = rhs(y, m)
+        k2 = rhs(y + 0.5 * dt * k1[0], m + 0.5 * dt * k1[1])
+        k3 = rhs(y + 0.5 * dt * k2[0], m + 0.5 * dt * k2[1])
+        k4 = rhs(y + dt * k3[0], m + dt * k3[1])
+        return (y + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                m + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+    base = [(patch.position(x), patch.jacobian(x)) for x in rule.nodes]
+
+    def flowed_volume(t):
+        vals = np.empty(len(base))
+        for i, (y, m) in enumerate(base):
+            for _ in range(FLOW_RK4_STEPS):
+                y, m = step(y, m, t / FLOW_RK4_STEPS)
+            vals[i] = math.sqrt(np.linalg.det(m.T @ m))
+        return rule.integrate(vals)
+
+    return fd_derivative(flowed_volume, 0.0, FLOW_FD_STEP, RICHARDSON_LEVELS)
+
+
+def _divergence_route_per_node(patch, xfield, rule):
+    """div_g(X^T) - <X_perp, H> node by node, with the per-point geometry."""
+    from caliblab.submanifold import mean_curvature, normal_projector
+    from caliblab.variation import DIVERGENCE_FD_STEP
+
+    def sqrtg_xi(x):
+        j = patch.jacobian(x)
+        g = j.T @ j
+        return math.sqrt(np.linalg.det(g)) * np.linalg.solve(g, j.T @ xfield.value(patch.position(x)))
+
+    vals = np.empty(rule.nodes.shape[0])
+    for i, x in enumerate(rule.nodes):
+        j = patch.jacobian(x)
+        sg = math.sqrt(np.linalg.det(j.T @ j))
+        div = 0.0
+        for a in range(patch.k):
+            e = DIVERGENCE_FD_STEP * np.eye(patch.k)[a]
+            div += (sqrtg_xi(x + e)[a] - sqrtg_xi(x - e)[a]) / (2 * DIVERGENCE_FD_STEP)
+        xperp = normal_projector(patch, x) @ xfield.value(patch.position(x))
+        vals[i] = (div / sg - xperp @ mean_curvature(patch, x)) * sg
+    return rule.integrate(vals)
+
+
 class TestMinimalComparison:
     def test_flat_torus_zero(self):
         p = flat_plane((1, 2), 4, name="t2-in-r4")
@@ -618,3 +669,75 @@ class TestMinimalComparison:
         fam = lie_family(x)
         fv = analytic_first_variation(p, fam, rule)
         assert fv == pytest.approx(2 * 4 * math.pi, rel=1e-9)
+
+    def test_routes_match_per_node_loops(self, monkeypatch):
+        # a small block budget spreads the nodes over several blocks
+        from caliblab import variation
+        from caliblab.cli import make_patch
+        from caliblab.variation import DIVERGENCE_FD_STEP, divergence_route, flow_volume_derivative
+
+        monkeypatch.setattr(variation, "BLOCK_BYTES", 4096)
+        # the central differences of sqrt(g) xi turn last-digit differences
+        # between stacked and per-point arithmetic into about eps / h
+        div_atol = np.finfo(float).eps / DIVERGENCE_FD_STEP
+        for name in ("sphere", "circle-r2", "torus2-r3", "t2-in-r4"):
+            patch = make_patch(name)
+            rule = QuadratureRule(patch.box, 5)
+            for seed in (0, 1):
+                x = VectorField.random(patch.n, np.random.default_rng(seed),
+                                       with_linear=not patch.flat)
+                value, err = flow_volume_derivative(patch, x, rule)
+                ref_value, ref_err = _flow_volume_per_node(patch, x, rule)
+                assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+                assert err == pytest.approx(ref_err, rel=1e-10, abs=1e-12)
+                assert divergence_route(patch, x, rule) == pytest.approx(
+                    _divergence_route_per_node(patch, x, rule), rel=1e-10, abs=div_atol)
+
+    def test_divergence_route_evaluates_stacked_rows(self):
+        import dataclasses
+
+        from caliblab.variation import divergence_route
+
+        p = sphere_patch(1.0)
+        calls = {"_eval": 0, "_jac": 0, "_rows": 0, "_hess": 0}
+        field_ndims = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def recorded(fn):
+            def wrapper(y):
+                field_ndims.append(np.ndim(y))
+                return fn(y)
+            return wrapper
+
+        wrapped = dataclasses.replace(p, **{name: counted(name, getattr(p, name)) for name in calls})
+        x = VectorField.random(3, np.random.default_rng(5))
+        x.value, x.jacobian = recorded(x.value), recorded(x.jacobian)
+        rule = QuadratureRule(p.box, 8)
+        got = divergence_route(wrapped, x, rule)
+        # one row evaluation at the nodes and one per shifted row set x +- h e_a
+        assert calls["_rows"] <= 2 * p.k + 1
+        assert calls["_eval"] == calls["_jac"] == 0
+        assert calls["_hess"] == 1
+        assert field_ndims and set(field_ndims) == {2}  # stacked points only
+        assert got == divergence_route(p, x, rule)
+
+    def test_routes_bound_memory(self):
+        from caliblab.variation import divergence_route, flow_volume_derivative
+
+        p = sphere_patch(1.0)
+        rule = QuadratureRule(p.box, 64)
+        x = VectorField.random(3, np.random.default_rng(3))
+        for run in (flow_volume_derivative, divergence_route):
+            run(p, x, QuadratureRule(p.box, 2))
+            tracemalloc.start()
+            try:
+                run(p, x, rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20
