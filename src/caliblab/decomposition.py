@@ -24,6 +24,7 @@ from .exterior import (
     DimensionError,
     KForm,
     SymTensor2,
+    _tensor_table,
     hodge_star,
     interior,
     n_coeffs,
@@ -36,23 +37,26 @@ from .structures import G2Kit, Spin7Kit, _float_tensors, standard_kit
 # ---------------------------------------------------------------------------
 # precomputed linear maps on coefficient vectors
 
-def _basis_tensors(n: int, k: int) -> np.ndarray:
-    """(C(n,k), n, ..., n) stack of full tensors of the coefficient basis."""
-    dim = n_coeffs(n, k)
-    out = np.zeros((dim,) + (n,) * k)
-    eye = np.eye(dim)
-    for c in range(dim):
-        out[c] = KForm(n, k, eye[c]).to_tensor()
+def _basis_contraction(k: int, form: np.ndarray, free: int) -> np.ndarray:
+    """Contractions of the full tensor of each basis k-form, its first `free`
+    indices left open, with the last k - free indices of `form`: entry [c, i, q]
+    has the open index i (none when free = 0) and form's open indices q.  Each
+    nonzero entry of the basis tensors (from _tensor_table) scatters one signed
+    row of `form`, so no stack of basis tensors is built."""
+    n = form.shape[0]
+    flat_pos, sg, src = _tensor_table(n, k)
+    open_idx, closed = np.divmod(flat_pos, n ** (k - free))
+    rows = form.reshape(-1, n ** (k - free))
+    out = np.zeros((n_coeffs(n, k), n ** free, rows.shape[0]))
+    np.add.at(out, (src, open_idx), sg[:, None] * rows[:, closed].T)
     return out
 
 
 @lru_cache(maxsize=None)
 def _g2_maps():
     phi_t, psi_t, _ = _float_tensors()
-    b3 = _basis_tensors(7, 3)
-    b4 = _basis_tensors(7, 4)
-    hat3 = np.einsum("cpij,qij->cpq", b3, phi_t).reshape(35, 49).T  # eta^ = hat3 @ coeffs
-    hat4 = np.einsum("cpijk,qijk->cpq", b4, psi_t).reshape(35, 49).T
+    hat3 = _basis_contraction(3, phi_t, 1).reshape(35, 49).T  # eta^ = hat3 @ coeffs
+    hat4 = _basis_contraction(4, psi_t, 1).reshape(35, 49).T
     # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| phi)  (and psi)
     asm3 = np.zeros((35, 49))
     asm4 = np.zeros((35, 49))
@@ -65,16 +69,15 @@ def _g2_maps():
             asm3[:, 7 * i + j] = w3.coeffs
             asm4[:, 7 * i + j] = w4.coeffs
     # X recovery from the residual pieces
-    x3 = np.einsum("cijk,qijk->cq", b3, psi_t).T / 12.0      # X_q = (eta7)_ijk psi_qijk / 12
-    x4 = np.einsum("cijkl,jkl->ci", b4, phi_t).T / 12.0      # X_i = (rho7)_ijkl phi_jkl / 12
+    x3 = _basis_contraction(3, psi_t, 0).reshape(35, 7).T / 12.0  # X_q = (eta7)_ijk psi_qijk / 12
+    x4 = _basis_contraction(4, phi_t, 1).reshape(35, 7).T / 12.0  # X_i = (rho7)_ijkl phi_jkl / 12
     return hat3, hat4, asm3, asm4, x3, x4
 
 
 @lru_cache(maxsize=None)
 def _sp7_maps():
     Phi_t = _float_tensors()[2]
-    b4 = _basis_tensors(8, 4)
-    hat = np.einsum("cpijk,qijk->cpq", b4, Phi_t).reshape(70, 64).T
+    hat = _basis_contraction(4, Phi_t, 1).reshape(70, 64).T
     asm = np.zeros((70, 64))
     eye = np.eye(8)
     kit = standard_kit("cayley")

@@ -112,20 +112,15 @@ def _star_table(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _tensor_table(n: int, k: int):
-    """Flat tensor positions and signs for the full antisymmetric expansion."""
-    flat_pos, sg, src = [], [], []
-    for p, idx in enumerate(multi_indices(n, k)):
-        for perm in itertools.permutations(range(k)):
-            reordered = tuple(idx[t] for t in perm)
-            _, sign = sort_with_sign(reordered)
-            flat = 0
-            for i in reordered:
-                flat = flat * n + i
-            flat_pos.append(flat)
-            sg.append(sign)
-            src.append(p)
-    return (np.asarray(flat_pos), np.asarray(sg, dtype=np.int64),
-            np.asarray(src))
+    """Flat tensor positions and signs for the full antisymmetric expansion:
+    entry p k! + s places coefficient p, times the sign of the s-th
+    permutation of its k indices, at the flat position of that reordering."""
+    idx = np.array(multi_indices(n, k), dtype=np.int64)                 # (C(n, k), k)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)  # (k!, k)
+    signs = np.array([sort_with_sign(perm)[1] for perm in map(tuple, perms)], dtype=np.int64)
+    flat_pos = (idx[:, perms] @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)).ravel()
+    return (flat_pos, np.tile(signs, len(idx)),
+            np.repeat(np.arange(len(idx)), len(perms)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ from .exterior import (
 TOL_CALIB = 1e-8
 # projected gradient-ascent steps of comass_sample after the random planes
 COMASS_ASCENT_STEPS = 60
+# batched kernels here and in variation size their row blocks so that the
+# largest temporary stays within this; glibc keeps the freed heap of larger
+# blocks resident, which reads as a higher peak RSS
+BLOCK_BYTES = 256 * 1024
 
 # e123 + e1^(e45 - e67) + e2^(e46 - e75) + e3^(e47 - e56), sorted indices
 G2_PHI_TERMS = (
@@ -81,11 +85,8 @@ class UmKit:
 
     @property
     def J(self) -> np.ndarray:
-        j = np.zeros((self.n, self.n))
-        for a in range(self.m):
-            j[2 * a + 1, 2 * a] = 1.0
-            j[2 * a, 2 * a + 1] = -1.0
-        return j
+        """The complex structure, one read-only array per m."""
+        return _um_j(self.m)
 
     def cross(self, v) -> np.ndarray:
         return np.asarray(v, float) @ self.J.T
@@ -193,6 +194,16 @@ StructureKit = UmKit | G2Kit | Spin7Kit
 
 
 @lru_cache(maxsize=None)
+def _um_j(m: int) -> np.ndarray:
+    j = np.zeros((2 * m, 2 * m))
+    for a in range(m):
+        j[2 * a + 1, 2 * a] = 1.0
+        j[2 * a, 2 * a + 1] = -1.0
+    j.flags.writeable = False
+    return j
+
+
+@lru_cache(maxsize=None)
 def _g2_forms():
     phi = _int_form(7, 3, G2_PHI_TERMS)
     return phi, hodge_star(phi)
@@ -233,6 +244,14 @@ def standard_kit(case: str, m: int | None = None, k: int | None = None) -> Struc
     if case == "cayley":
         return Spin7Kit()
     raise ValueError(f"unknown case {case!r}")
+
+
+def _blocks(count: int, floats_per_node: int):
+    """Slices over count rows, each of the largest power-of-two length whose
+    temporary of floats_per_node floats a row fits in BLOCK_BYTES."""
+    step = 1 << max(0, (BLOCK_BYTES // (8 * floats_per_node)).bit_length() - 1)
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +316,63 @@ def spin7_identity_violations(Phi: np.ndarray) -> dict[str, int]:
     return {name: int(np.abs(v).max()) for name, v in checks.items()}
 
 
-def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
-    """Batched residuals of the associative equality over triples of rows."""
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of the outer products a_i b_j, flattened to (N, 49)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products, with no temporary of the products."""
+    return np.einsum("bi,bi->b", a, b)
+
+
+def _gram_dets(*rows) -> np.ndarray:
+    stacks = np.stack(rows, axis=1)
+    return np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
+
+
+def _over_blocks(block_residuals, *rows) -> np.ndarray:
+    """block_residuals over row blocks sized for (N, 49) temporaries; a block's
+    temporaries are freed before the next block's are made."""
+    out = np.empty(len(rows[0]))
+    for sl in _blocks(len(out), 49):
+        out[sl] = block_residuals(*(r[sl] for r in rows))
+    return out
+
+
+def _associative_block(x, y, z):
     phi_t, psi_t, _ = _float_tensors()
-    chi = np.einsum("ijkl,bi,bj,bk->bl", psi_t, xs, ys, zs)
-    phi_vals = np.einsum("ijk,bi,bj,bk->b", phi_t, xs, ys, zs)
-    stacks = np.stack([xs, ys, zs], axis=1)
-    grams = np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
-    return np.einsum("bl,bl->b", chi, chi) + phi_vals**2 - grams
+    xy = _pairs(x, y)
+    # chi_l = psi(x, y, z, e_l): contract psi(x, y, ., .) with z
+    chi = (z[:, None, :] @ (xy @ psi_t.reshape(49, 49)).reshape(-1, 7, 7))[:, 0]
+    return _dots(chi, chi) + _dots(xy @ phi_t.reshape(49, 7), z) ** 2 - _gram_dets(x, y, z)
+
+
+def _coassociative_block(x, y, z, w):
+    phi_t, psi_t, _ = _float_tensors()
+    xy, zw = _pairs(x, y), _pairs(z, w)
+    # u = phi(x, y, .) and v = phi(z, w, .); phi is alternating, so
+    # phi(y, z, w) = v . y and phi(x, y, w) = u . w
+    u, v = xy @ phi_t.reshape(49, 7), zw @ phi_t.reshape(49, 7)
+    vec = (_dots(v, y)[:, None] * x - _dots(v, x)[:, None] * y
+           + _dots(u, w)[:, None] * z - _dots(u, z)[:, None] * w)
+    return (_dots(xy @ psi_t.reshape(49, 49), zw) ** 2 + _dots(vec, vec)
+            - _gram_dets(x, y, z, w))
+
+
+def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
+    """Batched residuals |chi(x,y,z)|^2 + phi(x,y,z)^2 - |x^y^z|^2 over triples
+    of rows.  Each row block forms x (x) y once and contracts it by matmul with
+    psi as a (49, 49) and phi as a (49, 7) matrix."""
+    return _over_blocks(_associative_block, xs, ys, zs)
 
 
 def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
-    """Batched residuals of the coassociative equality over quadruples of rows."""
-    phi_t, psi_t, _ = _float_tensors()
-    psi_vals = np.einsum("ijkl,bi,bj,bk,bl->b", psi_t, xs, ys, zs, ws)
-
-    def p(a, b, c):
-        return np.einsum("ijk,bi,bj,bk->b", phi_t, a, b, c)
-
-    vec = (p(ys, zs, ws)[:, None] * xs - p(xs, zs, ws)[:, None] * ys
-           + p(xs, ys, ws)[:, None] * zs - p(xs, ys, zs)[:, None] * ws)
-    stacks = np.stack([xs, ys, zs, ws], axis=1)
-    grams = np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
-    return psi_vals**2 + np.einsum("bl,bl->b", vec, vec) - grams
+    """Batched residuals psi(x,y,z,w)^2 + |vec|^2 - |x^y^z^w|^2 over quadruples
+    of rows, where vec = phi(y,z,w) x - phi(x,z,w) y + phi(x,y,w) z - phi(x,y,z) w.
+    Each row block forms x (x) y and z (x) w once and contracts them by matmul
+    with psi as a (49, 49) and phi as a (49, 7) matrix."""
+    return _over_blocks(_coassociative_block, xs, ys, zs, ws)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,22 @@ class Box:
         return bool(np.all(x >= self.lo - BOX_SLACK) and np.all(x <= self.hi + BOX_SLACK))
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi matrix
+    of the Legendre recurrence, the weights twice the squared first components
+    of its eigenvectors; both are symmetrised about 0."""
+    k = np.arange(1, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    weights = 2.0 * vecs[0] ** 2
+    nodes, weights = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 class QuadratureRule:
     """Tensorized Gauss-Legendre rule over a box; order q per axis."""
 
@@ -69,7 +86,7 @@ class QuadratureRule:
                 f"{order ** box.k} nodes, above the cap of {MAX_QUAD_NODES}")
         self.box = box
         self.order = order
-        pts, wts = np.polynomial.legendre.leggauss(order)
+        pts, wts = gauss_legendre(order)
         axes_p, axes_w = [], []
         for a in range(box.k):
             lo, hi = box.lo[a], box.hi[a]
@@ -200,8 +217,18 @@ class Patch:
                 h[..., :, 0] *= -1
                 return h
 
+        new_rows = None
+        if self._rows is not None:
+            rows = self._rows
+
+            def new_rows(xs):
+                pos, j = rows(flip(xs))
+                j = np.array(j, float)
+                j[..., 0] *= -1
+                return pos, j
+
         return Patch(self.name + "-reversed", self.k, self.n, self.box, self.closed,
-                     new_eval, new_jac, new_hess, self.flat, self.axes)
+                     new_eval, new_jac, new_hess, self.flat, self.axes, _rows=new_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .structures import (
     G2Kit,
     Spin7Kit,
     UmKit,
+    _blocks,
     invariance_defect,
     standard_kit,
 )
@@ -66,10 +67,6 @@ FLOW_RK4_STEPS = 8
 
 # quadrature nodes evaluated together; bounds the batched temporaries
 NODE_BLOCK = 512
-# the defect, chain check, anomaly and test-variation velocity size their node
-# blocks so that the largest temporary stays within this; glibc keeps the freed
-# heap of larger blocks resident, which reads as a higher peak RSS
-BLOCK_BYTES = 256 * 1024
 
 CASES = ("um", "associative", "coassociative", "cayley")
 
@@ -98,9 +95,14 @@ def _constant(form: KForm) -> Callable:
     return lambda patch, xs: form.coeffs[None]
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int):
+    return np.triu_indices(n, 1)  # lexicographic pairs, the coefficient order
+
+
 def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Antisymmetric matrices (..., n, n) of 2-form coefficient rows."""
-    i, j = np.triu_indices(n, 1)  # lexicographic pairs, the coefficient order
+    i, j = _pair_indices(n)
     out = np.zeros(coeffs.shape[:-1] + (n, n))
     out[..., i, j] = coeffs
     out[..., j, i] = -coeffs
@@ -266,14 +268,6 @@ def _node_blocks(patch: Patch, rule: QuadratureRule):
         sl = slice(start, start + NODE_BLOCK)
         xs = rule.nodes[sl]
         yield sl, xs, patch.jacobians(xs)
-
-
-def _blocks(count: int, floats_per_node: int):
-    """Slices over count nodes, each of the largest power-of-two length whose
-    temporary of floats_per_node floats a node fits in BLOCK_BYTES."""
-    step = 1 << max(0, (BLOCK_BYTES // (8 * floats_per_node)).bit_length() - 1)
-    for start in range(0, count, step):
-        yield slice(start, start + step)
 
 
 def _trace_g(g: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -286,3 +286,24 @@ class TestOtherCommands:
         # the flat-torus zero check is quadrature-limited: keep the default order
         proc = run_cli("minimal", "--count", "1")
         assert proc.returncode == 0
+
+
+class TestColdStart:
+    def test_setup_requests_import_no_numpy_polynomial(self):
+        # a fresh interpreter imports the CLI and makes one default theorem
+        # request per case, which builds every lazy table a request pays for;
+        # none of it needs numpy.polynomial, whose import alone adds about
+        # 0.75 MB of peak RSS and 3.5 ms (2-vCPU host, numpy 2.4)
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import caliblab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['theorem', '--case', case, '--count', '1'])\n"
+            "             for case in ('um', 'associative', 'coassociative', 'cayley')]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", code, SRC],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"

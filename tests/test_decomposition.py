@@ -193,6 +193,34 @@ class TestSpin7Split:
             assert np.abs(h_sp7_batch(part7.coeffs)[0]).max() < 1e-10
 
 
+def basis_tensors(n, k):
+    """(C(n, k), n, ..., n) stack of the full tensors of the coefficient basis."""
+    eye = np.eye(math.comb(n, k))
+    return np.stack([KForm(n, k, row).to_tensor() for row in eye])
+
+
+class TestContractionTables:
+    """The scattered tables against contractions of the stacked basis tensors."""
+
+    def test_g2_tables_bit_identical(self):
+        from caliblab.decomposition import _g2_maps
+
+        phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+        b3, b4 = basis_tensors(7, 3), basis_tensors(7, 4)
+        hat3, hat4, _, _, x3, x4 = _g2_maps()
+        assert np.array_equal(hat3, np.einsum("cpij,qij->cpq", b3, phi_t).reshape(35, 49).T)
+        assert np.array_equal(hat4, np.einsum("cpijk,qijk->cpq", b4, psi_t).reshape(35, 49).T)
+        assert np.array_equal(x3, np.einsum("cijk,qijk->cq", b3, psi_t).T / 12.0)
+        assert np.array_equal(x4, np.einsum("cijkl,jkl->ci", b4, phi_t).T / 12.0)
+
+    def test_spin7_table_bit_identical(self):
+        from caliblab.decomposition import _sp7_maps
+
+        Phi_t = SP7.Phi_tensor.astype(float)
+        want = np.einsum("cpijk,qijk->cpq", basis_tensors(8, 4), Phi_t).reshape(70, 64).T
+        assert np.array_equal(_sp7_maps()[0], want)
+
+
 class TestProjection:
     def test_kills_phi(self):
         out = project_35_7(SP7.Phi, SP7)

@@ -195,6 +195,31 @@ class TestEvaluate:
             evaluate(KForm.basis(4, 1, 2), np.eye(4)[:3])
 
 
+def loop_tensor_table(n, k):
+    """The expansion table entry by entry: every permutation of every multi-index."""
+    flat_pos, sg, src = [], [], []
+    for p, idx in enumerate(multi_indices(n, k)):
+        for perm in itertools.permutations(range(k)):
+            flat = 0
+            for t in perm:
+                flat = flat * n + idx[t]
+            flat_pos.append(flat)
+            sg.append(perm_sign(perm))
+            src.append(p)
+    return (np.asarray(flat_pos, dtype=np.int64), np.asarray(sg, dtype=np.int64),
+            np.asarray(src, dtype=np.int64))
+
+
+class TestTensorTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_entrywise_expansion(self, n):
+        from caliblab.exterior import _tensor_table
+
+        for k in range(n + 1):
+            for got, want in zip(_tensor_table(n, k), loop_tensor_table(n, k)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, k)
+
+
 class TestHodgeStar:
     def test_complementary_basis(self):
         out = hodge_star(KForm.basis(7, 1, 2, 3))

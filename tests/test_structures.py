@@ -168,6 +168,78 @@ class TestIdentities:
         assert np.abs(coassociative_equality_residuals(G2, *xs)).max() < 1e-10
 
 
+def _einsum_associative(xs, ys, zs):
+    """The equality as written: psi and phi contracted with all rows in one einsum."""
+    phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+    chi = np.einsum("ijkl,bi,bj,bk->bl", psi_t, xs, ys, zs)
+    phi_vals = np.einsum("ijk,bi,bj,bk->b", phi_t, xs, ys, zs)
+    stacks = np.stack([xs, ys, zs], axis=1)
+    return (np.einsum("bl,bl->b", chi, chi) + phi_vals**2
+            - np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2)))
+
+
+def _einsum_coassociative(xs, ys, zs, ws):
+    phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+    psi_vals = np.einsum("ijkl,bi,bj,bk,bl->b", psi_t, xs, ys, zs, ws)
+
+    def p(a, b, c):
+        return np.einsum("ijk,bi,bj,bk->b", phi_t, a, b, c)
+
+    vec = (p(ys, zs, ws)[:, None] * xs - p(xs, zs, ws)[:, None] * ys
+           + p(xs, ys, ws)[:, None] * zs - p(xs, ys, zs)[:, None] * ws)
+    stacks = np.stack([xs, ys, zs, ws], axis=1)
+    return (psi_vals**2 + np.einsum("bl,bl->b", vec, vec)
+            - np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2)))
+
+
+class TestStagedEqualityKernels:
+    """The block-staged equality kernels against the one-einsum formulation."""
+
+    @staticmethod
+    def block_rows():
+        from caliblab.structures import _blocks
+        return next(_blocks(10**6, 49)).stop
+
+    def test_matches_einsum_formulation(self):
+        rng = np.random.default_rng(11)
+        b = self.block_rows()
+        for rows in (1, b - 1, b, b + 1, 10**4):
+            xs = rng.standard_normal((4, rows, 7))
+            # both are round-off of terms of size prod |v_i|^2 (Hadamard)
+            scale_a = np.prod(np.sum(xs[:3] ** 2, axis=2), axis=0)
+            scale_c = np.prod(np.sum(xs ** 2, axis=2), axis=0)
+            got_a = associative_equality_residuals(G2, *xs[:3])
+            got_c = coassociative_equality_residuals(G2, *xs)
+            assert got_a.shape == got_c.shape == (rows,)
+            assert np.max(np.abs(got_a - _einsum_associative(*xs[:3])) / scale_a) <= 1e-12
+            assert np.max(np.abs(got_c - _einsum_coassociative(*xs)) / scale_c) <= 1e-12
+
+    def test_nan_row_gives_nan_residual(self):
+        # cmd_identities takes np.maximum over chunks, which keeps a NaN
+        xs = np.random.default_rng(3).standard_normal((4, self.block_rows() + 3, 7))
+        xs[1, -2, 4] = np.nan
+        with np.errstate(invalid="ignore"):  # det warns on the NaN row
+            results = (associative_equality_residuals(G2, *xs[:3]),
+                       coassociative_equality_residuals(G2, *xs))
+        for got in results:
+            assert np.isnan(got[-2]) and np.isfinite(np.delete(got, -2)).all()
+
+    def test_memory_bounded_by_blocks(self):
+        import tracemalloc
+
+        xs = np.random.default_rng(4).standard_normal((4, 10**4, 7))
+        associative_equality_residuals(G2, *xs[:3])  # builds the cached tensors
+        for kernel, rows in ((associative_equality_residuals, xs[:3]),
+                             (coassociative_equality_residuals, xs)):
+            tracemalloc.start()
+            try:
+                kernel(G2, *rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1_000_000, (kernel.__name__, peak)
+
+
 class TestCalibrationReport:
     def test_associative_plane(self):
         rep = calibration_report(G2, E7[:3])

@@ -38,6 +38,16 @@ class TestQuadrature:
         got = rule.integrate(rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2)
         assert got == pytest.approx(4 * (2.0 / 3.0), rel=1e-12)
 
+    def test_golub_welsch_matches_leggauss(self):
+        from caliblab.submanifold import gauss_legendre
+
+        for order in range(1, 65):
+            nodes, weights = gauss_legendre(order)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+            assert np.abs(nodes - want_nodes).max() <= 1e-14, order
+            assert np.abs(weights - want_weights).max() <= 1e-14, order
+            assert not nodes.flags.writeable and not weights.flags.writeable
+
 
 class TestPatchCatalog:
     @pytest.mark.parametrize("patch,x", [
@@ -81,6 +91,27 @@ class TestPatchCatalog:
             rows_pos, rows_jac = patch.rows(xs + e)
             assert np.array_equal(rows_pos, patch.positions(xs + e))
             assert np.array_equal(rows_jac, patch.jacobians(xs + e))
+
+    @pytest.mark.parametrize("patch", [
+        graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
+        sphere_patch(1.2), torus_patch(), circle_patch(1.5),
+    ], ids=["graph", "sphere", "torus", "circle"])
+    def test_reversed_keeps_row_formula(self, patch):
+        import dataclasses
+
+        calls = []
+
+        def counted(xs, rows=patch._rows):
+            calls.append(len(xs))
+            return rows(xs)
+
+        rev = dataclasses.replace(patch, _rows=counted).reversed()
+        rng = np.random.default_rng(8)
+        xs = patch.box.lo + (patch.box.hi - patch.box.lo) * rng.random((9, patch.k))
+        jacs = rev.jacobians(xs)
+        assert calls == [9]
+        assert np.abs(jacs - [rev.jacobian(x) for x in xs]).max() < 1e-14
+        assert np.abs(rev.positions(xs) - [rev.position(x) for x in xs]).max() < 1e-14
 
 
 class TestInducedMetricAndVolume:

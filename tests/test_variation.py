@@ -672,11 +672,11 @@ class TestMinimalComparison:
 
     def test_routes_match_per_node_loops(self, monkeypatch):
         # a small block budget spreads the nodes over several blocks
-        from caliblab import variation
+        from caliblab import structures
         from caliblab.cli import make_patch
         from caliblab.variation import DIVERGENCE_FD_STEP, divergence_route, flow_volume_derivative
 
-        monkeypatch.setattr(variation, "BLOCK_BYTES", 4096)
+        monkeypatch.setattr(structures, "BLOCK_BYTES", 4096)
         # the central differences of sqrt(g) xi turn last-digit differences
         # between stacked and per-point arithmetic into about eps / h
         div_atol = np.finfo(float).eps / DIVERGENCE_FD_STEP
