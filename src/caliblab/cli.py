@@ -372,7 +372,7 @@ def _linear_map_patch(name, n, mat, offset=None):
     mat = np.asarray(mat, float)
     off = np.zeros(n) if offset is None else np.asarray(offset, float)
     return Patch(name, mat.shape[1], n, Box.unit(mat.shape[1]), False,
-                 lambda x: mat @ x + off, lambda x: mat, None)
+                 lambda xs: (xs @ mat.T + off, mat[None]))
 
 
 def smith_catalog() -> list[tuple[str, MapTriple, dict]]:
@@ -407,12 +407,10 @@ def random_triple(rng) -> MapTriple:
     freq = rng.integers(-2, 3, size=2).astype(float)
     phase = float(rng.uniform(0, 2 * math.pi))
 
-    def ev(x):
-        return a @ x + b + amp * math.sin(2 * math.pi * float(freq @ x) + phase)
-
-    def jac(x):
-        return a + 2 * math.pi * math.cos(2 * math.pi * float(freq @ x) + phase) \
-            * np.outer(amp, freq)
+    def rows(xs):
+        arg = 2 * math.pi * (xs @ freq) + phase
+        return (xs @ a.T + b + np.sin(arg)[:, None] * amp,
+                a + (2 * math.pi * np.cos(arg))[:, None, None] * np.outer(amp, freq))
 
     raw = rng.standard_normal((2, 2))
     spd = raw @ raw.T + 2 * np.eye(2)
@@ -421,8 +419,7 @@ def random_triple(rng) -> MapTriple:
     def g_field(x):
         return spd * (1 + wob * math.sin(2 * math.pi * x[0]))
 
-    return MapTriple(Patch("map-random", 2, 4, Box.unit(2), False, ev, jac, None),
-                     g_field, um2)
+    return MapTriple(Patch("map-random", 2, 4, Box.unit(2), False, rows), g_field, um2)
 
 
 def cmd_smith(opts) -> int:

@@ -36,9 +36,16 @@ class MapTriple:
         return 0.5 * (g + g.T)
 
 
-def _densities(triple: MapTriple, x):
-    """(|du|^2, sqrt(det g), pulled-back metric A, g) at a parameter point."""
-    j = triple.patch.jacobian(x)
+def _jacobians(triple: MapTriple, xs: np.ndarray) -> np.ndarray:
+    """Jacobians (N, n, k) at parameter rows xs from one row evaluation; an
+    affine map's single Jacobian is broadcast to every row."""
+    j = triple.patch.jacobians(xs)
+    return np.broadcast_to(j, (xs.shape[0],) + j.shape[1:])
+
+
+def _densities(triple: MapTriple, x, j):
+    """(|du|^2, sqrt(det g), pulled-back metric A, g) at a parameter point with
+    Jacobian j."""
     a = j.T @ j
     g = triple.domain_metric(x)
     det_g = np.linalg.det(g)
@@ -52,8 +59,8 @@ def k_energy(triple: MapTriple, rule: QuadratureRule) -> float:
     """(1/sqrt(k)^k) integral of |du|^k vol_g; conformally invariant in g."""
     k = triple.k
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        du2, sg, _, _ = _densities(triple, x)
+    for i, (x, j) in enumerate(zip(rule.nodes, _jacobians(triple, rule.nodes))):
+        du2, sg, _, _ = _densities(triple, x, j)
         vals[i] = max(du2, 0.0) ** (k / 2.0) * sg
     return rule.integrate(vals) / math.sqrt(k) ** k
 
@@ -61,8 +68,7 @@ def k_energy(triple: MapTriple, rule: QuadratureRule) -> float:
 def k_volume(triple: MapTriple, rule: QuadratureRule) -> float:
     """Integral of |d1 u ^ ... ^ dk u|; non-immersion points contribute zero."""
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        j = triple.patch.jacobian(x)
+    for i, j in enumerate(_jacobians(triple, rule.nodes)):
         vals[i] = math.sqrt(max(np.linalg.det(j.T @ j), 0.0))
     return rule.integrate(vals)
 
@@ -75,8 +81,8 @@ def calibration_integral(triple: MapTriple, rule: QuadratureRule) -> float:
             f"calibration degree {mu.k} does not match the domain dimension {triple.k}"
         )
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        vals[i] = evaluate(mu, triple.patch.jacobian(x).T)
+    for i, j in enumerate(_jacobians(triple, rule.nodes)):
+        vals[i] = evaluate(mu, j.T)
     return rule.integrate(vals)
 
 
@@ -92,8 +98,9 @@ def sample_points(triple: MapTriple, rule: QuadratureRule) -> np.ndarray:
 def conformality_residual(triple: MapTriple, rule: QuadratureRule) -> float:
     """Sup over samples of |u*gbar - (1/k)|du|^2 g| in g-orthonormal coordinates."""
     worst = 0.0
-    for x in sample_points(triple, rule):
-        du2, _, a, g = _densities(triple, x)
+    xs = sample_points(triple, rule)
+    for x, j in zip(xs, _jacobians(triple, xs)):
+        du2, _, a, g = _densities(triple, x, j)
         l = np.linalg.cholesky(g)
         linv = np.linalg.inv(l)
         a_hat = linv @ a @ linv.T
@@ -107,9 +114,10 @@ def smith_residual(triple: MapTriple, rule: QuadratureRule) -> tuple[float, floa
     mu = triple.kit.mu
     k = triple.k
     worst = 0.0
-    for x in sample_points(triple, rule):
-        du2, sg, _, _ = _densities(triple, x)
-        pulled = evaluate(mu, triple.patch.jacobian(x).T)
+    xs = sample_points(triple, rule)
+    for x, j in zip(xs, _jacobians(triple, xs)):
+        du2, sg, _, _ = _densities(triple, x, j)
+        pulled = evaluate(mu, j.T)
         model = max(du2, 0.0) ** (k / 2.0) * sg / math.sqrt(k) ** k
         worst = max(worst, abs(pulled - model))
     return conformality_residual(triple, rule), worst
@@ -121,8 +129,8 @@ def energy_first_variation_domain(triple: MapTriple, h_field, rule: QuadratureRu
     if k < 2:
         raise DegenerateInputError("domain variation of the energy needs k >= 2")
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        du2, sg, a, g = _densities(triple, x)
+    for i, (x, j) in enumerate(zip(rule.nodes, _jacobians(triple, rule.nodes))):
+        du2, sg, a, g = _densities(triple, x, j)
         h = np.asarray(h_field(x), float)
         target = -k * max(du2, 0.0) ** ((k - 2) / 2.0) * a + max(du2, 0.0) ** (k / 2.0) * g
         ginv_h = np.linalg.solve(g, h)
@@ -134,11 +142,11 @@ def energy_first_variation_domain(triple: MapTriple, h_field, rule: QuadratureRu
 def energy_first_variation_target(triple: MapTriple, hbar_field, rule: QuadratureRule) -> float:
     """d/dt of the k-energy along gbar_t = gbar + t hbar on the target."""
     k = triple.k
+    ys, jacs = triple.patch.rows(rule.nodes)
     vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        du2, sg, _, g = _densities(triple, x)
-        j = triple.patch.jacobian(x)
-        hbar = np.asarray(hbar_field(triple.patch.position(x)), float)
+    for i, (x, y, j) in enumerate(zip(rule.nodes, ys, np.broadcast_to(jacs, ys.shape + (k,)))):
+        du2, sg, _, g = _densities(triple, x, j)
+        hbar = np.asarray(hbar_field(y), float)
         pulled = j.T @ hbar @ j
         vals[i] = max(du2, 0.0) ** ((k - 2) / 2.0) * float(np.trace(np.linalg.solve(g, pulled))) * sg
     return rule.integrate(vals) * k / (2.0 * math.sqrt(k) ** k)

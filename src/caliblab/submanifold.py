@@ -2,8 +2,9 @@
 finite-difference utilities.
 
 A Patch is a parametrized k-dimensional piece of submanifold in R^n over an
-axis-aligned box.  Catalog constructors provide analytic derivatives; patches
-built from bare evaluators fall back to central differences.
+axis-aligned box, evaluated by one row formula that gives positions and
+Jacobians for stacked parameter rows; Hessians come from a second formula where
+one is given.  Catalog constructors provide both analytically.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .exterior import (
     gram_schmidt_adapt,
 )
 
-GEOM_FD_STEP = 1e-5
 CLOSEST_POINT_TOL = 1e-12
 CLOSEST_POINT_MAX_ITER = 50
 # seeds per axis of the closest-point search; slack of the parameter-box test
@@ -104,110 +104,80 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class Patch:
-    """Parametrized embedded k-patch in R^n with first and second derivatives."""
+    """Parametrized embedded k-patch in R^n over an axis-aligned box.
+
+    One row formula evaluates it: `_rows(xs)` maps parameter rows (N, k) to
+    positions (N, n) and Jacobians (N, n, k).  An affine patch returns its
+    single Jacobian as (1, n, k), which callers broadcast against the rows.
+    `_hess(xs)`, where given, returns Hessians (N, n, k, k).  The per-point
+    methods pass the row formula one row."""
     name: str
     k: int
     n: int
     box: Box
     closed: bool
-    _eval: Callable = field(repr=False)
-    _jac: Callable | None = field(default=None, repr=False)
-    # (N, k) parameter rows -> Hessians (N, n, k, k)
+    _rows: Callable = field(repr=False)
     _hess: Callable | None = field(default=None, repr=False)
     flat: bool = False                   # affine: constant Jacobian
     axes: tuple[int, ...] | None = None  # 0-based spanned axes when flat
-    # (N, k) parameter rows -> positions (N, n) and Jacobians (N, n, k) in one call
-    _rows: Callable | None = field(default=None, repr=False)
-
-    def position(self, x) -> np.ndarray:
-        return np.asarray(self._eval(np.asarray(x, float)), float)
-
-    def positions(self, xs: np.ndarray) -> np.ndarray:
-        """Points u(x) for parameter rows xs (N, k), shape (N, n)."""
-        if self.flat:
-            return self.position(np.zeros(self.k)) + xs @ self.jacobian(xs[0]).T
-        if self._rows is not None:
-            return self._rows(np.asarray(xs, float))[0]
-        return np.array([self.position(x) for x in xs])
-
-    def jacobians(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobians at parameter rows xs (N, k), stacked as (N, n, k): column a
-        of entry i is du/dx^a at row i.  A flat patch has a constant Jacobian
-        and returns it once, shape (1, n, k), to broadcast against the rows."""
-        if self.flat:
-            return self.jacobian(xs[0])[None]
-        if self._rows is not None:
-            return self._rows(np.asarray(xs, float))[1]
-        return np.array([self.jacobian(x) for x in xs])
 
     def rows(self, xs: np.ndarray):
-        """Positions and Jacobians at parameter rows xs, as `positions` and
-        `jacobians` give them, from one evaluation of a row formula."""
-        if self._rows is not None:
-            return self._rows(np.asarray(xs, float))
-        return self.positions(xs), self.jacobians(xs)
+        """Positions (N, n) and Jacobians (N, n, k), or (1, n, k) for an affine
+        patch, at parameter rows xs (N, k): column a of Jacobian i is du/dx^a
+        at row i."""
+        return self._rows(np.asarray(xs, float))
+
+    def positions(self, xs: np.ndarray) -> np.ndarray:
+        return self.rows(xs)[0]
+
+    def jacobians(self, xs: np.ndarray) -> np.ndarray:
+        return self.rows(xs)[1]
+
+    def point(self, x):
+        """Position (n,) and Jacobian (n, k) at one parameter point."""
+        pos, jac = self.rows(np.asarray(x, float)[None])
+        return pos[0], jac[0]
+
+    def position(self, x) -> np.ndarray:
+        return self.point(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
         """Columns are the coordinate tangent vectors du/dx^a, shape (n, k)."""
-        x = np.asarray(x, float)
-        if self._jac is not None:
-            return np.asarray(self._jac(x), float)
-        out = np.zeros((self.n, self.k))
-        for a in range(self.k):
-            e = np.zeros(self.k)
-            e[a] = GEOM_FD_STEP
-            out[:, a] = (self.position(x + e) - self.position(x - e)) / (2 * GEOM_FD_STEP)
-        return out
+        return self.point(x)[1]
 
     def hessians(self, xs: np.ndarray) -> np.ndarray:
         """Second derivatives d2u/dx^a dx^b at parameter rows xs (N, k), stacked
         as (N, n, k, k)."""
-        xs = np.asarray(xs, float)
-        if self._hess is not None:
-            return np.asarray(self._hess(xs), float)
-        out = np.zeros((xs.shape[0], self.n, self.k, self.k))
-        h = math.sqrt(GEOM_FD_STEP)
-        for a in range(self.k):
-            ea = h * np.eye(self.k)[a]
-            for b in range(a, self.k):
-                eb = h * np.eye(self.k)[b]
-                val = (self.positions(xs + ea + eb) - self.positions(xs + ea - eb)
-                       - self.positions(xs - ea + eb) + self.positions(xs - ea - eb)) / (4 * h * h)
-                out[:, :, a, b] = out[:, :, b, a] = val
-        return out
+        if self._hess is None:
+            raise ValueError(f"patch {self.name!r} has no Hessian formula")
+        return np.asarray(self._hess(np.asarray(xs, float)), float)
 
     def hessian(self, x) -> np.ndarray:
         """Second derivatives d2u/dx^a dx^b, shape (n, k, k)."""
         return self.hessians(np.asarray(x, float)[None])[0]
 
     def frame(self, x, ambient_metric_field=None) -> OrientedFrame:
-        gmat = None if ambient_metric_field is None else ambient_metric_field(self.position(x))
-        return gram_schmidt_adapt(self.jacobian(x).T, gmat)
+        pos, jac = self.point(x)
+        gmat = None if ambient_metric_field is None else ambient_metric_field(pos)
+        return gram_schmidt_adapt(jac.T, gmat)
 
     def reversed(self) -> "Patch":
         """Same image with the orientation of the parameter domain reversed."""
         if self.k < 1:
             raise DimensionError("cannot reverse a 0-patch")
         lo, hi = self.box.lo.copy(), self.box.hi.copy()
+        rows, hess = self._rows, self._hess
 
-        def flip(x):  # one point (k,) or parameter rows (N, k)
-            y = np.array(x, float)
+        def flip(xs):
+            y = np.array(xs, float)
             y[..., 0] = lo[0] + hi[0] - y[..., 0]
             return y
 
-        ev = self._eval
-        jac = self._jac
-        hess = self._hess
-
-        def new_eval(x):
-            return ev(flip(x))
-
-        new_jac = None
-        if jac is not None:
-            def new_jac(x):
-                j = np.asarray(jac(flip(x)), float).copy()
-                j[:, 0] *= -1
-                return j
+        def new_rows(xs):
+            pos, j = rows(flip(xs))
+            j = np.array(j, float)
+            j[..., 0] *= -1
+            return pos, j
 
         new_hess = None
         if hess is not None:
@@ -217,18 +187,8 @@ class Patch:
                 h[..., :, 0] *= -1
                 return h
 
-        new_rows = None
-        if self._rows is not None:
-            rows = self._rows
-
-            def new_rows(xs):
-                pos, j = rows(flip(xs))
-                j = np.array(j, float)
-                j[..., 0] *= -1
-                return pos, j
-
         return Patch(self.name + "-reversed", self.k, self.n, self.box, self.closed,
-                     new_eval, new_jac, new_hess, self.flat, self.axes, _rows=new_rows)
+                     new_rows, new_hess, self.flat, self.axes)
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +199,34 @@ def induced_metric(patch: Patch, ambient_metric_field, x) -> SymTensor2:
     x = np.asarray(x, float)
     if not patch.box.contains(x):
         raise ValueError(f"parameter point {x} outside the patch domain")
-    j = patch.jacobian(x)
-    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(patch.position(x))
+    y, j = patch.point(x)
+    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
     return SymTensor2.from_matrix(j.T @ gbar @ j)
 
 
 def volume(patch: Patch, ambient_metric_field, rule: QuadratureRule) -> float:
     """Integral of sqrt(det g) over the domain box by quadrature."""
-    vals = np.empty(rule.nodes.shape[0])
-    for i, x in enumerate(rule.nodes):
-        g = induced_metric(patch, ambient_metric_field, x).entries
-        det = np.linalg.det(g)
-        if det <= 0:
-            raise DegenerateInputError(f"induced metric degenerate at node {x}")
-        vals[i] = math.sqrt(det)
-    return rule.integrate(vals)
+    if not patch.box.contains(rule.nodes):
+        raise ValueError("quadrature nodes outside the patch domain")
+    ys, j = patch.rows(rule.nodes)
+    j = np.broadcast_to(j, ys.shape + (patch.k,))
+    jt = np.swapaxes(j, -1, -2)
+    if ambient_metric_field is None:
+        g = jt @ j
+    else:
+        g = jt @ np.array([ambient_metric_field(y) for y in ys]) @ j
+    det = np.linalg.det(g)
+    if np.any(det <= 0):
+        raise DegenerateInputError(
+            f"induced metric degenerate at node {rule.nodes[np.argmax(det <= 0)]}")
+    return rule.integrate(np.sqrt(det))
 
 
 def tangent_normal_split(patch: Patch, ambient_metric_field, x, v):
     """Split an ambient vector into tangential and normal parts along the patch."""
     v = np.asarray(v, float)
-    j = patch.jacobian(x)
-    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(patch.position(x))
+    y, j = patch.point(x)
+    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
     g = j.T @ gbar @ j
     xi = np.linalg.solve(g, j.T @ gbar @ v)
     v_tan = j @ xi
@@ -311,23 +277,19 @@ class JetOfF:
 
 def _closest_parameter(patch: Patch, y: np.ndarray, seeds: np.ndarray):
     y = np.asarray(y, float)
-    best_x, best_d = None, np.inf
-    for s in seeds:
-        d = np.linalg.norm(patch.position(s) - y)
-        if d < best_d:
-            best_x, best_d = s, d
-    x = np.asarray(best_x, float).copy()
+    # the nearest seed; argmin keeps the first of equally near ones
+    x = seeds[np.argmin(np.linalg.norm(patch.positions(seeds) - y, axis=-1))].copy()
     for _ in range(CLOSEST_POINT_MAX_ITER):
-        r = patch.position(x) - y
-        j = patch.jacobian(x)
+        pos, j = patch.point(x)
         try:
-            step = np.linalg.solve(j.T @ j, j.T @ r)
+            step = np.linalg.solve(j.T @ j, j.T @ (pos - y))
         except np.linalg.LinAlgError:
             raise DegenerateInputError("closest-point normal equations are singular") from None
         x -= step
         if np.linalg.norm(step) < CLOSEST_POINT_TOL:
             return x
-    resid = np.linalg.norm(patch.jacobian(x).T @ (patch.position(x) - y))
+    pos, j = patch.point(x)
+    resid = np.linalg.norm(j.T @ (pos - y))
     raise DegenerateInputError(
         f"closest-point iteration did not converge (gradient residual {resid:.3e})"
     )
@@ -339,9 +301,8 @@ def jet_of_F(patch: Patch, x) -> JetOfF:
     The off-patch evaluator computes F(y) = |y - closest point|^2 / 2 by
     Gauss-Newton, seeded from a coarse grid over the parameter box.
     """
-    x = np.asarray(x, float)
-    p = patch.position(x)
-    pn = normal_projector(patch, x)
+    p, j = patch.point(x)
+    pn = _normal_projector(j)
     axes = [np.linspace(patch.box.lo[a], patch.box.hi[a], JET_SEED_GRID)
             for a in range(patch.k)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -350,12 +311,12 @@ def jet_of_F(patch: Patch, x) -> JetOfF:
     def closest(y):
         return _closest_parameter(patch, y, seeds)
 
-    def f_eval(y):
+    def f_value(y):
         y = np.asarray(y, float)
         cp = patch.position(closest(y))
         return 0.5 * float(np.dot(y - cp, y - cp))
 
-    return JetOfF(p, 0.0, np.zeros(patch.n), pn, f_eval, closest)
+    return JetOfF(p, 0.0, np.zeros(patch.n), pn, f_value, closest)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +348,6 @@ def fd_derivative(f: Callable, t0: float, step: float = 1e-4,
 # ---------------------------------------------------------------------------
 # patch catalog
 
-def _from_rows(name: str, k: int, n: int, box: Box, closed: bool, rows, hess) -> Patch:
-    """Patch whose positions and Jacobians come from one formula on parameter
-    rows; the per-point evaluators pass it one row."""
-    return Patch(name, k, n, box, closed, lambda x: rows(x[None])[0][0],
-                 lambda x: rows(x[None])[1][0], hess, _rows=rows)
-
-
 def flat_plane(axes: tuple[int, ...], n: int, name: str | None = None,
                closed: bool = True) -> Patch:
     """Axis plane through the origin spanned by 1-based axes, unit box domain."""
@@ -405,29 +359,22 @@ def flat_plane(axes: tuple[int, ...], n: int, name: str | None = None,
     for col, a in enumerate(ax0):
         basis[a, col] = 1.0
 
-    def ev(x):
-        return basis @ x
-
-    def jac(x):
-        return basis
-
-    def hess(xs):
-        return np.zeros((xs.shape[0], n, k, k))
-
     label = name or ("plane-" + "".join(str(a) for a in axes) + f"-r{n}")
-    return Patch(label, k, n, Box.unit(k), closed, ev, jac, hess, flat=True, axes=ax0)
+    return Patch(label, k, n, Box.unit(k), closed, lambda xs: (xs @ basis.T, basis[None]),
+                 lambda xs: np.zeros((xs.shape[0], n, k, k)), flat=True, axes=ax0)
 
 
 def rotated_plane(tangent_rows: np.ndarray, n: int, name: str) -> Patch:
-    """Plane spanned by the given (not necessarily axis) tangent rows."""
+    """Plane spanned by the given (not necessarily axis) tangent rows; one
+    Jacobian per row, as a curved patch gives them."""
     basis = np.asarray(tangent_rows, float).T
     k = basis.shape[1]
 
-    def ev(x):
-        return basis @ x
+    def rows(xs):
+        return xs @ basis.T, np.repeat(basis[None], xs.shape[0], axis=0)
 
-    return Patch(name, k, n, Box.unit(k), True, ev, lambda x: basis,
-                 lambda xs: np.zeros((xs.shape[0], n, k, k)), flat=False)
+    return Patch(name, k, n, Box.unit(k), True, rows,
+                 lambda xs: np.zeros((xs.shape[0], n, k, k)))
 
 
 def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
@@ -460,7 +407,7 @@ def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,
                 * np.outer(freq, freq)
         return h
 
-    return _from_rows(name, k, n, Box.unit(k), closed, rows, hess)
+    return Patch(name, k, n, Box.unit(k), closed, rows, hess)
 
 
 def circle_patch(radius: float = 1.0, n: int = 2, name: str | None = None) -> Patch:
@@ -477,8 +424,8 @@ def circle_patch(radius: float = 1.0, n: int = 2, name: str | None = None) -> Pa
         h[:, :, 0, 0] = -rows(xs)[0]
         return h
 
-    return _from_rows(name or f"circle-r{n}", 1, n, Box.make([0.0], [2 * math.pi]),
-                      True, rows, hess)
+    return Patch(name or f"circle-r{n}", 1, n, Box.make([0.0], [2 * math.pi]),
+                 True, rows, hess)
 
 
 def sphere_patch(radius: float = 1.0, full: bool = True, name: str | None = None) -> Patch:
@@ -505,7 +452,7 @@ def sphere_patch(radius: float = 1.0, full: bool = True, name: str | None = None
                 [[-ct, zero], [zero, zero]]]
         return radius * np.moveaxis(np.array(mats), -1, 0)
 
-    return _from_rows(name or "sphere", 2, 3, Box.make(lo, hi), full, rows, hess)
+    return Patch(name or "sphere", 2, 3, Box.make(lo, hi), full, rows, hess)
 
 
 def torus_patch(big_radius: float = 2.0, small_radius: float = 0.5,
@@ -532,5 +479,5 @@ def torus_patch(big_radius: float = 2.0, small_radius: float = 0.5,
                 [[zero, zero], [zero, -r * sp]]]
         return np.moveaxis(np.array(mats), -1, 0)
 
-    return _from_rows(name or "torus2-r3", 2, 3,
-                      Box.make([0.0, 0.0], [2 * math.pi, 2 * math.pi]), True, rows, hess)
+    return Patch(name or "torus2-r3", 2, 3,
+                 Box.make([0.0, 0.0], [2 * math.pi, 2 * math.pi]), True, rows, hess)

@@ -86,7 +86,7 @@ class VariationFamily:
     h: Callable                       # (patch, xs) -> (N, n, n) ambient velocity
     mu_dot: Callable | None = None    # (patch, xs) -> (N, C(n, p)) calibration-form velocity
     mu: Callable | None = None        # (patch, xs) -> (N, C(n, p)) calibration form
-    gbar_at: Callable | None = None   # (patch, x, t) -> ambient (n, n) metric, one point
+    gbar_at: Callable | None = None   # (y, t) -> ambient (n, n) metric at one point y
     gbar0: Callable | None = None     # (patch, xs) -> (N, n, n) background; None is Euclidean
     meta: dict = field(default_factory=dict)
 
@@ -153,8 +153,7 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
         om = omega(patch, xs)
         return wedge_omegas(om, om, 2)
 
-    def gbar_at(patch, x, t):
-        y = patch.position(x)
+    def gbar_at(y, t):
         a = alphadot.d(y).to_tensor()
         a11 = 0.5 * (a + J.T @ a @ J)
         omega_t = background.omega(y).to_tensor() + t * a11
@@ -176,8 +175,8 @@ def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
     def d(patch, xs):
         return betadot.d_coeffs(patch.positions(xs))
 
-    def gbar_at(patch, x, t):
-        eta = betadot.d(patch.position(x))
+    def gbar_at(y, t):
+        eta = betadot.d(y)
         return metric_from_3form(phi + t * eta)[0].entries
 
     return VariationFamily("associative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
@@ -239,7 +238,7 @@ def lie_family(xfield: VectorField) -> VariationFamily:
 def scaling_family(n: int) -> VariationFamily:
     """The family e^t gbar around the Euclidean metric."""
 
-    def gbar_at(patch, x, t):
+    def gbar_at(y, t):
         return math.exp(t) * np.eye(n)
 
     return VariationFamily("scaling", lambda patch, xs: np.eye(n)[None], gbar_at=gbar_at)
@@ -248,9 +247,8 @@ def scaling_family(n: int) -> VariationFamily:
 def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
     """Generic family gbar_t = I + t H(y) + t^2 K(y) with velocity H."""
 
-    def gbar_at(patch, x, t):
-        y = patch.position(x)
-        g = np.eye(patch.n) + t * h_field.value(y)
+    def gbar_at(y, t):
+        g = np.eye(y.shape[0]) + t * h_field.value(y)
         if quadratic_field is not None:
             g = g + t * t * quadratic_field.value(y)
         return g
@@ -298,12 +296,13 @@ def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRu
     """Finite-difference d/dt of the volume along the family's metric evaluator."""
     if family.gbar_at is None:
         raise ValueError(f"family for case {family.case!r} has no nonlinear evaluator")
-    jacs = [patch.jacobian(x) for x in rule.nodes]
+    ys, jacs = patch.rows(rule.nodes)
+    jacs = np.broadcast_to(jacs, ys.shape + (patch.k,))
 
     def vol(t):
         vals = np.empty(rule.nodes.shape[0])
-        for i, x in enumerate(rule.nodes):
-            g = jacs[i].T @ family.gbar_at(patch, x, t) @ jacs[i]
+        for i, (y, j) in enumerate(zip(ys, jacs)):
+            g = j.T @ family.gbar_at(y, t) @ j
             vals[i] = math.sqrt(np.linalg.det(g))
         return rule.integrate(vals)
 

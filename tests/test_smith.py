@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from caliblab.exterior import DegenerateInputError
+from caliblab.cli import random_triple, smith_catalog
+from caliblab.exterior import DegenerateInputError, evaluate
 from caliblab.fields import SymTensorField
 from caliblab.smith import (
     MapTriple,
@@ -14,6 +15,7 @@ from caliblab.smith import (
     fd_energy_domain,
     k_energy,
     k_volume,
+    sample_points,
     smith_residual,
 )
 from caliblab.structures import standard_kit
@@ -24,10 +26,15 @@ UM2 = standard_kit("um", m=2, k=1)
 EYE_G = lambda x: np.eye(2)
 
 
+def pointwise(ev, jac):
+    """Row formula from per-point position and Jacobian formulas, row by row."""
+    return lambda xs: (np.array([ev(x) for x in xs]), np.array([jac(x) for x in xs]))
+
+
 def linear_map(name, n, mat):
     mat = np.asarray(mat, float)
     return Patch(name, mat.shape[1], n, Box.unit(mat.shape[1]), False,
-                 lambda x: mat @ x, lambda x: mat, None)
+                 pointwise(lambda x: mat @ x, lambda x: mat))
 
 
 HOLO = MapTriple(linear_map("holo", 4, np.eye(4)[:, :2].copy()), EYE_G, UM2)
@@ -76,7 +83,7 @@ class TestVolume:
                  0.2 * math.sin(2 * math.pi * x[0])],
                 [0.0, 0.0]])
 
-        patch = Patch("graph-map", 2, 4, Box.unit(2), False, ev, jac, None)
+        patch = Patch("graph-map", 2, 4, Box.unit(2), False, pointwise(ev, jac))
         triple = MapTriple(patch, EYE_G, UM2)
         rule = QuadratureRule(patch.box, 10)
         assert k_volume(triple, rule) == pytest.approx(
@@ -162,8 +169,8 @@ class TestDomainVariation:
 
     def test_k1_excluded(self):
         line = Patch("line", 1, 4, Box.unit(1), False,
-                     lambda x: np.array([x[0], 0, 0, 0]),
-                     lambda x: np.array([[1.0], [0], [0], [0]]), None)
+                     pointwise(lambda x: np.array([x[0], 0, 0, 0]),
+                               lambda x: np.array([[1.0], [0], [0], [0]])))
         triple = MapTriple(line, lambda x: np.eye(1), UM2)
         with pytest.raises(DegenerateInputError):
             energy_first_variation_domain(triple, lambda x: np.eye(1),
@@ -196,3 +203,56 @@ class TestTargetVariation:
             lhs = math.sqrt(np.linalg.det(a))
             rhs = du2 ** (HOLO.k / 2) / math.sqrt(HOLO.k) ** HOLO.k
             assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def per_node_reference(triple, rule, h_field, hbar_field):
+    """The smith functionals as per-node loops over the per-point Jacobian."""
+    k, mu = triple.k, triple.kit.mu
+    scale = math.sqrt(k) ** k
+
+    def densities(x):
+        j = triple.patch.jacobian(x)
+        a = j.T @ j
+        g = triple.domain_metric(x)
+        du2 = max(float(np.trace(np.linalg.solve(g, a))), 0.0)
+        return du2, math.sqrt(np.linalg.det(g)), a, g, j
+
+    energy, vol, calib, domain, target = (np.empty(len(rule.nodes)) for _ in range(5))
+    for i, x in enumerate(rule.nodes):
+        du2, sg, a, g, j = densities(x)
+        energy[i] = du2 ** (k / 2.0) * sg
+        vol[i] = math.sqrt(max(np.linalg.det(a), 0.0))
+        calib[i] = evaluate(mu, j.T)
+        t = -k * du2 ** ((k - 2) / 2.0) * a + du2 ** (k / 2.0) * g
+        domain[i] = np.trace(np.linalg.solve(g, h_field(x)) @ np.linalg.solve(g, t)) * sg
+        pulled = j.T @ hbar_field(triple.patch.position(x)) @ j
+        target[i] = du2 ** ((k - 2) / 2.0) * np.trace(np.linalg.solve(g, pulled)) * sg
+    conf = cal = 0.0
+    for x in sample_points(triple, rule):
+        du2, sg, a, g, j = densities(x)
+        linv = np.linalg.inv(np.linalg.cholesky(g))
+        conf = max(conf, np.linalg.norm(linv @ a @ linv.T - du2 / k * np.eye(k)))
+        cal = max(cal, abs(evaluate(mu, j.T) - du2 ** (k / 2.0) * sg / scale))
+    return {"k_energy": rule.integrate(energy) / scale, "k_volume": rule.integrate(vol),
+            "calibration_integral": rule.integrate(calib), "smith_residual": (conf, cal),
+            "domain": rule.integrate(domain) / (2.0 * scale),
+            "target": rule.integrate(target) * k / (2.0 * scale)}
+
+
+class TestRowFormulaMatchesPerNodeLoops:
+    def test_random_and_catalog_maps(self):
+        rng = np.random.default_rng(11)
+        triples = [random_triple(rng) for _ in range(20)]
+        triples += [triple for _, triple, _ in smith_catalog()]
+        for triple in triples:
+            rule = QuadratureRule(triple.patch.box, 5)
+            h = SymTensorField.random(2, rng).value
+            hbar = SymTensorField.random(4, rng).value
+            want = per_node_reference(triple, rule, h, hbar)
+            got = {"k_energy": k_energy(triple, rule), "k_volume": k_volume(triple, rule),
+                   "calibration_integral": calibration_integral(triple, rule),
+                   "smith_residual": smith_residual(triple, rule),
+                   "domain": energy_first_variation_domain(triple, h, rule),
+                   "target": energy_first_variation_target(triple, hbar, rule)}
+            for name, value in got.items():
+                assert value == pytest.approx(want[name], rel=1e-12), (triple.patch.name, name)

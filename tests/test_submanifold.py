@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from caliblab.cli import _linear_map_patch, random_triple
 from caliblab.exterior import DegenerateInputError
 from caliblab.fields import SymTensorField, VectorField
 from caliblab.submanifold import (
@@ -17,12 +18,18 @@ from caliblab.submanifold import (
     jet_of_F,
     mean_curvature,
     normal_projector,
+    rotated_plane,
     sphere_patch,
     tangent_normal_split,
     torus_patch,
     volume,
 )
 from caliblab.variation import ambient_family, analytic_first_variation
+
+
+def pointwise(ev, jac):
+    """Row formula from per-point position and Jacobian formulas, row by row."""
+    return lambda xs: (np.array([ev(x) for x in xs]), np.array([jac(x) for x in xs]))
 
 
 class TestQuadrature:
@@ -49,15 +56,27 @@ class TestQuadrature:
             assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+ROW_FORMULAS = [
+    (graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
+     np.array([0.37, 0.61])),
+    (sphere_patch(1.2), np.array([1.1, 2.3])),
+    (torus_patch(), np.array([0.8, 2.5])),
+    (circle_patch(1.5), np.array([0.9])),
+    (flat_plane((2, 4, 5), 6), np.array([0.3, 0.55, 0.7])),
+    (rotated_plane(np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 0.8, -0.6]]), 4, "rot"),
+     np.array([0.45, 0.35])),
+    (_linear_map_patch("lin", 5, np.arange(10.0).reshape(5, 2) / 7, offset=np.ones(5)),
+     np.array([0.4, 0.75])),
+    (random_triple(np.random.default_rng(4)).patch, np.array([0.62, 0.28])),
+]
+ROW_FORMULAS += [(patch.reversed(), x) for patch, x in ROW_FORMULAS]
+
+
 class TestPatchCatalog:
-    @pytest.mark.parametrize("patch,x", [
-        (graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
-         np.array([0.37, 0.61])),
-        (sphere_patch(1.2), np.array([1.1, 2.3])),
-        (torus_patch(), np.array([0.8, 2.5])),
-        (circle_patch(1.5), np.array([0.9])),
-    ])
+    @pytest.mark.parametrize("patch,x", ROW_FORMULAS)
     def test_derivative_consistency(self, patch, x):
+        # each row formula's Jacobian (the catalog's, the CLI maps', their reversed
+        # copies') against central differences of its own positions
         h = 1e-6
         jac_fd = np.zeros((patch.n, patch.k))
         for a in range(patch.k):
@@ -65,32 +84,44 @@ class TestPatchCatalog:
             e[a] = h
             jac_fd[:, a] = (patch.position(x + e) - patch.position(x - e)) / (2 * h)
         assert np.abs(jac_fd - patch.jacobian(x)).max() < 1e-8
+        # a block of rows in one call, against per-row points and central differences;
+        # an affine patch gives its single Jacobian once
+        xs = x + 0.07 * np.arange(-2, 3)[:, None]
+        pos, jacs = patch.rows(xs)
+        assert pos.shape == (5, patch.n)
+        assert jacs.shape in ((5, patch.n, patch.k), (1, patch.n, patch.k))
+        jacs = np.broadcast_to(jacs, (5, patch.n, patch.k))
+        assert np.abs(pos - [patch.position(y) for y in xs]).max() < 1e-14
+        assert np.abs(jacs - [patch.jacobian(y) for y in xs]).max() < 1e-14
+        for a in range(patch.k):
+            e = h * np.eye(patch.k)[a]
+            col_fd = (patch.positions(xs + e) - patch.positions(xs - e)) / (2 * h)
+            assert np.abs(col_fd - jacs[:, :, a]).max() < 1e-8
+        if patch._hess is None:
+            return
         h2 = 1e-4
         for a in range(patch.k):
             e = np.zeros(patch.k)
             e[a] = h2
             hess_fd = (patch.jacobian(x + e) - patch.jacobian(x - e)) / (2 * h2)
             assert np.abs(hess_fd - patch.hessian(x)[:, :, a]).max() < 1e-6
-        # a block of rows in one call, against per-row points and central differences
-        xs = x + 0.07 * np.arange(-2, 3)[:, None]
-        assert np.abs(patch.positions(xs) - [patch.position(y) for y in xs]).max() < 1e-14
-        jacs = patch.jacobians(xs)
-        assert jacs.shape == (5, patch.n, patch.k)
-        assert np.abs(jacs - [patch.jacobian(y) for y in xs]).max() < 1e-14
         hess = patch.hessians(xs)
         assert hess.shape == (5, patch.n, patch.k, patch.k)
         assert np.abs(hess - [patch.hessian(y) for y in xs]).max() < 1e-14
         for a in range(patch.k):
-            e = h * np.eye(patch.k)[a]
-            col_fd = (patch.positions(xs + e) - patch.positions(xs - e)) / (2 * h)
-            assert np.abs(col_fd - jacs[:, :, a]).max() < 1e-8
             e2 = h2 * np.eye(patch.k)[a]
-            hess_fd = (patch.jacobians(xs + e2) - patch.jacobians(xs - e2)) / (2 * h2)
+            hess_fd = np.broadcast_to(
+                patch.jacobians(xs + e2) - patch.jacobians(xs - e2), jacs.shape) / (2 * h2)
             # the O(h2^2) truncation scales with the third derivatives
             assert np.abs(hess_fd - hess[..., a]).max() < 1e-6 * max(1.0, np.abs(hess).max())
-            rows_pos, rows_jac = patch.rows(xs + e)
-            assert np.array_equal(rows_pos, patch.positions(xs + e))
-            assert np.array_equal(rows_jac, patch.jacobians(xs + e))
+
+    def test_hessians_need_a_formula(self):
+        patch = random_triple(np.random.default_rng(4)).patch
+        assert patch._hess is None
+        with pytest.raises(ValueError, match="no Hessian formula"):
+            patch.hessians(np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="no Hessian formula"):
+            patch.reversed().hessian(np.full(2, 0.5))
 
     @pytest.mark.parametrize("patch", [
         graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
@@ -134,7 +165,7 @@ class TestInducedMetricAndVolume:
             return np.array([[1.0, 0.0], [0.0, 1.0],
                              [0.6 * x[0] * x[1], 0.3 * x[0] ** 2]])
 
-        p = Patch("poly-graph", 2, 3, Box.unit(2), False, ev, jac, None)
+        p = Patch("poly-graph", 2, 3, Box.unit(2), False, pointwise(ev, jac))
         x = np.array([0.4, 0.8])
         grad = np.array([0.6 * x[0] * x[1], 0.3 * x[0] ** 2])
         want = np.eye(2) + np.outer(grad, grad)

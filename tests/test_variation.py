@@ -78,9 +78,9 @@ class TestFamilies:
         for _ in range(5):
             fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
             # the family starts at the background metric
-            assert np.abs(fam.gbar_at(p, x, 0.0)
-                          - bg.metric(p.position(x))).max() < 1e-14
-            fd, _ = fd_derivative(lambda t: fam.gbar_at(p, x, t), 0.0, 1e-4)
+            y = p.position(x)
+            assert np.abs(fam.gbar_at(y, 0.0) - bg.metric(y)).max() < 1e-14
+            fd, _ = fd_derivative(lambda t: fam.gbar_at(y, t), 0.0, 1e-4)
             assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-8
 
     def test_assoc_gbar_fd_matches_h(self):
@@ -89,7 +89,7 @@ class TestFamilies:
         x = np.array([0.3, 0.6, 0.2])
         for _ in range(5):
             fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
-            fd, _ = fd_derivative(lambda t: fam.gbar_at(p, x, t), 0.0, 1e-4)
+            fd, _ = fd_derivative(lambda t: fam.gbar_at(p.position(x), t), 0.0, 1e-4)
             assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-7
 
     def test_assoc_constant_phi_direction(self):
@@ -699,7 +699,7 @@ class TestMinimalComparison:
         from caliblab.variation import divergence_route
 
         p = sphere_patch(1.0)
-        calls = {"_eval": 0, "_jac": 0, "_rows": 0, "_hess": 0}
+        calls = {"_rows": 0, "_hess": 0}
         field_ndims = []
 
         def counted(name, fn):
@@ -721,7 +721,6 @@ class TestMinimalComparison:
         got = divergence_route(wrapped, x, rule)
         # one row evaluation at the nodes and one per shifted row set x +- h e_a
         assert calls["_rows"] <= 2 * p.k + 1
-        assert calls["_eval"] == calls["_jac"] == 0
         assert calls["_hess"] == 1
         assert field_ndims and set(field_ndims) == {2}  # stacked points only
         assert got == divergence_route(p, x, rule)
