@@ -344,15 +344,13 @@ def _resonant_um_generator(background: UmBackground, rng) -> FormField:
 
 
 def _test_variation_results(case, patch, rule, keep, tol_point):
-    nodes = rule.nodes[:1] if patch.flat else rule.nodes[: min(8, len(rule.nodes))]
-    chain = chain_consistency(case, patch, rule, nodes=nodes)
+    chain = chain_consistency(case, patch, rule, nodes=rule.nodes[:8])
     results = {"chain_consistency": chain}
     passed = chain < tol_point
     defect = theorem_B_defect(case, patch, rule)
     results["defect_integral"] = defect
     if case == "cayley" and keep:
-        small = QuadratureRule(patch.box, 2) if patch.flat else rule
-        anomaly = cayley_anomaly(patch, small)
+        anomaly = cayley_anomaly(patch, rule)
         results.update(anomaly)
         vol = float(np.prod(patch.box.hi - patch.box.lo)) if patch.flat else None
         if vol is not None and defect < 1e-10:

@@ -24,8 +24,8 @@ from .exterior import (
     DimensionError,
     KForm,
     SymTensor2,
+    _star_table,
     _tensor_table,
-    hodge_star,
     interior,
     n_coeffs,
     wedge,
@@ -85,17 +85,13 @@ def _sp7_maps():
         for j in range(8):
             w = 0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], kit.Phi))
             asm[:, 8 * i + j] = w.coeffs
-    # star on 4-forms as a 70x70 matrix
+    # star on 4-forms as a 70x70 matrix: basis form c goes to +-(its complement)
+    perm, sg = _star_table(8, 4)
     star = np.zeros((70, 70))
-    eye70 = np.eye(70)
-    for c in range(70):
-        star[:, c] = hodge_star(KForm(8, 4, eye70[c])).coeffs
+    star[perm, np.arange(70)] = sg
     # Omega^2_7 from the eigenspaces of beta_kl -> beta_rs Phi_rskl
-    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-    t2 = np.zeros((28, 28))
-    for a, (k, l) in enumerate(pairs):
-        for b, (r, s) in enumerate(pairs):
-            t2[a, b] = Phi_t[r, s, k, l]
+    i, j = pairs = np.triu_indices(8, 1)  # lexicographic pairs, the coefficient order
+    t2 = Phi_t[i[None], j[None], i[:, None], j[:, None]]
     evals, evecs = np.linalg.eigh(t2)
     rounded = np.rint(evals).astype(int)
     seven = [v for v in set(rounded) if np.sum(rounded == v) == 7]
@@ -104,9 +100,8 @@ def _sp7_maps():
     basis2_7 = evecs[:, rounded == seven[0]]  # (28, 7)
     # push Omega^2_7 through beta -> (1/2) beta_ij e_i ^ (e_j _| Phi)
     skew_to_full = np.zeros((64, 28))
-    for a, (i, j) in enumerate(pairs):
-        skew_to_full[8 * i + j, a] = 1.0
-        skew_to_full[8 * j + i, a] = -1.0
+    skew_to_full[8 * i + j, np.arange(28)] = 1.0
+    skew_to_full[8 * j + i, np.arange(28)] = -1.0
     image = asm @ skew_to_full @ basis2_7  # (70, 7)
     q7, _ = np.linalg.qr(image)
     beta_from_coeffs = np.linalg.pinv(asm @ skew_to_full) # 4-form coeffs -> pair coeffs
@@ -237,9 +232,8 @@ def sp7_split_4form(sigma: KForm, kit: Spin7Kit | None = None) -> SP7FourFormSpl
     part27 = resid - part7
     pair_coeffs = beta_from @ part7.coeffs
     beta = np.zeros((8, 8))
-    for a, (i, j) in enumerate(pairs):
-        beta[i, j] = pair_coeffs[a]
-        beta[j, i] = -pair_coeffs[a]
+    beta[pairs] = pair_coeffs
+    beta[pairs[::-1]] = -pair_coeffs
     return SP7FourFormSplit(part_1_35, part7, part27,
                             SymTensor2(8, h), SymTensor2(8, h0), beta)
 

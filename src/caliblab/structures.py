@@ -109,8 +109,6 @@ class UmKit:
     def metric(self) -> SymTensor2:
         return SymTensor2.identity(self.n)
 
-    orientation = 1
-
 
 @dataclass(frozen=True)
 class G2Kit:
@@ -118,7 +116,6 @@ class G2Kit:
     flavor: str  # "associative" | "coassociative"
 
     n = 7
-    orientation = 1
 
     @property
     def case(self) -> str:
@@ -168,7 +165,6 @@ class Spin7Kit:
     arity = CROSS_ARITY["cayley"]
     n = 8
     calibration_dim = 4
-    orientation = 1
 
     @property
     def Phi(self) -> KForm:
@@ -254,6 +250,19 @@ def _blocks(count: int, floats_per_node: int):
         yield slice(start, start + step)
 
 
+def _blockwise(fn, floats_per_row: int, *rows) -> np.ndarray:
+    """fn over the _blocks of the rows, each block's result written into one
+    output (N, ...); a one-row result holds for every row of its block.  A
+    block's temporaries are freed before the next block's are made."""
+    out = np.empty(0)
+    for sl in _blocks(len(rows[0]), floats_per_row):
+        res = fn(*(r[sl] for r in rows))
+        if sl.start == 0:
+            out = np.empty((len(rows[0]),) + np.shape(res)[1:])
+        out[sl] = res
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cross products (stacked vectors (..., n) broadcast)
 
@@ -331,15 +340,6 @@ def _gram_dets(*rows) -> np.ndarray:
     return np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
 
 
-def _over_blocks(block_residuals, *rows) -> np.ndarray:
-    """block_residuals over row blocks sized for (N, 49) temporaries; a block's
-    temporaries are freed before the next block's are made."""
-    out = np.empty(len(rows[0]))
-    for sl in _blocks(len(out), 49):
-        out[sl] = block_residuals(*(r[sl] for r in rows))
-    return out
-
-
 def _associative_block(x, y, z):
     phi_t, psi_t, _ = _float_tensors()
     xy = _pairs(x, y)
@@ -364,7 +364,7 @@ def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
     """Batched residuals |chi(x,y,z)|^2 + phi(x,y,z)^2 - |x^y^z|^2 over triples
     of rows.  Each row block forms x (x) y once and contracts it by matmul with
     psi as a (49, 49) and phi as a (49, 7) matrix."""
-    return _over_blocks(_associative_block, xs, ys, zs)
+    return _blockwise(_associative_block, 49, xs, ys, zs)
 
 
 def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
@@ -372,7 +372,7 @@ def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
     of rows, where vec = phi(y,z,w) x - phi(x,z,w) y + phi(x,y,w) z - phi(x,y,z) w.
     Each row block forms x (x) y and z (x) w once and contracts them by matmul
     with psi as a (49, 49) and phi as a (49, 7) matrix."""
-    return _over_blocks(_coassociative_block, xs, ys, zs, ws)
+    return _blockwise(_coassociative_block, 49, xs, ys, zs, ws)
 
 
 # ---------------------------------------------------------------------------

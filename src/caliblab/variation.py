@@ -4,7 +4,8 @@ Each family records the analytic velocity h of the ambient metric along a
 patch, the velocity of the calibration form, and (where a nonlinear family
 exists) a black-box metric evaluator for finite-difference cross checks.
 Analytic evaluators are batched over quadrature nodes; the experiments run
-them over blocks of nodes whose length bounds the largest temporary.
+them over blocks of nodes whose length bounds the largest temporary, and the
+routes that read only the tangent plane evaluate an affine patch's plane once.
 Position-dependent generators are represented by their values and first
 derivatives along the patch only; exterior derivatives of the test variations
 use the 2-jet of the distance function, with terms linear in its gradient
@@ -42,6 +43,7 @@ from .structures import (
     Spin7Kit,
     UmKit,
     _blocks,
+    _blockwise,
     invariance_defect,
     standard_kit,
 )
@@ -64,9 +66,6 @@ FLOW_FD_STEP = 1e-3
 DIVERGENCE_FD_STEP = 1e-5
 RICHARDSON_LEVELS = 2
 FLOW_RK4_STEPS = 8
-
-# quadrature nodes evaluated together; bounds the batched temporaries
-NODE_BLOCK = 512
 
 CASES = ("um", "associative", "coassociative", "cayley")
 
@@ -260,14 +259,6 @@ def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
 # ---------------------------------------------------------------------------
 # first variations
 
-def _node_blocks(patch: Patch, rule: QuadratureRule):
-    """(slice, parameter rows, Jacobians) over blocks of at most NODE_BLOCK nodes."""
-    for start in range(0, rule.nodes.shape[0], NODE_BLOCK):
-        sl = slice(start, start + NODE_BLOCK)
-        xs = rule.nodes[sl]
-        yield sl, xs, patch.jacobians(xs)
-
-
 def _trace_g(g: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Tr_g of the restriction J^T h J at each node."""
     jt = np.swapaxes(jac, -1, -2)
@@ -282,12 +273,19 @@ def _first_variation_integrand(patch: Patch, family: VariationFamily, xs, jac):
     return 0.5 * _trace_g(g, jac, family.h(patch, xs)), np.sqrt(np.linalg.det(g)), g
 
 
+def _integrand_floats(n: int) -> int:
+    """Floats a node takes in the integrand's widest row: an (n, n) metric
+    velocity or a coefficient row of middle degree."""
+    return max(n * n, math.comb(n, n // 2))
+
+
 def analytic_first_variation(patch: Patch, family: VariationFamily,
                              rule: QuadratureRule) -> float:
     """(1/2) integral of Tr_g h over the patch by quadrature."""
     vals = np.empty(rule.nodes.shape[0])
-    for sl, xs, jac in _node_blocks(patch, rule):
-        half_tr, density, _ = _first_variation_integrand(patch, family, xs, jac)
+    for sl in _blocks(len(vals), _integrand_floats(patch.n)):
+        xs = rule.nodes[sl]
+        half_tr, density, _ = _first_variation_integrand(patch, family, xs, patch.jacobians(xs))
         vals[sl] = half_tr * density
     return rule.integrate(vals)
 
@@ -322,33 +320,45 @@ def _frames(jac: np.ndarray):
     return np.linalg.solve(l, jt), np.prod(np.diagonal(l, axis1=-2, axis2=-1), axis=-1)
 
 
+def _normals(frames: np.ndarray) -> np.ndarray:
+    """Normal projectors (..., n, n) of orthonormal tangent rows (..., k, n)."""
+    return np.eye(frames.shape[-1]) - np.swapaxes(frames, -1, -2) @ frames
+
+
+def _over_planes(patch: Patch, xs: np.ndarray, floats_per_node: int, fn) -> np.ndarray:
+    """fn(frames, densities) of the tangent planes at parameter rows xs, one
+    result row per row of xs, over node blocks whose temporaries of
+    floats_per_node floats a node fit in BLOCK_BYTES.  An affine patch has one
+    tangent plane: it is evaluated once, and its row holds at every node."""
+    def planes(rows):
+        return fn(*_frames(patch.jacobians(rows)))
+
+    if patch.flat:
+        out = planes(xs[:1])
+        return np.broadcast_to(out, (len(xs),) + out.shape[1:])
+    return _blockwise(planes, floats_per_node, xs)
+
+
 def _kit(case: str, patch: Patch):
     return standard_kit(case, m=patch.n // 2, k=max(1, patch.k // 2))
 
 
-def _selection(kit, frames, p_normal, xs, V=None, W=None) -> list:
-    """The vectors of the selection (V, W) at parameter rows xs (N, k): frame
-    row indices (0 and 1 by default), tangent vectors (n,) or (N, n), or
-    functions of the rows xs giving them."""
+def _selection(kit, frames, V=None, W=None) -> list:
+    """The vectors of the selection (V, W) along frames (..., k, n): frame row
+    indices (0 and 1 by default) or fixed tangent vectors (n,)."""
     out = []
     for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]:
-        if isinstance(sel, int):  # frame rows are tangent
+        if isinstance(sel, int) and 0 <= sel < frames.shape[-2]:  # frame rows are tangent
             out.append(frames[..., sel, :])
             continue
-        v = np.asarray(sel(xs) if callable(sel) else sel, float)
-        off = np.linalg.norm(np.einsum("...n,...nm->...m", v, p_normal), axis=-1)
-        bad = off > TOL_FRAME * np.maximum(1.0, np.linalg.norm(v, axis=-1))
-        if bad.any():
-            raise ValueError(f"selector {sel} is not tangent at x={xs[np.argmax(bad)]}")
+        if np.shape(sel) != (kit.n,):
+            raise ValueError(f"selector {sel!r} is not a frame-row index or an (n,) vector")
+        v = np.asarray(sel, float)
+        off = np.linalg.norm(v @ _normals(frames), axis=-1)
+        if np.any(off > TOL_FRAME * max(1.0, np.linalg.norm(v))):
+            raise ValueError(f"selector {sel} is not tangent to the patch")
         out.append(v)
     return out
-
-
-def _frames_and_normals(patch: Patch, xs: np.ndarray):
-    """Frames and normal projectors at parameter rows xs; a flat patch gives
-    one of each for every row."""
-    frames = _frames(patch.jacobians(xs))[0]
-    return frames, np.eye(patch.n) - np.swapaxes(frames, -1, -2) @ frames
 
 
 def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
@@ -389,10 +399,8 @@ def _minors_floats(kit) -> int:
 
 def _at_point(case: str, patch: Patch, x, V, W):
     kit = _kit(case, patch)
-    xs = np.asarray(x, float)[None]
-    frames, p_normal = _frames_and_normals(patch, xs)
-    S = _selection(kit, frames, p_normal, xs, V, W)
-    return kit, frames[0], p_normal[0], [v[0] if v.ndim > 1 else v for v in S]
+    frame = _frames(patch.jacobians(np.asarray(x, float)[None]))[0][0]
+    return kit, frame, _normals(frame), _selection(kit, frame, V, W)
 
 
 def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KForm:
@@ -420,12 +428,12 @@ def test_variation_family(case: str, patch: Patch, V=None, W=None,
 
     def h(p, xs):
         kit = _kit(case, p)
-        out = np.empty((len(xs), p.n, p.n))
-        for sl in _blocks(len(xs), _minors_floats(kit)):
-            frames, p_normal = _frames_and_normals(p, xs[sl])
-            S = _selection(kit, frames, p_normal, xs[sl], V, W)
-            out[sl] = _velocity(kit, p_normal, S, keep_omega4_1)
-        return out
+
+        def velocity(frames, _):
+            return _velocity(kit, _normals(frames), _selection(kit, frames, V, W),
+                             keep_omega4_1)
+
+        return _over_planes(p, xs, _minors_floats(kit), velocity)
 
     return VariationFamily(case, h, meta={"V": V, "W": W, "keep_omega4_1": keep_omega4_1})
 
@@ -452,15 +460,17 @@ def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
     the canonical selections."""
     pts = rule.nodes if nodes is None else np.asarray(nodes, float)
     kit = _kit(case, patch)
-    worst = 0.0
-    for sl in _blocks(len(pts), _minors_floats(kit)):
-        frames, p_normal = _frames_and_normals(patch, pts[sl])
+
+    def gaps(frames, _):
+        p_normal = _normals(frames)
+        out = []
         for sel in _canonical_selections(case, patch.k):
-            S = _selection(kit, frames, p_normal, pts[sl], *sel)
+            S = _selection(kit, frames, *sel)
             chain = _trace(frames, _velocity(kit, p_normal, S))
-            gap = np.abs(chain - _closed_form(kit, frames, p_normal, S))
-            worst = max(worst, float(gap.max()))
-    return worst
+            out.append(np.abs(chain - _closed_form(kit, frames, p_normal, S)))
+        return np.max(out, axis=0)
+
+    return float(_over_planes(patch, pts, _minors_floats(kit), gaps).max())
 
 
 def _canonical_selections(case: str, k: int):
@@ -507,17 +517,13 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     """
     kit = _kit(case, patch)
     scale = abs(CLOSED_FORM_SCALE[case])
-    if patch.flat:  # constant integrand on axis planes
-        frames, density = _frames(patch.jacobians(rule.nodes[:1]))
-        value = scale * density[0] * invariance_defect(kit, frames[0])
-        return float(value * np.prod(patch.box.hi - patch.box.lo))
+
+    def defect(frames, density):
+        return scale * density * invariance_defect(kit, frames)
+
     # the defect's largest temporary is one cross product per selection and frame row
     per_node = math.comb(patch.k, kit.arity - 1) * patch.k * patch.n
-    vals = np.empty(rule.nodes.shape[0])
-    for sl in _blocks(len(vals), per_node):
-        frames, density = _frames(patch.jacobians(rule.nodes[sl]))
-        vals[sl] = scale * density * invariance_defect(kit, frames)
-    return rule.integrate(vals)
+    return rule.integrate(_over_planes(patch, rule.nodes, per_node, defect))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +543,6 @@ class TheoremVerdict:
     cayley_condition: float | None = None
     cayley_raw_identity_err: float | None = None
     um_dw_route: float | None = None
-    tolerances: dict = field(default_factory=dict)
     passes: dict = field(default_factory=dict)
 
     @property
@@ -578,7 +583,9 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
     """
     cayley = case == "cayley"
     fv, value, identity, stokes, condition, raw = np.empty((6, rule.nodes.shape[0]))
-    for sl, xs, jac in _node_blocks(patch, rule):
+    for sl in _blocks(len(fv), _integrand_floats(patch.n)):
+        xs = rule.nodes[sl]
+        jac = patch.jacobians(xs)
         half_tr, density, g = _first_variation_integrand(patch, family, xs, jac)
         fv[sl] = half_tr * density
         jac_minors = minors(np.swapaxes(jac, -1, -2))
@@ -613,7 +620,6 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
         identity_max_err=float(identity.max()), stokes_value=rule.integrate(stokes),
         cayley_condition=rule.integrate(condition) if cayley else None,
         cayley_raw_identity_err=float(raw.max()) if cayley else None,
-        tolerances={"point": tol_point, "int": tol_int},
     )
     orient_sign = -1.0 if cayley and plane_value < 0 else 1.0
     _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int, orient_sign)
@@ -669,19 +675,17 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     and the max of |star(d gdot) restricted to the patch|.
     """
     kit = standard_kit("cayley")
-    max_dev = 0.0
-    max_star = 0.0
-    for sl in _blocks(rule.nodes.shape[0], _minors_floats(kit)):
-        xs = rule.nodes[sl]
-        frames, p_normal = _frames_and_normals(patch, xs)
-        v, w = _selection(kit, frames, p_normal, xs, V, W)
-        d = _derivative(kit, p_normal, (v, w))
+
+    def failures(frames, _):
+        v, w = _selection(kit, frames, V, W)
+        d = _derivative(kit, _normals(frames), (v, w))
         half_gap = 0.5 * _trace(frames, h_sp7_batch(d) - h0_sp7_batch(d))
         vw2 = np.sum(v * v, -1) * np.sum(w * w, -1) - np.sum(v * w, -1) ** 2
-        max_dev = max(max_dev, float(np.max(np.abs(half_gap - (2.0 / 7.0) * vw2))))
         star = np.sum(star_coeffs(d, 8, 4) * minors(frames), axis=-1)
-        max_star = max(max_star, float(np.max(np.abs(star))))
-    return {"trace_discrepancy_err": max_dev, "star_restriction_max": max_star}
+        return np.stack([np.abs(half_gap - (2.0 / 7.0) * vw2), np.abs(star)], axis=-1)
+
+    max_dev, max_star = _over_planes(patch, rule.nodes, _minors_floats(kit), failures).max(axis=0)
+    return {"trace_discrepancy_err": float(max_dev), "star_restriction_max": float(max_star)}
 
 
 def flow_volume_derivative(patch: Patch, xfield: VectorField, rule: QuadratureRule):

@@ -220,6 +220,42 @@ class TestContractionTables:
         want = np.einsum("cpijk,qijk->cpq", basis_tensors(8, 4), Phi_t).reshape(70, 64).T
         assert np.array_equal(_sp7_maps()[0], want)
 
+    def test_spin7_index_tables_match_loops(self):
+        # star column by column through hodge_star, and the pair tables entry by
+        # entry over the lexicographic pairs, as the builders once did
+        from caliblab.decomposition import _sp7_maps
+
+        _, asm, star, q7, beta_from, _ = _sp7_maps()
+        Phi_t = SP7.Phi_tensor.astype(float)
+        eye70 = np.eye(70)
+        want_star = np.zeros((70, 70))
+        for c in range(70):
+            want_star[:, c] = hodge_star(KForm(8, 4, eye70[c])).coeffs
+        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        t2 = np.zeros((28, 28))
+        skew_to_full = np.zeros((64, 28))
+        for a, (k, l) in enumerate(pairs):
+            skew_to_full[8 * k + l, a] = 1.0
+            skew_to_full[8 * l + k, a] = -1.0
+            for b, (r, s) in enumerate(pairs):
+                t2[a, b] = Phi_t[r, s, k, l]
+        evals, evecs = np.linalg.eigh(t2)
+        rounded = np.rint(evals).astype(int)
+        seven = [v for v in set(rounded) if np.sum(rounded == v) == 7]
+        want_q7, _ = np.linalg.qr(asm @ skew_to_full @ evecs[:, rounded == seven[0]])
+        assert np.array_equal(star, want_star)
+        assert np.array_equal(q7, want_q7)
+        assert np.array_equal(beta_from, np.linalg.pinv(asm @ skew_to_full))
+
+        sigma = KForm(8, 4, np.random.default_rng(13).standard_normal(70))
+        split = sp7_split_4form(sigma)
+        pair_coeffs = beta_from @ split.sigma_7.coeffs
+        want_beta = np.zeros((8, 8))
+        for a, (i, j) in enumerate(pairs):
+            want_beta[i, j] = pair_coeffs[a]
+            want_beta[j, i] = -pair_coeffs[a]
+        assert np.array_equal(split.beta, want_beta)
+
 
 class TestProjection:
     def test_kills_phi(self):

@@ -32,6 +32,7 @@ from caliblab.variation import (
     plane_catalog,
     scaling_family,
     test_variation_derivative,
+    test_variation_family,
     theorem_A_experiment,
     theorem_B_defect,
     um_family_from_alpha,
@@ -185,6 +186,23 @@ class TestTestVariations:
         with pytest.raises(ValueError):
             test_variation_derivative("associative", p, [0.5, 0.5, 0.5],
                                       V=np.array([0, 0, 0, 1.0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("selector", [
+        lambda xs: np.eye(7)[0],                   # a function of the rows
+        np.tile(np.eye(7)[0], (4, 1)),             # stacked (N, n) vectors
+        np.eye(7)[0, :6],                          # a vector of the wrong length
+        "e1",
+        1.0,
+        3,                                         # a frame row the 3-plane lacks
+    ], ids=["callable", "stacked", "short", "str", "float", "row-3"])
+    def test_selector_kind_rejected(self, selector):
+        # a selector is a frame-row index or a fixed tangent vector (n,)
+        p = flat_plane((1, 2, 3), 7)
+        rule = QuadratureRule(p.box, 2)
+        with pytest.raises(ValueError, match="frame-row index"):
+            chain_trace("associative", p, [0.5, 0.5, 0.5], V=selector)
+        with pytest.raises(ValueError, match="frame-row index"):
+            test_variation_family("associative", p, V=selector).h(p, rule.nodes)
 
 
 class TestChainConsistency:
@@ -503,8 +521,8 @@ class TestTheoremA:
         # an axis plane broadcasts its one constant Jacobian over the nodes; its
         # rotated_plane twin supplies one Jacobian per node.  Both must produce
         # the same verdict; the U(m) pair spans several node blocks.
+        from caliblab.structures import _blocks
         from caliblab.submanifold import rotated_plane
-        from caliblab.variation import NODE_BLOCK
 
         rng = np.random.default_rng(19)
         pairs = [
@@ -523,7 +541,9 @@ class TestTheoremA:
              rotated_plane(np.eye(7)[3:], 7, "slow-4567"),
              coassoc_family_from_gamma(FormField.random_fourier(7, 3, rng), COASSOC), 4),
         ]
-        assert max(order ** p.k for _, p, _, _, order in pairs) > 2 * NODE_BLOCK
+        # the block length of the experiments at n = 6, the U(m) pair's ambient dimension
+        block = next(_blocks(10**6, max(6 * 6, math.comb(6, 3)))).stop
+        assert max(order ** p.k for _, p, _, _, order in pairs) > 2 * block
         for case, fast_patch, slow_patch, fam, order in pairs:
             rule = QuadratureRule(fast_patch.box, order)
             a = theorem_A_experiment(case, fast_patch, fam, rule)
@@ -537,6 +557,29 @@ class TestTheoremA:
                 assert a.cayley_condition == pytest.approx(b.cayley_condition, abs=1e-12)
                 assert a.cayley_raw_identity_err == pytest.approx(
                     b.cayley_raw_identity_err, abs=1e-11)
+
+    def test_integrand_blocks_bound_memory(self):
+        # the Cayley integrands' rows are 70 floats wide: blocks of 512 nodes
+        # would peak at 2.4 MB on t4-in-r8 and 3.0 MB on graph-cayley-r8
+        from caliblab.cli import make_patch
+
+        rng = np.random.default_rng(21)
+        fam = cayley_family_from_gamma(
+            FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)), SP7)
+        runs = (lambda p, r: theorem_A_experiment("cayley", p, fam, r),
+                lambda p, r: analytic_first_variation(p, fam, r))
+        for name, order in (("t4-in-r8", 8), ("graph-cayley-r8", 6)):
+            patch = make_patch(name)
+            rule = QuadratureRule(patch.box, order)
+            for run in runs:
+                run(patch, QuadratureRule(patch.box, 2))  # build the lazy tables first
+                tracemalloc.start()
+                try:
+                    run(patch, rule)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2 * 2**20, (name, peak)
 
     def test_verdict_scalars_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -576,6 +619,71 @@ class TestCayleyAnomaly:
         h_proj = h_sp7_batch(proj)[0]
         h_zero = h0_sp7_batch(d.coeffs)[0]
         assert np.abs(h_proj - h_zero).max() < 1e-12
+
+
+class TestTangentPlanePath:
+    """The routes that read only the tangent plane evaluate an axis plane's one
+    plane once and agree with its rotated_plane twin, which supplies one
+    Jacobian per node."""
+
+    # (case, axis plane, quadrature order spanning several blocks of every route)
+    PLANES = [
+        ("um", (1, 2, 3, 4), 6, 6), ("um", (1, 3, 5, 6), 6, 6),
+        ("associative", (1, 2, 3), 7, 9), ("associative", (1, 2, 4), 7, 9),
+        ("coassociative", (4, 5, 6, 7), 7, 4), ("coassociative", (1, 2, 3, 4), 7, 4),
+        ("cayley", (1, 2, 3, 4), 8, 4), ("cayley", (1, 2, 3, 5), 8, 4),
+    ]
+    IDS = [f"{c}-{''.join(map(str, a))}" for c, a, _, _ in PLANES]
+
+    @staticmethod
+    def routes(case, patch, rule):
+        out = {
+            "defect": lambda: theorem_B_defect(case, patch, rule),
+            "chain": lambda: chain_consistency(case, patch, rule),
+            "velocity": lambda: test_variation_family(case, patch).h(patch, rule.nodes),
+        }
+        if case == "cayley":
+            out["anomaly"] = lambda: cayley_anomaly(patch, rule)
+        return out
+
+    @pytest.mark.parametrize("case,axes,n,order", PLANES, ids=IDS)
+    def test_axis_plane_matches_rotated_twin(self, case, axes, n, order):
+        from caliblab.submanifold import rotated_plane
+
+        flat = flat_plane(axes, n)
+        twin = rotated_plane(np.eye(n)[[a - 1 for a in axes]], n, "twin")
+        rule = QuadratureRule(flat.box, order)
+        fast, slow = self.routes(case, flat, rule), self.routes(case, twin, rule)
+        for name in fast:
+            a, b = fast[name](), slow[name]()
+            if isinstance(a, dict):
+                assert a.keys() == b.keys()
+                a, b = list(a.values()), list(b.values())
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("case,axes,n,order", PLANES, ids=IDS)
+    def test_axis_plane_evaluated_once(self, case, axes, n, order):
+        import dataclasses
+
+        from caliblab.structures import CROSS_ARITY, _blocks
+
+        p = flat_plane(axes, n)
+        k, arity = len(axes), CROSS_ARITY[case]
+        rule = QuadratureRule(p.box, order)
+        # the node blocks of the defect and of the derivative-minors routes
+        for floats in (math.comb(k, arity - 1) * k * n, n * math.comb(n, arity + 1)):
+            assert len(list(_blocks(len(rule.nodes), floats))) > 1
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return p._rows(xs)
+
+        wrapped = dataclasses.replace(p, _rows=counted)
+        for name, run in self.routes(case, wrapped, rule).items():
+            calls.clear()
+            run()
+            assert calls == [1], name
 
 
 def _flow_volume_per_node(patch, xfield, rule):
