@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exterior import DimensionError
+from .exterior import MAX_DIM, DimensionError
 from .fields import FormField, FourierMode, SymTensorField, UmBackground, VectorField
 from .smith import (
     MapTriple,
@@ -139,8 +139,10 @@ def make_patch(name: str) -> Patch:
         body = name[len("plane-"):]
         axes_part, _, dim_part = body.partition("-r")
         try:
-            axes = tuple(int(c) for c in axes_part)
-            return flat_plane(axes, int(dim_part), name=name)
+            axes, n = tuple(int(c) for c in axes_part), int(dim_part)
+            if n > MAX_DIM:  # the exterior algebra stops at R^8
+                raise DimensionError(f"ambient dimension {n} is above {MAX_DIM}")
+            return flat_plane(axes, n, name=name)
         except ValueError as exc:  # covers bad digits and dimension errors
             raise KeyError(f"malformed plane patch {name!r}: {exc}") from exc
     raise KeyError(f"unknown patch {name!r}")

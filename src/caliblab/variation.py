@@ -44,6 +44,7 @@ from .structures import (
     UmKit,
     _blocks,
     _blockwise,
+    _defect_pairs,
     invariance_defect,
     standard_kit,
 )
@@ -521,8 +522,8 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     def defect(frames, density):
         return scale * density * invariance_defect(kit, frames)
 
-    # the defect's largest temporary is one cross product per selection and frame row
-    per_node = math.comb(patch.k, kit.arity - 1) * patch.k * patch.n
+    # the defect's largest temporary is the gather of each product's rows
+    per_node = _defect_pairs(patch.k, kit.arity).size * patch.n
     return rule.integrate(_over_planes(patch, rule.nodes, per_node, defect))
 
 

@@ -170,6 +170,10 @@ class TestTheoremCommand:
         # a rule above the node cap is refused before its grid is built
         ("theorem", "--case", "cayley", "--quad-order", "200", "--out", "{tmp}/r.jsonl"),
         ("minimal", "--quad-order", "1001"),
+        # the exterior algebra stops at R^8
+        ("theorem", "--case", "um", "--patch", "plane-12-r10", "--count", "1"),
+        ("theorem", "--case", "um", "--k", "2", "--patch", "plane-1234-r10"),
+        ("theorem", "--case", "um", "--patch", "plane-12-r10", "--generator", "test-variation"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, args):
         assert_config_error(run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args)))

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from caliblab import structures
 from caliblab.exterior import DimensionError, KForm, evaluate, gram_schmidt_adapt
 from caliblab.structures import (
     associative_equality_residuals,
@@ -306,6 +309,50 @@ class TestCalibrationReport:
         assert stacked.min() > 1e-3
         planes = np.stack([np.eye(n)[[a - 1 for a in axes]] for axes in good if len(axes) == k])
         assert np.abs(invariance_defect(kit, planes)).max() < 1e-14
+
+
+def _defect_over_every_row(kit, tangent):
+    """The defect summed over every selection S and every tangent row f, the
+    rows in S included: the formula the pairs-only defect must reproduce."""
+    sel = np.array(list(combinations(range(tangent.shape[-2]), kit.arity - 1)), dtype=int)
+    rows = tangent[..., sel, None, :]
+    frame = tangent[..., None, :, :]
+    crossed = kit.cross(*(rows[..., j, :, :] for j in range(sel.shape[1])), frame)
+    normal = crossed - (crossed @ np.swapaxes(frame, -1, -2)) @ frame
+    return np.sum(normal * normal, axis=(-3, -2, -1))
+
+
+class TestDefectTerms:
+    KITS = {"um-3-1": standard_kit("um", m=3, k=1), "um-3-2": standard_kit("um", m=3, k=2),
+            "um-4-3": standard_kit("um", m=4, k=3), "associative": G2,
+            "coassociative": COASSOC, "cayley": SP7}
+    # products a frame makes: a selection of arity - 1 rows with each row outside it
+    PRODUCTS = {"associative": 6, "coassociative": 12, "cayley": 12}
+
+    @pytest.mark.parametrize("name", sorted(KITS))
+    def test_pairs_only_match_every_row(self, name, monkeypatch):
+        kit = self.KITS[name]
+        n, k = kit.n, kit.calibration_dim
+        q = np.linalg.qr(np.random.default_rng(11).standard_normal((2, 3, n, k)))[0]
+        frames = np.swapaxes(q, -1, -2)  # (2, 3, k, n), orthonormal rows
+        want = _defect_over_every_row(kit, frames)
+        assert want.min() > 1e-3
+
+        # count the product rows each cross product forms
+        counted = []
+
+        def counting(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                counted.append(int(np.prod(out.shape[:-1])))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(structures, "_contract", counting(structures._contract))
+        monkeypatch.setattr(structures.UmKit, "cross", counting(structures.UmKit.cross))
+        got = invariance_defect(kit, frames)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert counted == [got.size * self.PRODUCTS.get(name, k)]
 
 
 class TestCoassociativeCondition:

@@ -255,8 +255,8 @@ class TestChainConsistency:
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
 
     def test_blocked_paths_bound_memory(self):
-        # an unblocked batch over these 1296 nodes allocates 2 MB for each
-        # (1296, 6, 4, 8) array of cross products
+        # an unblocked defect over these 1296 nodes allocates 2.8 MB for the
+        # (1296, 12, 3, 8) gather of the rows of its cross products
         from caliblab.cli import make_patch
 
         patch = make_patch("graph-cayley-r8")
@@ -310,19 +310,21 @@ class TestTheoremB:
         # C (1 - mu(T_xM)^2) sqrt(det g); this route uses no cross product
         from caliblab.cli import make_patch
 
-        weight = {"um": 2.0, "associative": 6.0, "coassociative": 9.0, "cayley": 6.0}
-        for case, name in (("um", "graph-um-r6"), ("associative", "graph-assoc-r7"),
-                           ("coassociative", "graph-coassoc-r7"),
-                           ("cayley", "graph-cayley-r8")):
-            patch = make_patch(name)
+        um_k2 = graph_patch((1, 2, 3, 4), 6, [(5, 0.1, (1, 0, 1, 0), 0.3),
+                                              (6, 0.07, (0, 1, 0, -1), 1.4)], "graph-um-k2-r6")
+        for case, patch, weight in (("um", make_patch("graph-um-r6"), 2.0), ("um", um_k2, 2.0),
+                                    ("associative", make_patch("graph-assoc-r7"), 6.0),
+                                    ("coassociative", make_patch("graph-coassoc-r7"), 9.0),
+                                    ("cayley", make_patch("graph-cayley-r8"), 6.0)):
             kit = standard_kit(case, m=patch.n // 2, k=patch.k // 2)
-            rule = QuadratureRule(patch.box, 4)
-            jac_t = np.swapaxes(patch.jacobians(rule.nodes), 1, 2)
-            density = np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
-            mu = minors(jac_t) @ kit.mu.coeffs / density
-            want = rule.integrate(weight[case] * (1.0 - mu**2) * density)
-            assert want > 1e-3
-            assert theorem_B_defect(case, patch, rule) == pytest.approx(want, rel=1e-12)
+            for order in (4, 8):
+                rule = QuadratureRule(patch.box, order)
+                jac_t = np.swapaxes(patch.jacobians(rule.nodes), 1, 2)
+                density = np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
+                mu = minors(jac_t) @ kit.mu.coeffs / density
+                want = rule.integrate(weight * (1.0 - mu**2) * density)
+                assert want > 1e-3
+                assert theorem_B_defect(case, patch, rule) == pytest.approx(want, rel=1e-12)
 
     def test_defect_matches_calibration_report(self):
         kit_of = {"um": standard_kit("um", m=3, k=1), "associative": G2,
