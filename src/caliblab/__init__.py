@@ -8,18 +8,14 @@ and the map-energy (Smith) functionals.
 
 from .exterior import (
     KForm,
-    MultiIndex,
-    OrientedFrame,
-    SymTensor2,
     evaluate,
     form_inner,
-    gram_schmidt_adapt,
     hodge_star,
     interior,
+    orthonormal_frames,
     wedge,
 )
 from .structures import (
-    CalibrationReport,
     G2Kit,
     Spin7Kit,
     UmKit,
@@ -32,9 +28,6 @@ from .structures import (
     standard_kit,
 )
 from .decomposition import (
-    G2FourFormSplit,
-    G2ThreeFormSplit,
-    SP7FourFormSplit,
     g2_split_3form,
     g2_split_4form,
     metric_from_3form,
@@ -43,7 +36,6 @@ from .decomposition import (
 )
 from .submanifold import (
     Box,
-    JetOfF,
     Patch,
     QuadratureRule,
     fd_derivative,
@@ -55,7 +47,6 @@ from .submanifold import (
 )
 from .fields import FormField, SymTensorField, UmBackground, VectorField
 from .variation import (
-    TheoremVerdict,
     VariationFamily,
     analytic_first_variation,
     assoc_family_from_beta,

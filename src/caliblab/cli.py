@@ -110,31 +110,34 @@ class ReportRecord:
 # ---------------------------------------------------------------------------
 # patch registry
 
+# the named patches, in catalog order; "plane-<axes>-r<n>" names any axis plane
+_PATCHES = {
+    "t2-in-r4": lambda: flat_plane((1, 2), 4, name="t2-in-r4"),
+    "t2-in-r6": lambda: flat_plane((1, 2), 6, name="t2-in-r6"),
+    "t4-in-r6": lambda: flat_plane((1, 2, 3, 4), 6, name="t4-in-r6"),
+    "t3-in-r7": lambda: flat_plane((1, 2, 3), 7, name="t3-in-r7"),
+    "t4-in-r7": lambda: flat_plane((4, 5, 6, 7), 7, name="t4-in-r7"),
+    "t4-in-r8": lambda: flat_plane((1, 2, 3, 4), 8, name="t4-in-r8"),
+    "graph-um-r6": lambda: graph_patch(
+        (1, 2), 6, [(3, 0.12, (1, 1), 0.4), (5, 0.08, (2, -1), 1.2)], "graph-um-r6"),
+    "graph-assoc-r7": lambda: graph_patch(
+        (1, 2, 3), 7, [(4, 0.1, (1, 0, 1), 0.3), (6, 0.07, (0, 1, -1), 1.1)],
+        "graph-assoc-r7"),
+    "graph-coassoc-r7": lambda: graph_patch(
+        (4, 5, 6, 7), 7, [(1, 0.1, (1, 1, 0, 0), 0.4), (3, 0.06, (0, 1, 0, -1), 2.0)],
+        "graph-coassoc-r7"),
+    "graph-cayley-r8": lambda: graph_patch(
+        (1, 2, 3, 4), 8, [(5, 0.1, (1, 0, 1, 0), 0.9), (8, 0.05, (0, 1, -1, 0), 0.2)],
+        "graph-cayley-r8"),
+    "circle-r2": lambda: circle_patch(1.0),
+    "sphere": lambda: sphere_patch(1.0),
+    "torus2-r3": lambda: torus_patch(),
+}
+
+
 def make_patch(name: str) -> Patch:
-    fixed = {
-        "t2-in-r4": lambda: flat_plane((1, 2), 4, name="t2-in-r4"),
-        "t2-in-r6": lambda: flat_plane((1, 2), 6, name="t2-in-r6"),
-        "t4-in-r6": lambda: flat_plane((1, 2, 3, 4), 6, name="t4-in-r6"),
-        "t3-in-r7": lambda: flat_plane((1, 2, 3), 7, name="t3-in-r7"),
-        "t4-in-r7": lambda: flat_plane((4, 5, 6, 7), 7, name="t4-in-r7"),
-        "t4-in-r8": lambda: flat_plane((1, 2, 3, 4), 8, name="t4-in-r8"),
-        "circle-r2": lambda: circle_patch(1.0),
-        "sphere": lambda: sphere_patch(1.0),
-        "torus2-r3": lambda: torus_patch(),
-        "graph-assoc-r7": lambda: graph_patch(
-            (1, 2, 3), 7, [(4, 0.1, (1, 0, 1), 0.3), (6, 0.07, (0, 1, -1), 1.1)],
-            "graph-assoc-r7"),
-        "graph-coassoc-r7": lambda: graph_patch(
-            (4, 5, 6, 7), 7, [(1, 0.1, (1, 1, 0, 0), 0.4), (3, 0.06, (0, 1, 0, -1), 2.0)],
-            "graph-coassoc-r7"),
-        "graph-cayley-r8": lambda: graph_patch(
-            (1, 2, 3, 4), 8, [(5, 0.1, (1, 0, 1, 0), 0.9), (8, 0.05, (0, 1, -1, 0), 0.2)],
-            "graph-cayley-r8"),
-        "graph-um-r6": lambda: graph_patch(
-            (1, 2), 6, [(3, 0.12, (1, 1), 0.4), (5, 0.08, (2, -1), 1.2)], "graph-um-r6"),
-    }
-    if name in fixed:
-        return fixed[name]()
+    if name in _PATCHES:
+        return _PATCHES[name]()
     if name.startswith("plane-"):
         body = name[len("plane-"):]
         axes_part, _, dim_part = body.partition("-r")
@@ -149,9 +152,7 @@ def make_patch(name: str) -> Patch:
 
 
 def catalog_patches() -> list[str]:
-    return ["t2-in-r4", "t2-in-r6", "t4-in-r6", "t3-in-r7", "t4-in-r7", "t4-in-r8",
-            "graph-um-r6", "graph-assoc-r7", "graph-coassoc-r7", "graph-cayley-r8",
-            "circle-r2", "sphere", "torus2-r3", "plane-<axes>-r<n>"]
+    return [*_PATCHES, "plane-<axes>-r<n>"]
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +602,10 @@ def _check(key: str, opt: Option, val) -> None:
         ok, want = type(val) in (int, float) and 0 < val < math.inf, "a positive finite number"
     elif opt.kind is int:  # type(), not isinstance(): true is not an integer
         ok, want = type(val) is int and val >= opt.lo, f"an integer >= {opt.lo}"
-    else:
-        ok, want = type(val) is opt.kind, "true or false" if opt.kind is bool else "a string"
+    elif opt.kind is bool:
+        ok, want = type(val) is bool, "true or false"
+    else:  # an empty name or path names nothing
+        ok, want = type(val) is str and val != "", "a non-empty string"
     if not ok:
         raise ConfigError(f"{_flag(key)} must be {want}, got {val!r}")
 

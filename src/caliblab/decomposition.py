@@ -23,7 +23,6 @@ from .exterior import (
     DegenerateInputError,
     DimensionError,
     KForm,
-    SymTensor2,
     _star_table,
     _tensor_table,
     interior,
@@ -165,7 +164,7 @@ def project_35_7_batch(coeffs: np.ndarray) -> np.ndarray:
 class G2ThreeFormSplit:
     eta_1_27: KForm
     eta_7: KForm
-    h: SymTensor2
+    h: np.ndarray  # (7, 7)
     X: np.ndarray
 
 
@@ -173,7 +172,7 @@ class G2ThreeFormSplit:
 class G2FourFormSplit:
     rho_1_27: KForm
     rho_7: KForm
-    h: SymTensor2
+    h: np.ndarray  # (7, 7)
     X: np.ndarray
 
 
@@ -182,8 +181,8 @@ class SP7FourFormSplit:
     sigma_1_35: KForm
     sigma_7: KForm
     sigma_27: KForm
-    h: SymTensor2
-    h0: SymTensor2
+    h: np.ndarray   # (8, 8)
+    h0: np.ndarray  # (8, 8), trace-free
     beta: np.ndarray
 
 
@@ -202,7 +201,7 @@ def g2_split_3form(eta: KForm, kit: G2Kit | None = None) -> G2ThreeFormSplit:
     part = KForm(7, 3, asm3 @ h.reshape(49))
     resid = eta - part
     X = _g2_maps()[4] @ resid.coeffs
-    return G2ThreeFormSplit(part, resid, SymTensor2(7, h), X)
+    return G2ThreeFormSplit(part, resid, h, X)
 
 
 def g2_split_4form(rho: KForm, kit: G2Kit | None = None) -> G2FourFormSplit:
@@ -215,7 +214,7 @@ def g2_split_4form(rho: KForm, kit: G2Kit | None = None) -> G2FourFormSplit:
     part = KForm(7, 4, asm4 @ h.reshape(49))
     resid = rho - part
     X = _g2_maps()[5] @ resid.coeffs
-    return G2FourFormSplit(part, resid, SymTensor2(7, h), X)
+    return G2FourFormSplit(part, resid, h, X)
 
 
 def sp7_split_4form(sigma: KForm, kit: Spin7Kit | None = None) -> SP7FourFormSplit:
@@ -234,8 +233,7 @@ def sp7_split_4form(sigma: KForm, kit: Spin7Kit | None = None) -> SP7FourFormSpl
     beta = np.zeros((8, 8))
     beta[pairs] = pair_coeffs
     beta[pairs[::-1]] = -pair_coeffs
-    return SP7FourFormSplit(part_1_35, part7, part27,
-                            SymTensor2(8, h), SymTensor2(8, h0), beta)
+    return SP7FourFormSplit(part_1_35, part7, part27, h, h0, beta)
 
 
 def project_35_7(sigma: KForm, kit: Spin7Kit | None = None) -> KForm:
@@ -303,25 +301,30 @@ def _metric_tables():
     return int_maps, pair
 
 
-def metric_from_3form(phi_t: KForm) -> tuple[SymTensor2, float]:
-    """Riemannian metric induced by a nondegenerate 3-form on R^7.
+def metric_from_3form(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian metrics induced by nondegenerate 3-forms on R^7, given by
+    coefficient rows (..., 35).
 
     Uses the up-to-scale bilinear form B_ij vol = -(1/144) (e_i _| f) ^
     (e_j _| f) ^ f, normalized so the standard form returns the Euclidean
-    metric.  Returns (metric, volume scale sqrt(det g)).
+    metric.  Returns (metrics (..., 7, 7), volume scales sqrt(det g) (...)).
     """
-    if (phi_t.n, phi_t.k) != (7, 3):
-        raise DimensionError("metric_from_3form needs a 3-form on R^7")
+    v = np.asarray(coeffs, float)
+    if v.shape[-1:] != (35,):
+        raise DimensionError("metric_from_3form needs 3-form coefficient rows (..., 35)")
     int_maps, pair = _metric_tables()
-    v = phi_t.coeffs
-    contractions = int_maps @ v                       # (7, 21): e_i _| phi
-    fives = wedge_coeffs(contractions, v, 7, 2, 3)    # (e_j _| phi) ^ phi
-    b = -(contractions @ pair @ fives.T) / 144.0
-    b = 0.5 * (b + b.T)
+    contractions = np.einsum("ipq,...q->...ip", int_maps, v)   # (..., 7, 21): e_i _| phi
+    rows = np.broadcast_to(v[..., None, :], contractions.shape[:-1] + (35,))
+    fives = wedge_coeffs(contractions, rows, 7, 2, 3)            # (e_j _| phi) ^ phi
+    b = -(contractions @ pair @ np.swapaxes(fives, -1, -2)) / 144.0
+    b = 0.5 * (b + np.swapaxes(b, -1, -2))
     det = np.linalg.det(b)
-    if det <= 0:
+    if np.any(det <= 0):
         raise DegenerateInputError("degenerate 3-form: det of the induced form is not positive")
-    g = _METRIC_SCALE * b * det ** (-1.0 / 9.0)
-    if not SymTensor2(7, g).is_positive_definite():
-        raise DegenerateInputError("degenerate 3-form: induced form is not positive definite")
-    return SymTensor2(7, g), float(np.sqrt(np.linalg.det(g)))
+    g = _METRIC_SCALE * b * (det ** (-1.0 / 9.0))[..., None, None]
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError(
+            "degenerate 3-form: induced form is not positive definite") from None
+    return g, np.sqrt(np.linalg.det(g))

@@ -126,58 +126,13 @@ def _tensor_table(n: int, k: int):
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing tuple of axis labels in 1..n."""
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        e = self.entries
-        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"entries must be strictly increasing, got {e}")
-        if e and (e[0] < 1 or e[-1] > self.n):
-            raise ValueError(f"entries must lie in 1..{self.n}, got {e}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries)
-
-    @property
-    def zero_based(self) -> tuple[int, ...]:
-        return tuple(i - 1 for i in self.entries)
-
-
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric bilinear form on R^n stored as a dense symmetric matrix."""
-    n: int
-    entries: np.ndarray
-
-    @staticmethod
-    def from_matrix(mat) -> "SymTensor2":
-        m = np.asarray(mat, dtype=float)
-        m = 0.5 * (m + m.T)
-        return SymTensor2(m.shape[0], m)
-
-    @staticmethod
-    def identity(n: int) -> "SymTensor2":
-        return SymTensor2(n, np.eye(n))
-
-    def is_positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.entries)
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
-
 def _metric_matrix(metric, n: int) -> np.ndarray | None:
-    """Normalize a metric argument; None / identity -> None (Euclidean fast path)."""
+    """Normalize a metric argument (n, n), or stacked (..., n, n); None or the
+    identity -> None (Euclidean fast path)."""
     if metric is None:
         return None
-    mat = metric.entries if isinstance(metric, SymTensor2) else np.asarray(metric, float)
-    if mat.shape != (n, n):
+    mat = np.asarray(metric, float)
+    if mat.shape[-2:] != (n, n):
         raise DimensionError(f"metric shape {mat.shape} does not match n={n}")
     if np.array_equal(mat, np.eye(n)):
         return None
@@ -370,17 +325,8 @@ def form_inner(a: KForm, b: KForm, metric=None) -> float:
     g = _metric_matrix(metric, a.n)
     if g is None:
         return float(a.coeffs @ b.coeffs)
-    basis = _orthonormalizing_basis(g)
+    basis = orthonormal_frames(np.eye(a.n), g)[0].T
     return float(pullback(a, basis).coeffs @ pullback(b, basis).coeffs)
-
-
-def _orthonormalizing_basis(g: np.ndarray) -> np.ndarray:
-    """Columns form a g-orthonormal, positively oriented basis."""
-    try:
-        r = np.linalg.cholesky(g).T
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError("metric is not positive definite") from None
-    return np.linalg.inv(r)
 
 
 def star_coeffs(coeffs, n: int, k: int) -> np.ndarray:
@@ -397,62 +343,31 @@ def hodge_star(a: KForm, metric=None, orientation: int = 1) -> KForm:
     g = _metric_matrix(metric, a.n)
     if g is None:
         return KForm(a.n, a.n - a.k, orientation * star_coeffs(a.coeffs, a.n, a.k))
-    basis = _orthonormalizing_basis(g)
+    # columns: a g-orthonormal, positively oriented basis
+    basis = orthonormal_frames(np.eye(a.n), g)[0].T
     in_frame = pullback(a, basis)
     starred = hodge_star(in_frame, None, orientation)
     return pullback(starred, np.linalg.inv(basis))
 
 
-@dataclass(frozen=True)
-class OrientedFrame:
-    """n orthonormal vectors (rows), the first k spanning the tangent space."""
-    n: int
-    k: int
-    vectors: np.ndarray
-    orientation: int
+def orthonormal_frames(rows, metric=None):
+    """Orthonormal frames (..., k, n) of the rows (..., k, n) under a constant
+    metric (n, n) or stacked metrics (..., n, n), Euclidean by default, and
+    the volumes sqrt(det Gram) (...).
 
-    @property
-    def tangent(self) -> np.ndarray:
-        return self.vectors[: self.k]
-
-    @property
-    def normal(self) -> np.ndarray:
-        return self.vectors[self.k:]
-
-
-def gram_schmidt_adapt(tangent_basis, metric=None, tol: float = RANK_TOL) -> OrientedFrame:
-    """Orthonormalize a tangent basis and complete it to an adapted frame.
-
-    Vectors are processed in input order with no pivoting; completion tries
-    the standard basis vectors in order.  Raises on rank-deficient input.
-    """
-    rows = np.atleast_2d(np.asarray(tangent_basis, float))
-    k, n = rows.shape
-    g = _metric_matrix(metric, n)
-    gmat = np.eye(n) if g is None else g
-
-    def gdot(u, v):
-        return float(u @ gmat @ v)
-
-    frame = []
-    for i, v in enumerate(rows):
-        w = v.copy()
-        for u in frame:
-            w -= gdot(u, w) * u
-        nrm = math.sqrt(max(gdot(w, w), 0.0))
-        if nrm < tol:
-            raise DegenerateInputError(f"tangent basis is rank deficient at row {i}")
-        frame.append(w / nrm)
-    for p in range(n):
-        if len(frame) == n:
-            break
-        w = np.zeros(n)
-        w[p] = 1.0
-        for u in frame:
-            w -= gdot(u, w) * u
-        nrm = math.sqrt(max(gdot(w, w), 0.0))
-        if nrm >= tol:
-            frame.append(w / nrm)
-    vectors = np.array(frame)
-    orientation = 1 if np.linalg.det(vectors) > 0 else -1
-    return OrientedFrame(n, k, vectors, orientation)
+    A frame is L^-1 rows, with L the Cholesky factor of the rows' Gram matrix:
+    the rows Gram-Schmidt gives in input order, with the same orientation.
+    L's diagonal holds the Gram-Schmidt norms, so a rank-deficient input is
+    refused by Gram-Schmidt's rule: an entry below RANK_TOL, or no factor."""
+    rows = np.asarray(rows, float)
+    g = _metric_matrix(metric, rows.shape[-1])
+    rt = np.swapaxes(rows, -1, -2)
+    try:
+        l = np.linalg.cholesky(rows @ rt if g is None else rows @ g @ rt)
+        diag = np.diagonal(l, axis1=-2, axis2=-1)
+        if not np.all(diag >= RANK_TOL):  # also refuses a NaN
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError("rows are rank deficient or the metric is not "
+                                   "positive definite") from None
+    return np.linalg.solve(l, rows), np.prod(diag, axis=-1)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exterior import DegenerateInputError, evaluate
+from .exterior import DegenerateInputError, evaluate, orthonormal_frames
 from .submanifold import Patch, QuadratureRule
 
 # points per axis of the uniform grid the residual sups sample beside the nodes
@@ -25,7 +25,7 @@ class MapTriple:
     """Map u (as a Patch), a domain metric field g(x), and a calibration kit."""
     patch: Patch
     g_field: Callable          # x -> (k, k) positive definite
-    kit: object                # supplies mu of degree k and the flat ambient metric
+    kit: object                # supplies mu of degree k
 
     @property
     def k(self) -> int:
@@ -97,16 +97,13 @@ def sample_points(triple: MapTriple, rule: QuadratureRule) -> np.ndarray:
 
 def conformality_residual(triple: MapTriple, rule: QuadratureRule) -> float:
     """Sup over samples of |u*gbar - (1/k)|du|^2 g| in g-orthonormal coordinates."""
-    worst = 0.0
     xs = sample_points(triple, rule)
-    for x, j in zip(xs, _jacobians(triple, xs)):
-        du2, _, a, g = _densities(triple, x, j)
-        l = np.linalg.cholesky(g)
-        linv = np.linalg.inv(l)
-        a_hat = linv @ a @ linv.T
-        dev = a_hat - (du2 / triple.k) * np.eye(triple.k)
-        worst = max(worst, float(np.linalg.norm(dev)))
-    return worst
+    rows = [_densities(triple, x, j) for x, j in zip(xs, _jacobians(triple, xs))]
+    du2, _, a, g = (np.array(col) for col in zip(*rows))
+    c = orthonormal_frames(np.eye(triple.k), g)[0]  # g-orthonormal coordinate rows
+    a_hat = c @ a @ np.swapaxes(c, -1, -2)
+    dev = a_hat - (du2 / triple.k)[:, None, None] * np.eye(triple.k)
+    return float(np.linalg.norm(dev, axis=(-2, -1)).max())
 
 
 def smith_residual(triple: MapTriple, rule: QuadratureRule) -> tuple[float, float]:

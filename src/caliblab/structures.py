@@ -16,11 +16,9 @@ import numpy as np
 from .exterior import (
     DimensionError,
     KForm,
-    OrientedFrame,
-    SymTensor2,
     evaluate,
-    gram_schmidt_adapt,
     hodge_star,
+    orthonormal_frames,
     wedge,
 )
 
@@ -105,10 +103,6 @@ class UmKit:
             out = wedge(out, self.omega) * (1.0 / j)
         return out
 
-    @property
-    def metric(self) -> SymTensor2:
-        return SymTensor2.identity(self.n)
-
 
 @dataclass(frozen=True)
 class G2Kit:
@@ -142,10 +136,6 @@ class G2Kit:
         return self.phi if self.flavor == "associative" else self.psi
 
     @property
-    def metric(self) -> SymTensor2:
-        return SymTensor2.identity(7)
-
-    @property
     def phi_tensor(self) -> np.ndarray:
         return _g2_tensors()[0]
 
@@ -173,10 +163,6 @@ class Spin7Kit:
     @property
     def mu(self) -> KForm:
         return self.Phi
-
-    @property
-    def metric(self) -> SymTensor2:
-        return SymTensor2.identity(8)
 
     @property
     def Phi_tensor(self) -> np.ndarray:
@@ -380,7 +366,7 @@ def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    plane: OrientedFrame
+    plane: np.ndarray  # orthonormal tangent rows (k, n)
     value: float
     defect: float
     is_calibrated: bool
@@ -417,13 +403,14 @@ def invariance_defect(kit, tangent: np.ndarray):
 
 def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> CalibrationReport:
     """Evaluate the calibration form and the invariance defect on a k-plane."""
-    frame = gram_schmidt_adapt(tangent_basis, kit.metric)
-    if frame.k != kit.calibration_dim:
+    rows = np.asarray(tangent_basis, float)
+    if rows.ndim != 2 or len(rows) != kit.calibration_dim:
         raise DimensionError(
-            f"{kit.case} calibrates {kit.calibration_dim}-planes, got {frame.k}"
+            f"{kit.case} calibrates {kit.calibration_dim}-planes, got rows {rows.shape}"
         )
-    value = evaluate(kit.mu, frame.tangent)
-    defect = invariance_defect(kit, frame.tangent)
+    frame = orthonormal_frames(rows)[0]
+    value = evaluate(kit.mu, frame)
+    defect = invariance_defect(kit, frame)
     return CalibrationReport(frame, value, defect, defect < tol)
 
 

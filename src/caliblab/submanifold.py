@@ -15,13 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exterior import (
-    DegenerateInputError,
-    DimensionError,
-    OrientedFrame,
-    SymTensor2,
-    gram_schmidt_adapt,
-)
+from .exterior import DegenerateInputError, DimensionError, orthonormal_frames
 
 CLOSEST_POINT_TOL = 1e-12
 CLOSEST_POINT_MAX_ITER = 50
@@ -156,11 +150,6 @@ class Patch:
         """Second derivatives d2u/dx^a dx^b, shape (n, k, k)."""
         return self.hessians(np.asarray(x, float)[None])[0]
 
-    def frame(self, x, ambient_metric_field=None) -> OrientedFrame:
-        pos, jac = self.point(x)
-        gmat = None if ambient_metric_field is None else ambient_metric_field(pos)
-        return gram_schmidt_adapt(jac.T, gmat)
-
     def reversed(self) -> "Patch":
         """Same image with the orientation of the parameter domain reversed."""
         if self.k < 1:
@@ -194,27 +183,26 @@ class Patch:
 # ---------------------------------------------------------------------------
 # metric, volume, splitting
 
-def induced_metric(patch: Patch, ambient_metric_field, x) -> SymTensor2:
-    """g_ab = gbar(du/dx^a, du/dx^b) at a parameter point."""
+def induced_metric(patch: Patch, ambient_metric_field, x) -> np.ndarray:
+    """g_ab = gbar(du/dx^a, du/dx^b) at a parameter point, shape (k, k)."""
     x = np.asarray(x, float)
     if not patch.box.contains(x):
         raise ValueError(f"parameter point {x} outside the patch domain")
     y, j = patch.point(x)
     gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
-    return SymTensor2.from_matrix(j.T @ gbar @ j)
+    return j.T @ gbar @ j
 
 
 def volume(patch: Patch, ambient_metric_field, rule: QuadratureRule) -> float:
-    """Integral of sqrt(det g) over the domain box by quadrature."""
+    """Integral of sqrt(det g) over the domain box by quadrature.  The ambient
+    metric field maps the stacked node positions (N, n) to metrics (N, n, n),
+    or to one (n, n) that holds at every node."""
     if not patch.box.contains(rule.nodes):
         raise ValueError("quadrature nodes outside the patch domain")
     ys, j = patch.rows(rule.nodes)
     j = np.broadcast_to(j, ys.shape + (patch.k,))
     jt = np.swapaxes(j, -1, -2)
-    if ambient_metric_field is None:
-        g = jt @ j
-    else:
-        g = jt @ np.array([ambient_metric_field(y) for y in ys]) @ j
+    g = jt @ j if ambient_metric_field is None else jt @ ambient_metric_field(ys) @ j
     det = np.linalg.det(g)
     if np.any(det <= 0):
         raise DegenerateInputError(
@@ -227,15 +215,14 @@ def tangent_normal_split(patch: Patch, ambient_metric_field, x, v):
     v = np.asarray(v, float)
     y, j = patch.point(x)
     gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
-    g = j.T @ gbar @ j
-    xi = np.linalg.solve(g, j.T @ gbar @ v)
-    v_tan = j @ xi
+    frame = orthonormal_frames(j.T, gbar)[0]  # gbar-orthonormal tangent rows
+    v_tan = frame.T @ (frame @ gbar @ v)
     return v_tan, v - v_tan
 
 
 def normal_projector(patch: Patch, x) -> np.ndarray:
     """Euclidean orthogonal projector onto the normal space at u(x)."""
-    return _normal_projector(patch.jacobian(x))
+    return _normal_projector(orthonormal_frames(patch.jacobian(x).T)[0])
 
 
 def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
@@ -243,21 +230,20 @@ def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
     if ambient_metric_field is not None:
         raise ValueError("mean curvature is implemented for the Euclidean ambient metric")
     j = patch.jacobian(x)
-    return _mean_curvature(j, patch.hessian(x), _normal_projector(j))
+    return _mean_curvature(j, patch.hessian(x), _normal_projector(orthonormal_frames(j.T)[0]))
 
 
-def _normal_projector(jac: np.ndarray) -> np.ndarray:
-    """Normal projectors (..., n, n) from Jacobians (..., n, k)."""
-    jt = np.swapaxes(jac, -1, -2)
-    return np.eye(jac.shape[-2]) - jac @ np.linalg.solve(jt @ jac, jt)
+def _normal_projector(frames: np.ndarray) -> np.ndarray:
+    """Normal projectors I - F^T F (..., n, n) of orthonormal tangent rows F (..., k, n)."""
+    return np.eye(frames.shape[-1]) - np.swapaxes(frames, -1, -2) @ frames
 
 
 def _mean_curvature(jac: np.ndarray, hess: np.ndarray, p_normal: np.ndarray) -> np.ndarray:
     """Mean curvature vectors (..., n) from Jacobians (..., n, k), Hessians
     (..., n, k, k) and normal projectors (..., n, n)."""
-    # g-orthonormal coordinate directions: columns c_a with (J c_a) orthonormal
-    c = np.swapaxes(np.linalg.inv(np.linalg.cholesky(np.swapaxes(jac, -1, -2) @ jac)), -1, -2)
-    trace = np.einsum("...nab,...ac,...bc->...n", hess, c, c)
+    # g-orthonormal coordinate directions: the rows of c = L^-1, so c^T c = g^-1
+    c = orthonormal_frames(np.eye(jac.shape[-1]), np.swapaxes(jac, -1, -2) @ jac)[0]
+    trace = np.einsum("...nab,...ca,...cb->...n", hess, c, c)
     return (p_normal @ trace[..., None])[..., 0]
 
 
@@ -302,7 +288,7 @@ def jet_of_F(patch: Patch, x) -> JetOfF:
     Gauss-Newton, seeded from a coarse grid over the parameter box.
     """
     p, j = patch.point(x)
-    pn = _normal_projector(j)
+    pn = _normal_projector(orthonormal_frames(j.T)[0])
     axes = [np.linspace(patch.box.lo[a], patch.box.hi[a], JET_SEED_GRID)
             for a in range(patch.k)]
     grids = np.meshgrid(*axes, indexing="ij")

@@ -165,7 +165,7 @@ def test_criterion_04_metric_linearization():
     for _ in range(100):
         eta = KForm(7, 3, rng.standard_normal(35))
         h = h_from_3form_batch(eta.coeffs)[0]
-        fd, _ = fd_derivative(lambda t: metric_from_3form(G2.phi + t * eta)[0].entries,
+        fd, _ = fd_derivative(lambda t: metric_from_3form((G2.phi + t * eta).coeffs)[0],
                               0.0, step=1e-4, richardson_levels=2)
         worst = max(worst, float(np.abs(fd - h).max() / np.abs(h).max()))
     elapsed = time.perf_counter() - t0

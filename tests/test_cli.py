@@ -174,6 +174,8 @@ class TestTheoremCommand:
         ("theorem", "--case", "um", "--patch", "plane-12-r10", "--count", "1"),
         ("theorem", "--case", "um", "--k", "2", "--patch", "plane-1234-r10"),
         ("theorem", "--case", "um", "--patch", "plane-12-r10", "--generator", "test-variation"),
+        # an empty report path names no file; it is not a request for stdout
+        ("theorem", "--case", "associative", "--count", "1", "--out", ""),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, args):
         assert_config_error(run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args)))
@@ -188,6 +190,7 @@ class TestTheoremCommand:
         (THEOREM, {"closed_omega": "no"}),
         (THEOREM, {"out": 1}),
         (THEOREM, {"count": "3"}),
+        (THEOREM, {"out": ""}),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, command, conf):
         path = tmp_path / "conf.json"
@@ -279,6 +282,17 @@ class TestOtherCommands:
         listing = json.loads(proc.stdout)
         assert "t3-in-r7" in listing["patches"]
         assert set(listing["cases"]) == {"um", "associative", "coassociative", "cayley"}
+
+    def test_catalog_names_build(self):
+        # every listed patch name builds; the plane template is a pattern, not a name
+        from caliblab.cli import catalog_patches, make_patch
+
+        names = catalog_patches()
+        assert names[-1] == "plane-<axes>-r<n>"
+        for name in names[:-1]:
+            assert make_patch(name).name == name
+        with pytest.raises(KeyError):
+            make_patch(names[-1])
 
     def test_smith_small(self):
         proc = run_cli("smith", "--trials", "5", "--quad-order", "4")

@@ -5,6 +5,7 @@ import pytest
 
 from caliblab.decomposition import (
     DegenerateInputError,
+    DimensionError,
     four_form_from_a_27,
     four_form_from_h_x,
     g2_split_3form,
@@ -38,13 +39,13 @@ class TestG2ThreeFormSplit:
     def test_phi_anchor(self):
         # eta = phi has hat(eta) = 6 Id and Tr = 42, so h = 3 Id - (42/18) Id
         split = g2_split_3form(G2.phi, G2)
-        assert np.allclose(split.h.entries, (2.0 / 3.0) * np.eye(7), atol=1e-13)
+        assert np.allclose(split.h, (2.0 / 3.0) * np.eye(7), atol=1e-13)
         assert np.abs(split.eta_7.coeffs).max() < 1e-13
         assert np.abs(split.X).max() < 1e-13
 
     def test_zero(self):
         split = g2_split_3form(KForm.zero(7, 3))
-        assert np.abs(split.h.entries).max() == 0.0
+        assert np.abs(split.h).max() == 0.0
         assert np.abs(split.X).max() == 0.0
 
     def test_trace_relation(self):
@@ -69,7 +70,7 @@ class TestG2ThreeFormSplit:
             assert np.abs(again.coeffs - split.eta_7.coeffs).max() < 1e-11
             # re-splitting is stable
             again_split = g2_split_3form(rebuilt)
-            assert np.abs(again_split.h.entries - split.h.entries).max() < 1e-12
+            assert np.abs(again_split.h - split.h).max() < 1e-12
             assert np.abs(again_split.X - split.X).max() < 1e-12
 
     def test_forward_formula_exact_on_integers(self):
@@ -79,14 +80,14 @@ class TestG2ThreeFormSplit:
         x = rng.integers(-3, 4, 7).astype(float)
         eta = three_form_from_h_x(h, x)
         split = g2_split_3form(eta)
-        assert np.array_equal(split.h.entries, h)
+        assert np.array_equal(split.h, h)
         assert np.array_equal(split.X, x)
 
 
 class TestG2FourFormSplit:
     def test_psi_anchor(self):
         split = g2_split_4form(G2.psi, G2)
-        assert np.allclose(split.h.entries, 0.5 * np.eye(7), atol=1e-13)
+        assert np.allclose(split.h, 0.5 * np.eye(7), atol=1e-13)
         assert np.abs(split.rho_7.coeffs).max() < 1e-13
 
     def test_trace_relation(self):
@@ -115,15 +116,15 @@ class TestG2FourFormSplit:
         x = rng.integers(-3, 4, 7).astype(float)
         rho = four_form_from_h_x(h, x)
         split = g2_split_4form(rho)
-        assert np.array_equal(split.h.entries, h)
+        assert np.array_equal(split.h, h)
         assert np.array_equal(split.X, x)
 
 
 class TestSpin7Split:
     def test_phi_anchor(self):
         split = sp7_split_4form(SP7.Phi, SP7)
-        assert np.allclose(split.h.entries, 0.5 * np.eye(8), atol=1e-13)
-        assert np.abs(split.h0.entries).max() < 1e-13
+        assert np.allclose(split.h, 0.5 * np.eye(8), atol=1e-13)
+        assert np.abs(split.h0).max() < 1e-13
         assert np.abs(split.sigma_7.coeffs).max() < 1e-12
         assert np.abs(split.sigma_27.coeffs).max() < 1e-12
 
@@ -160,7 +161,7 @@ class TestSpin7Split:
         # a generic skew part contributes only through its 7-type component
         sigma0 = four_form_from_a_27(h + beta, KForm.zero(8, 4))
         split = sp7_split_4form(sigma0)
-        again = four_form_from_a_27(split.h.entries + split.beta, split.sigma_27)
+        again = four_form_from_a_27(split.h + split.beta, split.sigma_27)
         assert np.abs(again.coeffs - sigma0.coeffs).max() < 1e-10
 
     def test_anti_self_dual_input(self):
@@ -169,7 +170,7 @@ class TestSpin7Split:
             sigma = KForm(8, 4, rng.standard_normal(70))
             anti = 0.5 * (sigma - hodge_star(sigma))
             split = sp7_split_4form(anti)
-            assert abs(np.trace(split.h.entries)) < 1e-10
+            assert abs(np.trace(split.h)) < 1e-10
             assert np.abs(split.sigma_7.coeffs).max() < 1e-10
             assert np.abs(split.sigma_27.coeffs).max() < 1e-10
 
@@ -180,7 +181,7 @@ class TestSpin7Split:
         asm = _sp7_maps()[1]
         sigma = KForm(8, 4, rng.standard_normal(70))
         split = sp7_split_4form(sigma)
-        s35 = KForm(8, 4, asm @ split.h0.entries.reshape(64))
+        s35 = KForm(8, 4, asm @ split.h0.reshape(64))
         assert np.abs(hodge_star(s35).coeffs + s35.coeffs).max() < 1e-10
         sd = (split.sigma_1_35 - s35) + split.sigma_7 + split.sigma_27
         assert np.abs(hodge_star(sd).coeffs - sd.coeffs).max() < 1e-10
@@ -316,14 +317,14 @@ class TestSplitRanks:
 
 class TestMetricFrom3Form:
     def test_standard_anchor(self):
-        g, scale = metric_from_3form(G2.phi)
-        assert np.abs(g.entries - np.eye(7)).max() < 1e-12
+        g, scale = metric_from_3form(G2.phi.coeffs)
+        assert np.abs(g - np.eye(7)).max() < 1e-12
         assert scale == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_homogeneity(self):
         for c in (0.6, 0.9, 1.3, 2.0):
-            g, _ = metric_from_3form((c**3) * G2.phi)
-            assert np.abs(g.entries - c * c * np.eye(7)).max() < 1e-9
+            g, _ = metric_from_3form(((c**3) * G2.phi).coeffs)
+            assert np.abs(g - c * c * np.eye(7)).max() < 1e-9
 
     def test_linearization_matches_split(self):
         rng = np.random.default_rng(16)
@@ -332,7 +333,7 @@ class TestMetricFrom3Form:
             eta = KForm(7, 3, rng.standard_normal(35))
             h = h_from_3form_batch(eta.coeffs)[0]
             fd, _ = fd_derivative(
-                lambda t: metric_from_3form(G2.phi + t * eta)[0].entries,
+                lambda t: metric_from_3form((G2.phi + t * eta).coeffs)[0],
                 0.0, step=1e-4, richardson_levels=2)
             rel = np.abs(fd - h).max() / np.abs(h).max()
             worst = max(worst, rel)
@@ -340,6 +341,22 @@ class TestMetricFrom3Form:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(KForm.zero(7, 3))
+            metric_from_3form(KForm.zero(7, 3).coeffs)
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(-1.0 * G2.phi)
+            metric_from_3form(-G2.phi.coeffs)
+
+    def test_stacked_rows_match_single_rows(self):
+        rng = np.random.default_rng(17)
+        rows = G2.phi.coeffs + 0.2 * rng.standard_normal((2, 3, 35))
+        g, scale = metric_from_3form(rows)
+        assert g.shape == (2, 3, 7, 7) and scale.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                gij, sij = metric_from_3form(rows[i, j])
+                assert np.abs(g[i, j] - gij).max() < 1e-14
+                assert scale[i, j] == pytest.approx(sij, rel=1e-14)
+        # one degenerate row refuses the whole stack
+        with pytest.raises(DegenerateInputError):
+            metric_from_3form(np.stack([G2.phi.coeffs, np.zeros(35)]))
+        with pytest.raises(DimensionError):
+            metric_from_3form(np.zeros((2, 21)))

@@ -8,15 +8,14 @@ from caliblab.exterior import (
     DegenerateInputError,
     DimensionError,
     KForm,
-    MultiIndex,
-    SymTensor2,
     evaluate,
     form_inner,
-    gram_schmidt_adapt,
     hodge_star,
     interior,
     minors,
     multi_indices,
+    orthonormal_frames,
+    pullback,
     wedge,
     wedge_coeffs,
 )
@@ -53,16 +52,9 @@ def perm_sign(perm):
     return sign
 
 
-class TestMultiIndex:
-    def test_valid(self):
-        mi = MultiIndex((1, 3, 7), 7)
-        assert mi.degree == 3
-        assert mi.zero_based == (0, 2, 6)
-
-    @pytest.mark.parametrize("entries", [(3, 1), (1, 1), (0, 2), (1, 9)])
-    def test_invalid(self, entries):
-        with pytest.raises(ValueError):
-            MultiIndex(entries, 8)
+def random_metric(rng, n):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n)
 
 
 class TestWedge:
@@ -157,6 +149,19 @@ class TestInterior:
         with pytest.raises(DimensionError):
             interior(np.zeros(7), KForm(7, 0, np.ones(1)))
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_leibniz_over_wedge(self, n):
+        # v _| (a ^ b) = (v _| a) ^ b + (-1)^deg(a) a ^ (v _| b)
+        rng = np.random.default_rng(40 + n)
+        for ka in range(1, n):
+            for kb in range(1, n - ka + 1):
+                a, b = random_form(rng, n, ka), random_form(rng, n, kb)
+                v = rng.standard_normal(n)
+                lhs = interior(v, wedge(a, b))
+                rhs = (wedge(interior(v, a), b)
+                       + (-1.0) ** ka * wedge(a, interior(v, b)))
+                assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-11, (ka, kb)
+
 
 class TestEvaluate:
     def test_basis(self):
@@ -240,8 +245,7 @@ class TestHodgeStar:
 
     def test_isometry_random_metric(self):
         rng = np.random.default_rng(9)
-        m = rng.standard_normal((7, 7))
-        g = SymTensor2.from_matrix(m @ m.T + 7 * np.eye(7))
+        g = random_metric(rng, 7)
         for _ in range(10):
             a, b = random_form(rng, 7, 3), random_form(rng, 7, 3)
             lhs = form_inner(hodge_star(a, g), hodge_star(b, g), g)
@@ -250,17 +254,37 @@ class TestHodgeStar:
     def test_defining_property(self):
         # a ^ star(a) = <a, a> vol_g
         rng = np.random.default_rng(10)
-        m = rng.standard_normal((6, 6))
-        g = SymTensor2.from_matrix(m @ m.T + 6 * np.eye(6))
+        g = random_metric(rng, 6)
         a = random_form(rng, 6, 2)
         vol = hodge_star(KForm(6, 0, np.ones(1)), g)
         lhs = wedge(a, hodge_star(a, g)).coeffs[0]
         assert lhs == pytest.approx(form_inner(a, a, g) * vol.coeffs[0], rel=1e-10)
 
     def test_rejects_indefinite_metric(self):
-        g = SymTensor2.from_matrix(np.diag([1.0, -1.0, 1.0, 1.0]))
+        g = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(DegenerateInputError):
             hodge_star(KForm.basis(4, 1), g)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 7])
+    def test_gl_covariance(self, n):
+        # A: (R^n, A^T G A) -> (R^n, G) is an isometry, orientation-preserving
+        # exactly when det A > 0, so the star of the pulled-back form under the
+        # pulled-back metric is the pulled-back star times sign(det A)
+        rng = np.random.default_rng(50 + n)
+        for trial in range(2):
+            g = random_metric(rng, n)
+            mat = rng.standard_normal((n, n)) + 2 * np.eye(n)
+            if trial % 2:
+                mat[0] *= -1  # an orientation-reversing map
+            sign = np.sign(np.linalg.det(mat))
+            for k in range(n + 1):
+                a = random_form(rng, n, k)
+                lhs = hodge_star(pullback(a, mat), mat.T @ g @ mat)
+                rhs = pullback(hodge_star(a, g), mat)
+                scale = max(1.0, np.abs(rhs.coeffs).max())
+                assert np.abs(lhs.coeffs - sign * rhs.coeffs).max() < 1e-9 * scale, (k, trial)
+                flipped = hodge_star(pullback(a, mat), mat.T @ g @ mat, orientation=int(sign))
+                assert np.abs(flipped.coeffs - rhs.coeffs).max() < 1e-9 * scale, (k, trial)
 
 
 class TestFormInner:
@@ -278,55 +302,79 @@ class TestFormInner:
             form_inner(KForm.zero(7, 2), KForm.zero(7, 3))
 
 
+def modified_gram_schmidt(rows, g):
+    """Rows orthonormalized in input order under the metric g, one at a time."""
+    out = np.array(rows, float)
+    for i in range(len(out)):
+        for j in range(i):
+            out[i] -= (out[j] @ g @ out[i]) * out[j]
+        out[i] /= math.sqrt(out[i] @ g @ out[i])
+    return out
+
+
 class TestGramSchmidt:
+    """orthonormal_frames gives the frames of Gram-Schmidt in row order."""
+
     def test_axis_plane(self):
-        fr = gram_schmidt_adapt(np.eye(4)[:2])
-        assert np.allclose(fr.vectors, np.eye(4))
-        assert fr.orientation == 1
-        assert fr.k == 2
+        frame, vol = orthonormal_frames(np.eye(4)[:2])
+        assert np.array_equal(frame, np.eye(4)[:2])
+        assert vol == 1.0
 
     def test_orthonormal_random_spans(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            rows = rng.standard_normal((3, 7))
-            fr = gram_schmidt_adapt(rows)
-            gram = fr.vectors @ fr.vectors.T
-            assert np.abs(gram - np.eye(7)).max() < 1e-12
+            frame, _ = orthonormal_frames(rng.standard_normal((3, 7)))
+            assert np.abs(frame @ frame.T - np.eye(3)).max() < 1e-12
 
     def test_orthonormal_under_metric(self):
         rng = np.random.default_rng(13)
-        m = rng.standard_normal((5, 5))
-        g = SymTensor2.from_matrix(m @ m.T + 5 * np.eye(5))
-        rows = rng.standard_normal((2, 5))
-        fr = gram_schmidt_adapt(rows, g)
-        gram = fr.vectors @ g.entries @ fr.vectors.T
-        assert np.abs(gram - np.eye(5)).max() < 1e-12
-
-    def test_completion_orthogonal_to_span(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            rows = rng.standard_normal((2, 6))
-            fr = gram_schmidt_adapt(rows)
-            # normal vectors have no component along the input span
-            proj = fr.normal @ rows.T
-            assert np.abs(proj).max() < 1e-12
+        g = random_metric(rng, 5)
+        frame, _ = orthonormal_frames(rng.standard_normal((2, 5)), g)
+        assert np.abs(frame @ g @ frame.T - np.eye(2)).max() < 1e-12
 
     def test_tangent_spans_input(self):
         rng = np.random.default_rng(15)
         rows = rng.standard_normal((3, 7))
-        fr = gram_schmidt_adapt(rows)
-        # every input row is reproduced by its tangent-frame coefficients
-        coeff = rows @ fr.tangent.T
-        assert np.abs(coeff @ fr.tangent - rows).max() < 1e-12
+        frame, _ = orthonormal_frames(rows)
+        # every input row is reproduced by its frame coefficients
+        coeff = rows @ frame.T
+        assert np.abs(coeff @ frame - rows).max() < 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         rows = rng.standard_normal((2, 6))
-        a = gram_schmidt_adapt(rows)
-        b = gram_schmidt_adapt(rows)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(orthonormal_frames(rows)[0], orthonormal_frames(rows)[0])
 
     def test_rank_deficient(self):
         rows = np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]])
         with pytest.raises(DegenerateInputError):
-            gram_schmidt_adapt(rows)
+            orthonormal_frames(rows)
+        with pytest.raises(DegenerateInputError):
+            orthonormal_frames(np.eye(4)[:2], np.diag([1.0, -1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("with_metric", [False, True], ids=["euclidean", "metric"])
+    def test_matches_modified_gram_schmidt(self, with_metric):
+        rng = np.random.default_rng(17 + with_metric)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            g = random_metric(rng, n) if with_metric else None
+            rows = rng.standard_normal((k, n))
+            frame, vol = orthonormal_frames(rows, g)
+            gmat = np.eye(n) if g is None else g
+            assert np.abs(frame - modified_gram_schmidt(rows, gmat)).max() < 1e-11
+            assert vol == pytest.approx(math.sqrt(np.linalg.det(rows @ gmat @ rows.T)),
+                                        rel=1e-11)
+
+    def test_stacked_match_per_stack(self):
+        rng = np.random.default_rng(18)
+        rows = rng.standard_normal((3, 4, 2, 6))
+        metrics = np.array([[random_metric(rng, 6) for _ in range(4)] for _ in range(3)])
+        for g in (None, metrics[0, 0], metrics):
+            frames, vols = orthonormal_frames(rows, g)
+            assert frames.shape == rows.shape and vols.shape == (3, 4)
+            for i, j in itertools.product(range(3), range(4)):
+                gij = g if g is None or g.ndim == 2 else g[i, j]
+                want, vol = orthonormal_frames(rows[i, j], gij)
+                assert np.abs(frames[i, j] - want).max() < 1e-13
+                assert vols[i, j] == pytest.approx(vol, rel=1e-13)

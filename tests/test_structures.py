@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caliblab import structures
-from caliblab.exterior import DimensionError, KForm, evaluate, gram_schmidt_adapt
+from caliblab.exterior import DimensionError, KForm, evaluate, orthonormal_frames
 from caliblab.structures import (
     associative_equality_residuals,
     calibration_report,
@@ -359,11 +359,11 @@ class TestCoassociativeCondition:
     """Both directions of: coassociative iff chi preserves the tangent space."""
 
     def chi_tangency_defect(self, plane_rows):
-        frame = gram_schmidt_adapt(plane_rows).tangent
+        frame = orthonormal_frames(plane_rows)[0]
         return invariance_defect(COASSOC, frame)
 
     def phi_restriction(self, plane_rows):
-        frame = gram_schmidt_adapt(plane_rows).tangent
+        frame = orthonormal_frames(plane_rows)[0]
         vals = [evaluate(G2.phi, frame[list(t)])
                 for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
         return max(abs(v) for v in vals)
@@ -381,7 +381,7 @@ class TestCoassociativeCondition:
     def test_lambda_chain(self):
         # on planes with tangent-preserved chi: lambda^2 + 4(1 - lambda^2) = 1
         for rows in [E7[3:7], E7[[1, 2, 5, 6]], E7[[0, 2, 4, 6]]]:
-            frame = gram_schmidt_adapt(rows).tangent
+            frame = orthonormal_frames(rows)[0]
             if invariance_defect(COASSOC, frame) > 1e-10:
                 continue
             lam = evaluate(COASSOC.psi, frame)

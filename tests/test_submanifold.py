@@ -148,12 +148,12 @@ class TestPatchCatalog:
 class TestInducedMetricAndVolume:
     def test_flat_plane(self):
         p = flat_plane((1, 2), 5)
-        g = induced_metric(p, None, [0.5, 0.5]).entries
+        g = induced_metric(p, None, [0.5, 0.5])
         assert np.array_equal(g, np.eye(2))
 
     def test_circle_metric(self):
         p = circle_patch(2.0)
-        g = induced_metric(p, None, [0.7]).entries
+        g = induced_metric(p, None, [0.7])
         assert g[0, 0] == pytest.approx(4.0)
 
     def test_graph_metric_oracle(self):
@@ -169,7 +169,7 @@ class TestInducedMetricAndVolume:
         x = np.array([0.4, 0.8])
         grad = np.array([0.6 * x[0] * x[1], 0.3 * x[0] ** 2])
         want = np.eye(2) + np.outer(grad, grad)
-        got = induced_metric(p, None, x).entries
+        got = induced_metric(p, None, x)
         assert np.abs(got - want).max() < 1e-14
 
     def test_out_of_domain(self):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caliblab.exterior import KForm, evaluate, hodge_star, minors
+from caliblab.exterior import KForm, evaluate, hodge_star, minors, orthonormal_frames
 from caliblab.fields import FormField, FourierMode, UmBackground, VectorField
 from caliblab.structures import calibration_report, standard_kit
 from caliblab.submanifold import (
@@ -144,6 +144,41 @@ class TestFamilies:
         sigma = fam.mu_dot(p, x[None])[0]
         assert np.abs(h_sp7_batch(sigma)[0] - fam.h(p, x[None])[0]).max() < 1e-10
 
+    def test_gbar_at_stacked_points(self):
+        # every nonlinear evaluator maps stacked points (..., n) to (..., n, n),
+        # row for row the metric at each point
+        from caliblab.fields import SymTensorField
+        from caliblab.variation import ambient_family
+
+        rng = np.random.default_rng(20)
+        bg = UmBackground.wavy(3, rng, eps=0.05)
+        families = {
+            6: [um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1),
+                scaling_family(6),
+                ambient_family(SymTensorField.random(6, rng), SymTensorField.random(6, rng))],
+            7: [assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)],
+        }
+        for n, fams in families.items():
+            ys = rng.standard_normal((2, 3, n))
+            for fam in fams:
+                got = fam.gbar_at(ys, 1e-3)
+                assert got.shape == (2, 3, n, n)
+                want = [[fam.gbar_at(y, 1e-3) for y in row] for row in ys]
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_fd_first_variation_curved_background(self):
+        # the FD oracle on a curved patch over a d-omega != 0 background: the
+        # ambient metric varies from node to node
+        rng = np.random.default_rng(21)
+        bg = UmBackground.wavy(3, rng, eps=0.05)
+        p = graph_patch((1, 2), 6, [(3, 0.15, (1, 1), 0.4)], "graph-um", closed=False)
+        rule = QuadratureRule(p.box, 6)
+        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+        fv = analytic_first_variation(p, fam, rule)
+        fd, _ = fd_first_variation(p, fam, rule)
+        assert abs(fv) > 1e-3
+        assert fd == pytest.approx(fv, abs=1e-8)
+
     def test_scaling_family(self):
         p = flat_plane((1, 2, 3), 7)
         rule = QuadratureRule(p.box, 3)
@@ -176,9 +211,7 @@ class TestTestVariations:
             x = patch.box.lo + 0.37 * (patch.box.hi - patch.box.lo)
             d = test_variation_derivative("cayley", patch, x, 0, 1)
             star = hodge_star(d)
-            from caliblab.variation import _frames
-
-            frame = _frames(patch.jacobian(x))[0]
+            frame = orthonormal_frames(patch.jacobian(x).T)[0]
             assert abs(evaluate(star, frame)) < 1e-10
 
     def test_non_tangent_selector_rejected(self):
@@ -250,7 +283,7 @@ class TestChainConsistency:
         dev = [abs(0.5 * (chain_trace(case, patch, x, keep_omega4_1=True)
                           - chain_trace(case, patch, x)) - 2.0 / 7.0) for x in rule.nodes]
         star = [abs(evaluate(hodge_star(test_variation_derivative(case, patch, x)),
-                             patch.frame(x).tangent)) for x in rule.nodes]
+                             orthonormal_frames(patch.jacobian(x).T)[0])) for x in rule.nodes]
         assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
 
@@ -385,6 +418,19 @@ class TestTheoremA:
         assert abs(v.cayley_condition) > 1e-3
         assert v.analytic_first_variation == pytest.approx(
             -0.5 * v.cayley_condition, abs=1e-9)
+
+    def test_cayley_open_patch_skips_zero_checks(self):
+        # on a patch that is not closed the condition and first-variation
+        # integrals keep their boundary terms: only the pointwise identity and
+        # the star route are checks
+        gen = FormField(8, 3, modes=[
+            FourierMode(np.ones(56), np.array([0.3, 0.2, 0, 0, 0, 0, 0, 0]), 0.3)])
+        fam = cayley_family_from_gamma(gen, SP7)
+        p = flat_plane((1, 2, 3, 4), 8, closed=False)
+        v = self.run_case("cayley", p, fam, order=6)
+        assert v.calibrated and abs(v.analytic_first_variation) > 1e-2
+        assert set(v.passes) == {"integrand_identity", "star_route"}
+        assert v.all_pass
 
     def test_um_k1_constant_even_with_torsion(self):
         rng = np.random.default_rng(8)
@@ -582,6 +628,21 @@ class TestTheoremA:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 2 * 2**20, (name, peak)
+
+    def test_fd_oracle_blocks_bound_memory(self):
+        # the associative evaluator forms (7, 35) coefficient rows a node: over
+        # all 1000 nodes at once the FD oracle would peak near 10 MB
+        rng = np.random.default_rng(22)
+        patch = graph_patch((1, 2, 3), 7, [(4, 0.1, (1, 0, 1), 0.3)], "graph-assoc")
+        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fd_first_variation(patch, fam, QuadratureRule(patch.box, 2))  # lazy tables
+        tracemalloc.start()
+        try:
+            fd_first_variation(patch, fam, QuadratureRule(patch.box, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
     def test_verdict_scalars_roundtrip(self):
         rng = np.random.default_rng(14)
