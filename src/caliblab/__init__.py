@@ -42,6 +42,7 @@ from .submanifold import (
     induced_metric,
     jet_of_F,
     mean_curvature,
+    normal_projector,
     tangent_normal_split,
     volume,
 )

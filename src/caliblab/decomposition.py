@@ -25,12 +25,10 @@ from .exterior import (
     KForm,
     _star_table,
     _tensor_table,
-    interior,
     n_coeffs,
-    wedge,
     wedge_coeffs,
 )
-from .structures import G2Kit, Spin7Kit, _float_tensors, standard_kit
+from .structures import _float_tensors
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +54,11 @@ def _g2_maps():
     phi_t, psi_t, _ = _float_tensors()
     hat3 = _basis_contraction(3, phi_t, 1).reshape(35, 49).T  # eta^ = hat3 @ coeffs
     hat4 = _basis_contraction(4, psi_t, 1).reshape(35, 49).T
-    # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| phi)  (and psi)
-    asm3 = np.zeros((35, 49))
-    asm4 = np.zeros((35, 49))
-    eye = np.eye(7)
-    kit = standard_kit("associative")
-    for i in range(7):
-        for j in range(7):
-            w3 = 0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], kit.phi))
-            w4 = 0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], kit.psi))
-            asm3[:, 7 * i + j] = w3.coeffs
-            asm4[:, 7 * i + j] = w4.coeffs
+    # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| phi)  (and psi): the
+    # transposed hat maps over 2 (k - 1)!, since a hat entry sums the (k - 1)!
+    # orderings of the indices it contracts
+    asm3 = hat3.T / 4.0
+    asm4 = hat4.T / 12.0
     # X recovery from the residual pieces
     x3 = _basis_contraction(3, psi_t, 0).reshape(35, 7).T / 12.0  # X_q = (eta7)_ijk psi_qijk / 12
     x4 = _basis_contraction(4, phi_t, 1).reshape(35, 7).T / 12.0  # X_i = (rho7)_ijkl phi_jkl / 12
@@ -77,13 +69,7 @@ def _g2_maps():
 def _sp7_maps():
     Phi_t = _float_tensors()[2]
     hat = _basis_contraction(4, Phi_t, 1).reshape(70, 64).T
-    asm = np.zeros((70, 64))
-    eye = np.eye(8)
-    kit = standard_kit("cayley")
-    for i in range(8):
-        for j in range(8):
-            w = 0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], kit.Phi))
-            asm[:, 8 * i + j] = w.coeffs
+    asm = hat.T / 12.0  # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| Phi), as asm4
     # star on 4-forms as a 70x70 matrix: basis form c goes to +-(its complement)
     perm, sg = _star_table(8, 4)
     star = np.zeros((70, 70))
@@ -186,14 +172,8 @@ class SP7FourFormSplit:
     beta: np.ndarray
 
 
-def _check_kit(kit, cls, n):
-    if kit is not None and not isinstance(kit, cls):
-        raise DimensionError(f"expected an n={n} kit")
-
-
-def g2_split_3form(eta: KForm, kit: G2Kit | None = None) -> G2ThreeFormSplit:
+def g2_split_3form(eta: KForm) -> G2ThreeFormSplit:
     """Split a 3-form on R^7 into its (1+27) and 7 parts with (h, X) data."""
-    _check_kit(kit, G2Kit, 7)
     if (eta.n, eta.k) != (7, 3):
         raise DimensionError("g2_split_3form needs a 3-form on R^7")
     h = h_from_3form_batch(eta.coeffs)[0]
@@ -204,9 +184,8 @@ def g2_split_3form(eta: KForm, kit: G2Kit | None = None) -> G2ThreeFormSplit:
     return G2ThreeFormSplit(part, resid, h, X)
 
 
-def g2_split_4form(rho: KForm, kit: G2Kit | None = None) -> G2FourFormSplit:
+def g2_split_4form(rho: KForm) -> G2FourFormSplit:
     """Split a 4-form on R^7 into its (1+27) and 7 parts with (h, X) data."""
-    _check_kit(kit, G2Kit, 7)
     if (rho.n, rho.k) != (7, 4):
         raise DimensionError("g2_split_4form needs a 4-form on R^7")
     h = h_from_4form_batch(rho.coeffs)[0]
@@ -217,9 +196,8 @@ def g2_split_4form(rho: KForm, kit: G2Kit | None = None) -> G2FourFormSplit:
     return G2FourFormSplit(part, resid, h, X)
 
 
-def sp7_split_4form(sigma: KForm, kit: Spin7Kit | None = None) -> SP7FourFormSplit:
+def sp7_split_4form(sigma: KForm) -> SP7FourFormSplit:
     """Split a 4-form on R^8 into (1+35) + 7 + 27 with (h, h0, beta) data."""
-    _check_kit(kit, Spin7Kit, 8)
     if (sigma.n, sigma.k) != (8, 4):
         raise DimensionError("sp7_split_4form needs a 4-form on R^8")
     hat, asm, star, q7, beta_from, pairs = _sp7_maps()
@@ -236,9 +214,8 @@ def sp7_split_4form(sigma: KForm, kit: Spin7Kit | None = None) -> SP7FourFormSpl
     return SP7FourFormSplit(part_1_35, part7, part27, h, h0, beta)
 
 
-def project_35_7(sigma: KForm, kit: Spin7Kit | None = None) -> KForm:
+def project_35_7(sigma: KForm) -> KForm:
     """Orthogonal projection of a 4-form on R^8 onto the 35 + 7 types."""
-    _check_kit(kit, Spin7Kit, 8)
     if (sigma.n, sigma.k) != (8, 4):
         raise DimensionError("project_35_7 needs a 4-form on R^8")
     return KForm(8, 4, project_35_7_batch(sigma.coeffs)[0])

@@ -84,19 +84,13 @@ class FormField:
         return FormField(n, k, modes=modes)
 
     # evaluation -------------------------------------------------------------
-    def value(self, y) -> KForm:
-        return KForm(self.n, self.k, self.value_coeffs(y))
-
     def value_coeffs(self, y) -> np.ndarray:
         """Coefficients at one point (C(n, k),) or at stacked points (..., C(n, k))."""
         return self.constant.coeffs + np.sin(_angles(self.freqs, self.phases, y)) @ self.coeffs
 
-    def d(self, y) -> KForm:
-        """Ambient exterior derivative at a point (analytic)."""
-        return KForm(self.n, self.k + 1, self.d_coeffs(y))
-
     def d_coeffs(self, y) -> np.ndarray:
-        """Coefficients of d at one point or at stacked points (..., C(n, k + 1))."""
+        """Coefficients of the ambient exterior derivative (analytic) at one point
+        or at stacked points (..., C(n, k + 1))."""
         return np.cos(_angles(self.freqs, self.phases, y)) @ self.d_table
 
 
@@ -207,9 +201,6 @@ class UmBackground:
         """Coefficients of omega at one point or at stacked points (..., C(n, 2))."""
         return self.omega_field.value_coeffs(y)
 
-    def omega(self, y) -> KForm:
-        return self.omega_field.value(y)
-
     def metric(self, y) -> np.ndarray:
         """The background metric at one point (n, n) or at stacked points (..., n, n)."""
         diag = np.repeat(self.lambdas(y), 2, axis=-1)
@@ -218,6 +209,3 @@ class UmBackground:
     def d_omega_coeffs(self, y) -> np.ndarray:
         """Coefficients of d omega at one point or at stacked points (..., C(n, 3))."""
         return self.omega_field.d_coeffs(y)
-
-    def d_omega(self, y) -> KForm:
-        return self.omega_field.d(y)

@@ -144,7 +144,7 @@ class G2Kit:
         return _g2_tensors()[1]
 
     def cross(self, *vectors) -> np.ndarray:
-        return (cross_2fold if self.flavor == "associative" else chi_3fold)(self, *vectors)
+        return (cross_2fold if self.flavor == "associative" else chi_3fold)(*vectors)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class Spin7Kit:
         return _spin7_tensor()
 
     def cross(self, u, v, w) -> np.ndarray:
-        return cayley_cross(self, u, v, w)
+        return cayley_cross(u, v, w)
 
 
 StructureKit = UmKit | G2Kit | Spin7Kit
@@ -259,17 +259,17 @@ def _contract(tensor: np.ndarray, vectors) -> np.ndarray:
     return np.einsum(f"{idx},{spec}->...{idx[-1]}", tensor, *vectors)
 
 
-def cross_2fold(kit: G2Kit, X, Y) -> np.ndarray:
+def cross_2fold(X, Y) -> np.ndarray:
     """The 7-dimensional cross product: <X x Y, Z> = phi(X, Y, Z)."""
     return _contract(_float_tensors()[0], (X, Y))
 
 
-def chi_3fold(kit: G2Kit, X, Y, Z) -> np.ndarray:
+def chi_3fold(X, Y, Z) -> np.ndarray:
     """The vector-valued 3-form chi: <chi(X,Y,Z), W> = psi(X, Y, Z, W)."""
     return _contract(_float_tensors()[1], (X, Y, Z))
 
 
-def cayley_cross(kit: Spin7Kit, X, Y, Z) -> np.ndarray:
+def cayley_cross(X, Y, Z) -> np.ndarray:
     """The 3-fold cross product on R^8: <P(X,Y,Z), W> = Phi(X, Y, Z, W)."""
     return _contract(_float_tensors()[2], (X, Y, Z))
 
@@ -346,14 +346,14 @@ def _coassociative_block(x, y, z, w):
             - _gram_dets(x, y, z, w))
 
 
-def associative_equality_residuals(kit: G2Kit, xs, ys, zs) -> np.ndarray:
+def associative_equality_residuals(xs, ys, zs) -> np.ndarray:
     """Batched residuals |chi(x,y,z)|^2 + phi(x,y,z)^2 - |x^y^z|^2 over triples
     of rows.  Each row block forms x (x) y once and contracts it by matmul with
     psi as a (49, 49) and phi as a (49, 7) matrix."""
     return _blockwise(_associative_block, 49, xs, ys, zs)
 
 
-def coassociative_equality_residuals(kit: G2Kit, xs, ys, zs, ws) -> np.ndarray:
+def coassociative_equality_residuals(xs, ys, zs, ws) -> np.ndarray:
     """Batched residuals psi(x,y,z,w)^2 + |vec|^2 - |x^y^z^w|^2 over quadruples
     of rows, where vec = phi(y,z,w) x - phi(x,z,w) y + phi(x,y,w) z - phi(x,y,z) w.
     Each row block forms x (x) y and z (x) w once and contracts them by matmul

@@ -1,5 +1,5 @@
-"""Embedded patches, quadrature, volume, the distance-squared jet, and
-finite-difference utilities.
+"""Embedded patches, quadrature, volume, normal projectors and mean curvature,
+the distance-squared jet, and finite-difference utilities.
 
 A Patch is a parametrized k-dimensional piece of submanifold in R^n over an
 axis-aligned box, evaluated by one row formula that gives positions and
@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .exterior import DegenerateInputError, DimensionError, orthonormal_frames
+from .structures import _blockwise
 
 CLOSEST_POINT_TOL = 1e-12
 CLOSEST_POINT_MAX_ITER = 50
@@ -103,8 +104,8 @@ class Patch:
     One row formula evaluates it: `_rows(xs)` maps parameter rows (N, k) to
     positions (N, n) and Jacobians (N, n, k).  An affine patch returns its
     single Jacobian as (1, n, k), which callers broadcast against the rows.
-    `_hess(xs)`, where given, returns Hessians (N, n, k, k).  The per-point
-    methods pass the row formula one row."""
+    `_hess(xs)`, where given, returns Hessians (N, n, k, k).  One point is one
+    row: `patch.rows(x[None])`."""
     name: str
     k: int
     n: int
@@ -127,28 +128,12 @@ class Patch:
     def jacobians(self, xs: np.ndarray) -> np.ndarray:
         return self.rows(xs)[1]
 
-    def point(self, x):
-        """Position (n,) and Jacobian (n, k) at one parameter point."""
-        pos, jac = self.rows(np.asarray(x, float)[None])
-        return pos[0], jac[0]
-
-    def position(self, x) -> np.ndarray:
-        return self.point(x)[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        """Columns are the coordinate tangent vectors du/dx^a, shape (n, k)."""
-        return self.point(x)[1]
-
     def hessians(self, xs: np.ndarray) -> np.ndarray:
         """Second derivatives d2u/dx^a dx^b at parameter rows xs (N, k), stacked
         as (N, n, k, k)."""
         if self._hess is None:
             raise ValueError(f"patch {self.name!r} has no Hessian formula")
         return np.asarray(self._hess(np.asarray(xs, float)), float)
-
-    def hessian(self, x) -> np.ndarray:
-        """Second derivatives d2u/dx^a dx^b, shape (n, k, k)."""
-        return self.hessians(np.asarray(x, float)[None])[0]
 
     def reversed(self) -> "Patch":
         """Same image with the orientation of the parameter domain reversed."""
@@ -188,63 +173,59 @@ def induced_metric(patch: Patch, ambient_metric_field, x) -> np.ndarray:
     x = np.asarray(x, float)
     if not patch.box.contains(x):
         raise ValueError(f"parameter point {x} outside the patch domain")
-    y, j = patch.point(x)
+    (y,), (j,) = patch.rows(x[None])
     gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
     return j.T @ gbar @ j
 
 
 def volume(patch: Patch, ambient_metric_field, rule: QuadratureRule) -> float:
     """Integral of sqrt(det g) over the domain box by quadrature.  The ambient
-    metric field maps the stacked node positions (N, n) to metrics (N, n, n),
-    or to one (n, n) that holds at every node."""
+    metric field maps stacked positions (N, n) to metrics (N, n, n), or to one
+    (n, n) that holds at every node; it is evaluated over the node blocks of
+    the one block rule, so no array spans all nodes but the densities."""
     if not patch.box.contains(rule.nodes):
         raise ValueError("quadrature nodes outside the patch domain")
-    ys, j = patch.rows(rule.nodes)
-    j = np.broadcast_to(j, ys.shape + (patch.k,))
-    jt = np.swapaxes(j, -1, -2)
-    g = jt @ j if ambient_metric_field is None else jt @ ambient_metric_field(ys) @ j
-    det = np.linalg.det(g)
-    if np.any(det <= 0):
-        raise DegenerateInputError(
-            f"induced metric degenerate at node {rule.nodes[np.argmax(det <= 0)]}")
-    return rule.integrate(np.sqrt(det))
+
+    def densities(xs):
+        ys, j = patch.rows(xs)
+        jt = np.swapaxes(j, -1, -2)
+        g = jt @ j if ambient_metric_field is None else jt @ ambient_metric_field(ys) @ j
+        det = np.linalg.det(g)  # one row for an affine patch under a constant metric
+        if np.any(det <= 0):
+            raise DegenerateInputError(
+                f"induced metric degenerate at node {xs[np.argmax(det <= 0)]}")
+        return np.sqrt(det)
+
+    # the widest per-node temporary is an ambient metric (n, n)
+    return rule.integrate(_blockwise(densities, patch.n * patch.n, rule.nodes))
 
 
 def tangent_normal_split(patch: Patch, ambient_metric_field, x, v):
     """Split an ambient vector into tangential and normal parts along the patch."""
     v = np.asarray(v, float)
-    y, j = patch.point(x)
+    (y,), (j,) = patch.rows(np.asarray(x, float)[None])
     gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
     frame = orthonormal_frames(j.T, gbar)[0]  # gbar-orthonormal tangent rows
     v_tan = frame.T @ (frame @ gbar @ v)
     return v_tan, v - v_tan
 
 
-def normal_projector(patch: Patch, x) -> np.ndarray:
-    """Euclidean orthogonal projector onto the normal space at u(x)."""
-    return _normal_projector(orthonormal_frames(patch.jacobian(x).T)[0])
-
-
-def mean_curvature(patch: Patch, x, ambient_metric_field=None) -> np.ndarray:
-    """Trace of the second fundamental form (Euclidean ambient metric only)."""
-    if ambient_metric_field is not None:
-        raise ValueError("mean curvature is implemented for the Euclidean ambient metric")
-    j = patch.jacobian(x)
-    return _mean_curvature(j, patch.hessian(x), _normal_projector(orthonormal_frames(j.T)[0]))
-
-
-def _normal_projector(frames: np.ndarray) -> np.ndarray:
-    """Normal projectors I - F^T F (..., n, n) of orthonormal tangent rows F (..., k, n)."""
+def normal_projector(frames: np.ndarray) -> np.ndarray:
+    """Euclidean normal projectors I - F^T F (..., n, n) of orthonormal tangent
+    rows F (..., k, n), as `orthonormal_frames` gives them."""
     return np.eye(frames.shape[-1]) - np.swapaxes(frames, -1, -2) @ frames
 
 
-def _mean_curvature(jac: np.ndarray, hess: np.ndarray, p_normal: np.ndarray) -> np.ndarray:
-    """Mean curvature vectors (..., n) from Jacobians (..., n, k), Hessians
-    (..., n, k, k) and normal projectors (..., n, n)."""
-    # g-orthonormal coordinate directions: the rows of c = L^-1, so c^T c = g^-1
-    c = orthonormal_frames(np.eye(jac.shape[-1]), np.swapaxes(jac, -1, -2) @ jac)[0]
-    trace = np.einsum("...nab,...ca,...cb->...n", hess, c, c)
-    return (p_normal @ trace[..., None])[..., 0]
+def mean_curvature(frames: np.ndarray, jac: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Mean curvature vectors (..., n) (Euclidean ambient metric) from the
+    orthonormal tangent frames F (..., k, n) of the Jacobians (..., n, k) and
+    the Hessians (..., n, k, k): the normal part of g^ab d2u/dx^a dx^b.
+
+    F = L^-1 J^T with L the Cholesky factor of g = J^T J, so F J = L^T and
+    g^-1 = (F J)^-1 (F J)^-T: no second factorization of g."""
+    c = np.linalg.inv(frames @ jac)  # L^-T; its columns are g-orthonormal directions
+    trace = np.einsum("...nab,...ac,...bc->...n", hess, c, c)
+    return (normal_projector(frames) @ trace[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +247,7 @@ def _closest_parameter(patch: Patch, y: np.ndarray, seeds: np.ndarray):
     # the nearest seed; argmin keeps the first of equally near ones
     x = seeds[np.argmin(np.linalg.norm(patch.positions(seeds) - y, axis=-1))].copy()
     for _ in range(CLOSEST_POINT_MAX_ITER):
-        pos, j = patch.point(x)
+        (pos,), (j,) = patch.rows(x[None])
         try:
             step = np.linalg.solve(j.T @ j, j.T @ (pos - y))
         except np.linalg.LinAlgError:
@@ -274,7 +255,7 @@ def _closest_parameter(patch: Patch, y: np.ndarray, seeds: np.ndarray):
         x -= step
         if np.linalg.norm(step) < CLOSEST_POINT_TOL:
             return x
-    pos, j = patch.point(x)
+    (pos,), (j,) = patch.rows(x[None])
     resid = np.linalg.norm(j.T @ (pos - y))
     raise DegenerateInputError(
         f"closest-point iteration did not converge (gradient residual {resid:.3e})"
@@ -284,11 +265,13 @@ def _closest_parameter(patch: Patch, y: np.ndarray, seeds: np.ndarray):
 def jet_of_F(patch: Patch, x) -> JetOfF:
     """On-patch jet of F (value 0, gradient 0, Hessian = normal projector).
 
-    The off-patch evaluator computes F(y) = |y - closest point|^2 / 2 by
-    Gauss-Newton, seeded from a coarse grid over the parameter box.
+    The Hessian is I - J g^-1 J^T by a direct solve, independent of the frames
+    that `normal_projector` reads.  The off-patch evaluator computes
+    F(y) = |y - closest point|^2 / 2 by Gauss-Newton, seeded from a coarse
+    grid over the parameter box.
     """
-    p, j = patch.point(x)
-    pn = _normal_projector(orthonormal_frames(j.T)[0])
+    (p,), (j,) = patch.rows(np.asarray(x, float)[None])
+    pn = np.eye(patch.n) - j @ np.linalg.solve(j.T @ j, j.T)
     axes = [np.linspace(patch.box.lo[a], patch.box.hi[a], JET_SEED_GRID)
             for a in range(patch.k)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -299,7 +282,7 @@ def jet_of_F(patch: Patch, x) -> JetOfF:
 
     def f_value(y):
         y = np.asarray(y, float)
-        cp = patch.position(closest(y))
+        cp = patch.positions(closest(y)[None])[0]
         return 0.5 * float(np.dot(y - cp, y - cp))
 
     return JetOfF(p, 0.0, np.zeros(patch.n), pn, f_value, closest)

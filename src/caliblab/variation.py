@@ -52,9 +52,9 @@ from .structures import (
 from .submanifold import (
     Patch,
     QuadratureRule,
-    _mean_curvature,
-    _normal_projector,
     fd_derivative,
+    mean_curvature,
+    normal_projector,
 )
 
 TOL_POINT = 1e-8
@@ -327,8 +327,9 @@ def _over_planes(patch: Patch, xs: np.ndarray, floats_per_node: int, fn) -> np.n
     return _blockwise(planes, floats_per_node, xs)
 
 
-def _kit(case: str, patch: Patch):
-    return standard_kit(case, m=patch.n // 2, k=max(1, patch.k // 2))
+def _kit(case: str, k: int, n: int):
+    """The case's kit for k-planes in R^n."""
+    return standard_kit(case, m=n // 2, k=max(1, k // 2))
 
 
 def _selection(kit, frames, V=None, W=None) -> list:
@@ -342,7 +343,7 @@ def _selection(kit, frames, V=None, W=None) -> list:
         if np.shape(sel) != (kit.n,):
             raise ValueError(f"selector {sel!r} is not a frame-row index or an (n,) vector")
         v = np.asarray(sel, float)
-        off = np.linalg.norm(v @ _normal_projector(frames), axis=-1)
+        off = np.linalg.norm(v @ normal_projector(frames), axis=-1)
         if np.any(off > TOL_FRAME * max(1.0, np.linalg.norm(v))):
             raise ValueError(f"selector {sel} is not tangent to the patch")
         out.append(v)
@@ -374,25 +375,15 @@ def _trace(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("...an,...nm,...am->...", frame, h, frame)
 
 
-def _closed_form(kit, frame, p_normal, S) -> np.ndarray:
-    """The proof's closed form: scale * sum_f |pi_N cross(S, f)|^2."""
-    normal = kit.cross(*(v[..., None, :] for v in S), frame) @ p_normal
-    return CLOSED_FORM_SCALE[kit.case] * np.sum(normal * normal, axis=(-2, -1))
-
-
 def _minors_floats(kit) -> int:
     """Floats a node takes in the derivative minors of one selection."""
     return kit.n * math.comb(kit.n, kit.arity + 1)
 
 
-def _at_point(case: str, patch: Patch, x, V, W):
-    kit = _kit(case, patch)
-    frame = orthonormal_frames(patch.jacobian(x).T)[0]
-    return kit, frame, _normal_projector(frame), _selection(kit, frame, V, W)
-
-
-def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KForm:
-    """Exterior derivative along the patch of the case's test variation.
+def test_variation_derivative(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
+    """Exterior derivative along the patch of the case's test variation, as
+    coefficient rows (..., C(n, arity + 1)) along orthonormal tangent frames
+    (..., k, n).
 
     The generators themselves vanish on the patch (they are linear in the
     gradient of the distance function); only the derivative
@@ -403,22 +394,22 @@ def test_variation_derivative(case: str, patch: Patch, x, V=None, W=None) -> KFo
         coassociative: d gdot = sum_i e^i ^ V ^ W ^ chi(V, W, e_i_perp)
         cayley:        d gdot = sum_i e^i ^ V ^ W ^ P(V, W, e_i_perp)
     """
-    kit, _, p_normal, S = _at_point(case, patch, x, V, W)
-    return KForm(kit.n, kit.arity + 1, _derivative(kit, p_normal, S))
+    kit = _kit(case, *frames.shape[-2:])
+    return _derivative(kit, normal_projector(frames), _selection(kit, frames, V, W))
 
 
 test_variation_derivative.__test__ = False  # keep pytest from collecting it
 
 
-def test_variation_family(case: str, patch: Patch, V=None, W=None,
+def test_variation_family(case: str, V=None, W=None,
                           keep_omega4_1: bool = False) -> VariationFamily:
-    """Family whose velocity is the jet-reduced test variation along the patch."""
+    """Family whose velocity is the jet-reduced test variation along a patch."""
 
     def h(p, xs):
-        kit = _kit(case, p)
+        kit = _kit(case, p.k, p.n)
 
         def velocity(frames, _):
-            return _velocity(kit, _normal_projector(frames), _selection(kit, frames, V, W),
+            return _velocity(kit, normal_projector(frames), _selection(kit, frames, V, W),
                              keep_omega4_1)
 
         return _over_planes(p, xs, _minors_floats(kit), velocity)
@@ -429,36 +420,38 @@ def test_variation_family(case: str, patch: Patch, V=None, W=None,
 test_variation_family.__test__ = False
 
 
-def chain_trace(case: str, patch: Patch, x, V=None, W=None,
-                keep_omega4_1: bool = False) -> float:
-    """Tr_g h through the full chain: jet derivative -> decomposition -> trace."""
-    kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
-    return float(_trace(frame, _velocity(kit, p_normal, S, keep_omega4_1)))
+def chain_trace(case: str, frames: np.ndarray, V=None, W=None,
+                keep_omega4_1: bool = False) -> np.ndarray:
+    """Tr_g h through the full chain (jet derivative -> decomposition -> trace)
+    along orthonormal tangent frames (..., k, n), shape (...)."""
+    kit = _kit(case, *frames.shape[-2:])
+    S = _selection(kit, frames, V, W)
+    return _trace(frames, _velocity(kit, normal_projector(frames), S, keep_omega4_1))
 
 
-def closed_form_trace(case: str, patch: Patch, x, V=None, W=None) -> float:
-    """The proof's closed-form value of Tr_g h for the test variation."""
-    kit, frame, p_normal, S = _at_point(case, patch, x, V, W)
-    return float(_closed_form(kit, frame, p_normal, S))
+def closed_form_trace(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
+    """The proof's closed-form value of Tr_g h for the test variation,
+    scale * sum_f |pi_N cross(S, f)|^2, along orthonormal tangent frames
+    (..., k, n), shape (...)."""
+    kit = _kit(case, *frames.shape[-2:])
+    S = _selection(kit, frames, V, W)
+    normal = kit.cross(*(v[..., None, :] for v in S), frames) @ normal_projector(frames)
+    return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
 
 
 def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
                       nodes=None) -> float:
-    """Max gap between the chain trace and its closed form over the nodes and
-    the canonical selections."""
+    """Max gap |chain_trace - closed_form_trace| over the nodes and the
+    canonical selections, on one frame evaluation per node block."""
     pts = rule.nodes if nodes is None else np.asarray(nodes, float)
-    kit = _kit(case, patch)
 
     def gaps(frames, _):
-        p_normal = _normal_projector(frames)
-        out = []
-        for sel in _canonical_selections(case, patch.k):
-            S = _selection(kit, frames, *sel)
-            chain = _trace(frames, _velocity(kit, p_normal, S))
-            out.append(np.abs(chain - _closed_form(kit, frames, p_normal, S)))
-        return np.max(out, axis=0)
+        return np.max([np.abs(chain_trace(case, frames, *sel)
+                              - closed_form_trace(case, frames, *sel))
+                       for sel in _canonical_selections(case, patch.k)], axis=0)
 
-    return float(_over_planes(patch, pts, _minors_floats(kit), gaps).max())
+    return float(_over_planes(patch, pts, _minors_floats(_kit(case, patch.k, patch.n)),
+                              gaps).max())
 
 
 def _canonical_selections(case: str, k: int):
@@ -503,7 +496,7 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     Zero exactly when the sampled tangent planes are calibrated; equals
     2 |first variation| of the matching test-variation family.
     """
-    kit = _kit(case, patch)
+    kit = _kit(case, patch.k, patch.n)
     scale = abs(CLOSED_FORM_SCALE[case])
 
     def defect(frames, density):
@@ -667,7 +660,7 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
 
     def failures(frames, _):
         v, w = _selection(kit, frames, V, W)
-        d = _derivative(kit, _normal_projector(frames), (v, w))
+        d = _derivative(kit, normal_projector(frames), (v, w))
         half_gap = 0.5 * _trace(frames, h_sp7_batch(d) - h0_sp7_batch(d))
         vw2 = np.sum(v * v, -1) * np.sum(w * w, -1) - np.sum(v * w, -1) ** 2
         star = np.sum(star_coeffs(d, 8, 4) * minors(frames), axis=-1)
@@ -721,8 +714,7 @@ def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule) ->
 
     Per node block: one patch evaluation at the nodes and one at each shifted
     row set x +- h e_a, whose sqrt(g) xi give the divergence by central
-    differences; the normal projector and mean curvature share the nodes'
-    Jacobians."""
+    differences; the mean curvature reads the nodes' Jacobians and frames."""
     n, k = patch.n, patch.k
 
     def sqrtg_xi(ys, j):
@@ -743,10 +735,9 @@ def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule) ->
             div += (sqrtg_xi(*patch.rows(xs + e))[:, a]
                     - sqrtg_xi(*patch.rows(xs - e))[:, a]) / (2 * DIVERGENCE_FD_STEP)
         div /= sg
-        p_normal = _normal_projector(frames)
-        xperp = (p_normal @ xfield.value(ys)[..., None])[..., 0]
-        hvec = _mean_curvature(j, patch.hessians(xs), p_normal)
-        vals[sl] = (div - np.sum(xperp * hvec, axis=-1)) * sg
+        # H is normal, so <X_perp, H> = <X, H>
+        hvec = mean_curvature(frames, j, patch.hessians(xs))
+        vals[sl] = (div - np.sum(xfield.value(ys) * hvec, axis=-1)) * sg
     return rule.integrate(vals)
 
 

@@ -176,6 +176,10 @@ class TestTheoremCommand:
         ("theorem", "--case", "um", "--patch", "plane-12-r10", "--generator", "test-variation"),
         # an empty report path names no file; it is not a request for stdout
         ("theorem", "--case", "associative", "--count", "1", "--out", ""),
+        # the U(m) options off the U(m) case
+        ("theorem", "--case", "cayley", "--k", "3"),
+        ("theorem", "--case", "associative", "--closed-omega"),
+        ("theorem", "--case", "coassociative", "--k", "2", "--out", "{tmp}/r.jsonl"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, args):
         assert_config_error(run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args)))
@@ -191,6 +195,8 @@ class TestTheoremCommand:
         (THEOREM, {"out": 1}),
         (THEOREM, {"count": "3"}),
         (THEOREM, {"out": ""}),
+        (THEOREM, {"k": 3}),
+        (THEOREM, {"closed_omega": True}),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, command, conf):
         path = tmp_path / "conf.json"

@@ -197,7 +197,7 @@ class TestTargetVariation:
     def test_conformal_pointwise_volume_relation(self):
         # for weakly conformal maps: vol_{u*gbar} = |du|^k vol_g / sqrt(k)^k
         for x in RULE.nodes[:5]:
-            j = HOLO.patch.jacobian(x)
+            j = HOLO.patch.jacobians(x[None])[0]
             a = j.T @ j
             du2 = np.trace(a)
             lhs = math.sqrt(np.linalg.det(a))
@@ -211,7 +211,7 @@ def per_node_reference(triple, rule, h_field, hbar_field):
     scale = math.sqrt(k) ** k
 
     def densities(x):
-        j = triple.patch.jacobian(x)
+        j = triple.patch.jacobians(x[None])[0]
         a = j.T @ j
         g = triple.domain_metric(x)
         du2 = max(float(np.trace(np.linalg.solve(g, a))), 0.0)
@@ -225,7 +225,7 @@ def per_node_reference(triple, rule, h_field, hbar_field):
         calib[i] = evaluate(mu, j.T)
         t = -k * du2 ** ((k - 2) / 2.0) * a + du2 ** (k / 2.0) * g
         domain[i] = np.trace(np.linalg.solve(g, h_field(x)) @ np.linalg.solve(g, t)) * sg
-        pulled = j.T @ hbar_field(triple.patch.position(x)) @ j
+        pulled = j.T @ hbar_field(triple.patch.positions(x[None])[0]) @ j
         target[i] = du2 ** ((k - 2) / 2.0) * np.trace(np.linalg.solve(g, pulled)) * sg
     conf = cal = 0.0
     for x in sample_points(triple, rule):

@@ -97,39 +97,39 @@ class TestQuotedFormValues:
 
 class TestCrossProducts:
     def test_g2_frame_relations(self):
-        assert np.allclose(cross_2fold(G2, E7[0], E7[1]), E7[2])
-        assert np.allclose(cross_2fold(G2, E7[0], E7[3]), E7[4])
-        assert np.allclose(cross_2fold(G2, E7[1], E7[3]), E7[5])
-        assert np.allclose(cross_2fold(G2, E7[2], E7[3]), E7[6])
+        assert np.allclose(cross_2fold(E7[0], E7[1]), E7[2])
+        assert np.allclose(cross_2fold(E7[0], E7[3]), E7[4])
+        assert np.allclose(cross_2fold(E7[1], E7[3]), E7[5])
+        assert np.allclose(cross_2fold(E7[2], E7[3]), E7[6])
 
     def test_self_cross_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.standard_normal(7)
-            assert np.abs(cross_2fold(G2, x, x)).max() < 1e-12
+            assert np.abs(cross_2fold(x, x)).max() < 1e-12
 
     def test_cross_orthogonality_and_norm(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x, y = rng.standard_normal((2, 7))
-            v = cross_2fold(G2, x, y)
+            v = cross_2fold(x, y)
             assert abs(v @ x) < 1e-10 and abs(v @ y) < 1e-10
             gram = np.linalg.det(np.array([x, y]) @ np.array([x, y]).T)
             assert v @ v == pytest.approx(gram, rel=1e-10)
 
     def test_chi_on_planes(self):
-        assert np.abs(chi_3fold(G2, E7[0], E7[1], E7[2])).max() < 1e-12
-        out = chi_3fold(G2, E7[3], E7[4], E7[5])
+        assert np.abs(chi_3fold(E7[0], E7[1], E7[2])).max() < 1e-12
+        out = chi_3fold(E7[3], E7[4], E7[5])
         assert np.allclose(out, E7[6])
         assert evaluate(G2.phi, [E7[3], E7[4], E7[5]]) == 0.0
 
     def test_chi_alternating(self):
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, 7))
-        assert np.abs(chi_3fold(G2, x, x, y)).max() < 1e-12
+        assert np.abs(chi_3fold(x, x, y)).max() < 1e-12
 
     def test_cayley_cross_basis(self):
-        out = cayley_cross(SP7, E8[0], E8[1], E8[2])
+        out = cayley_cross(E8[0], E8[1], E8[2])
         assert np.allclose(out, E8[3])
         for i in range(3):
             assert abs(out @ E8[i]) < 1e-14
@@ -139,7 +139,7 @@ class TestCrossProducts:
         rng = np.random.default_rng(4)
         for _ in range(50):
             x, y, z = rng.standard_normal((3, 8))
-            p = cayley_cross(SP7, x, y, z)
+            p = cayley_cross(x, y, z)
             gram = np.linalg.det(np.array([x, y, z]) @ np.array([x, y, z]).T)
             assert p @ p == pytest.approx(gram, rel=1e-10, abs=1e-12)
 
@@ -167,8 +167,8 @@ class TestIdentities:
     def test_equalities_random(self):
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((4, 2000, 7))
-        assert np.abs(associative_equality_residuals(G2, *xs[:3])).max() < 1e-10
-        assert np.abs(coassociative_equality_residuals(G2, *xs)).max() < 1e-10
+        assert np.abs(associative_equality_residuals(*xs[:3])).max() < 1e-10
+        assert np.abs(coassociative_equality_residuals(*xs)).max() < 1e-10
 
 
 def _einsum_associative(xs, ys, zs):
@@ -211,8 +211,8 @@ class TestStagedEqualityKernels:
             # both are round-off of terms of size prod |v_i|^2 (Hadamard)
             scale_a = np.prod(np.sum(xs[:3] ** 2, axis=2), axis=0)
             scale_c = np.prod(np.sum(xs ** 2, axis=2), axis=0)
-            got_a = associative_equality_residuals(G2, *xs[:3])
-            got_c = coassociative_equality_residuals(G2, *xs)
+            got_a = associative_equality_residuals(*xs[:3])
+            got_c = coassociative_equality_residuals(*xs)
             assert got_a.shape == got_c.shape == (rows,)
             assert np.max(np.abs(got_a - _einsum_associative(*xs[:3])) / scale_a) <= 1e-12
             assert np.max(np.abs(got_c - _einsum_coassociative(*xs)) / scale_c) <= 1e-12
@@ -222,8 +222,8 @@ class TestStagedEqualityKernels:
         xs = np.random.default_rng(3).standard_normal((4, self.block_rows() + 3, 7))
         xs[1, -2, 4] = np.nan
         with np.errstate(invalid="ignore"):  # det warns on the NaN row
-            results = (associative_equality_residuals(G2, *xs[:3]),
-                       coassociative_equality_residuals(G2, *xs))
+            results = (associative_equality_residuals(*xs[:3]),
+                       coassociative_equality_residuals(*xs))
         for got in results:
             assert np.isnan(got[-2]) and np.isfinite(np.delete(got, -2)).all()
 
@@ -231,12 +231,12 @@ class TestStagedEqualityKernels:
         import tracemalloc
 
         xs = np.random.default_rng(4).standard_normal((4, 10**4, 7))
-        associative_equality_residuals(G2, *xs[:3])  # builds the cached tensors
+        associative_equality_residuals(*xs[:3])  # builds the cached tensors
         for kernel, rows in ((associative_equality_residuals, xs[:3]),
                              (coassociative_equality_residuals, xs)):
             tracemalloc.start()
             try:
-                kernel(G2, *rows)
+                kernel(*rows)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

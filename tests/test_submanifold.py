@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caliblab.cli import _linear_map_patch, random_triple
-from caliblab.exterior import DegenerateInputError
+from caliblab.exterior import DegenerateInputError, orthonormal_frames
 from caliblab.fields import SymTensorField, VectorField
 from caliblab.submanifold import (
     Box,
@@ -30,6 +30,18 @@ from caliblab.variation import ambient_family, analytic_first_variation
 def pointwise(ev, jac):
     """Row formula from per-point position and Jacobian formulas, row by row."""
     return lambda xs: (np.array([ev(x) for x in xs]), np.array([jac(x) for x in xs]))
+
+
+def one_row(method, x):
+    """A stacked patch method at one parameter point: one row in, one row out."""
+    return method(np.asarray(x, float)[None])[0]
+
+
+def geometry(patch, xs):
+    """Normal projectors and mean curvature vectors at parameter rows xs."""
+    jac = patch.jacobians(xs)
+    frames = orthonormal_frames(np.swapaxes(jac, -1, -2))[0]
+    return normal_projector(frames), mean_curvature(frames, jac, patch.hessians(xs))
 
 
 class TestQuadrature:
@@ -82,17 +94,18 @@ class TestPatchCatalog:
         for a in range(patch.k):
             e = np.zeros(patch.k)
             e[a] = h
-            jac_fd[:, a] = (patch.position(x + e) - patch.position(x - e)) / (2 * h)
-        assert np.abs(jac_fd - patch.jacobian(x)).max() < 1e-8
-        # a block of rows in one call, against per-row points and central differences;
+            jac_fd[:, a] = (one_row(patch.positions, x + e)
+                            - one_row(patch.positions, x - e)) / (2 * h)
+        assert np.abs(jac_fd - one_row(patch.jacobians, x)).max() < 1e-8
+        # a block of rows in one call, against one-row calls and central differences;
         # an affine patch gives its single Jacobian once
         xs = x + 0.07 * np.arange(-2, 3)[:, None]
         pos, jacs = patch.rows(xs)
         assert pos.shape == (5, patch.n)
         assert jacs.shape in ((5, patch.n, patch.k), (1, patch.n, patch.k))
         jacs = np.broadcast_to(jacs, (5, patch.n, patch.k))
-        assert np.abs(pos - [patch.position(y) for y in xs]).max() < 1e-14
-        assert np.abs(jacs - [patch.jacobian(y) for y in xs]).max() < 1e-14
+        assert np.abs(pos - [one_row(patch.positions, y) for y in xs]).max() < 1e-14
+        assert np.abs(jacs - [one_row(patch.jacobians, y) for y in xs]).max() < 1e-14
         for a in range(patch.k):
             e = h * np.eye(patch.k)[a]
             col_fd = (patch.positions(xs + e) - patch.positions(xs - e)) / (2 * h)
@@ -103,11 +116,12 @@ class TestPatchCatalog:
         for a in range(patch.k):
             e = np.zeros(patch.k)
             e[a] = h2
-            hess_fd = (patch.jacobian(x + e) - patch.jacobian(x - e)) / (2 * h2)
-            assert np.abs(hess_fd - patch.hessian(x)[:, :, a]).max() < 1e-6
+            hess_fd = (one_row(patch.jacobians, x + e)
+                       - one_row(patch.jacobians, x - e)) / (2 * h2)
+            assert np.abs(hess_fd - one_row(patch.hessians, x)[:, :, a]).max() < 1e-6
         hess = patch.hessians(xs)
         assert hess.shape == (5, patch.n, patch.k, patch.k)
-        assert np.abs(hess - [patch.hessian(y) for y in xs]).max() < 1e-14
+        assert np.abs(hess - [one_row(patch.hessians, y) for y in xs]).max() < 1e-14
         for a in range(patch.k):
             e2 = h2 * np.eye(patch.k)[a]
             hess_fd = np.broadcast_to(
@@ -121,7 +135,7 @@ class TestPatchCatalog:
         with pytest.raises(ValueError, match="no Hessian formula"):
             patch.hessians(np.full((3, 2), 0.5))
         with pytest.raises(ValueError, match="no Hessian formula"):
-            patch.reversed().hessian(np.full(2, 0.5))
+            patch.reversed().hessians(np.full((1, 2), 0.5))
 
     @pytest.mark.parametrize("patch", [
         graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
@@ -141,8 +155,8 @@ class TestPatchCatalog:
         xs = patch.box.lo + (patch.box.hi - patch.box.lo) * rng.random((9, patch.k))
         jacs = rev.jacobians(xs)
         assert calls == [9]
-        assert np.abs(jacs - [rev.jacobian(x) for x in xs]).max() < 1e-14
-        assert np.abs(rev.positions(xs) - [rev.position(x) for x in xs]).max() < 1e-14
+        assert np.abs(jacs - [one_row(rev.jacobians, x) for x in xs]).max() < 1e-14
+        assert np.abs(rev.positions(xs) - [one_row(rev.positions, x) for x in xs]).max() < 1e-14
 
 
 class TestInducedMetricAndVolume:
@@ -211,6 +225,49 @@ class TestInducedMetricAndVolume:
         with pytest.raises(DegenerateInputError):
             volume(p, lambda y: np.diag([1.0, -1.0, 1.0, 1.0]), rule)
 
+    def test_degenerate_metric_names_first_bad_node(self):
+        # 900 nodes in R^8 span two node blocks; the first bad node lies in the second
+        import re
+
+        from caliblab.structures import _blocks
+
+        p = graph_patch((1, 2), 8, [(5, 0.1, (1, 1), 0.3)], "g8")
+        rule = QuadratureRule(p.box, 30)
+        bad = rule.nodes[:, 0] > 0.7
+
+        def gbar(ys):
+            metrics = np.repeat(np.eye(8)[None], len(ys), axis=0)
+            metrics[ys[:, 0] > 0.7, 0, 0] = -1.0
+            return metrics
+
+        first = rule.nodes[np.argmax(bad)]
+        assert np.argmax(bad) >= next(_blocks(len(rule.nodes), 8 * 8)).stop
+        with pytest.raises(DegenerateInputError, match=re.escape(str(first))):
+            volume(p, gbar, rule)
+
+    def test_volume_blocks_bound_memory(self):
+        # a stacked metric field over all 10^4 nodes at once would hold (10^4, 8, 8)
+        # metrics, 5 MB, and its mode table another (10^4, 64)
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        p = graph_patch((1, 2), 8, [(5, 0.1, (1, 1), 0.3)], "g8")
+        field = SymTensorField.random(8, rng, amplitude=0.1)
+
+        def gbar(ys):
+            return 4 * np.eye(8) + field.value(ys)
+
+        rule = QuadratureRule(p.box, 100)
+        want = volume(p, gbar, QuadratureRule(p.box, 20))
+        tracemalloc.start()
+        try:
+            got = volume(p, gbar, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
+        assert got == pytest.approx(want, rel=1e-9)
+
 
 class TestSplitting:
     def test_flat_split(self):
@@ -228,7 +285,7 @@ class TestSplitting:
             v = rng.standard_normal(3)
             vt, vp = tangent_normal_split(p, gfield, x, v)
             assert np.allclose(vt + vp, v)
-            g = gfield(p.position(x))
+            g = gfield(one_row(p.positions, x))
             assert abs(vt @ g @ vp) < 1e-12
 
     def test_idempotent(self):
@@ -256,7 +313,7 @@ class TestJetOfF:
     def test_flat_offpatch_values(self):
         p = flat_plane((1, 2), 4)
         jet = jet_of_F(p, [0.3, 0.4])
-        base = p.position([0.3, 0.4])
+        base = one_row(p.positions, [0.3, 0.4])
         for s in (0.05, 0.2):
             y = base + s * np.array([0.0, 0, 1, 0])
             assert jet.evaluate(y) == pytest.approx(0.5 * s * s, abs=1e-12)
@@ -272,8 +329,8 @@ class TestJetOfF:
         p = sphere_patch(1.3)
         x = np.array([1.1, 2.3])
         jet = jet_of_F(p, x)
-        assert np.allclose(jet.hessian, normal_projector(p, x))
-        y = p.position(x) * 1.05
+        assert np.allclose(jet.hessian, geometry(p, x[None])[0][0])
+        y = one_row(p.positions, x) * 1.05
         assert jet.evaluate(y) == pytest.approx(0.5 * (0.05 * 1.3) ** 2, abs=1e-12)
 
     def test_numeric_jet_matches_projector(self):
@@ -283,7 +340,7 @@ class TestJetOfF:
             (graph_patch((1, 2), 4, [(3, 0.08, (1, 1), 0.2)], "g4"), np.array([0.4, 0.6])),
         ]:
             jet = jet_of_F(patch, x)
-            y0 = patch.position(x)
+            y0 = one_row(patch.positions, x)
             h = 3e-4
             n = patch.n
             hess = np.zeros((n, n))
@@ -302,23 +359,23 @@ class TestJetOfF:
 class TestMeanCurvature:
     def test_flat_zero(self):
         p = flat_plane((1, 2), 4)
-        assert np.abs(mean_curvature(p, [0.5, 0.5])).max() == 0.0
+        assert np.abs(geometry(p, np.array([[0.5, 0.5]]))[1]).max() == 0.0
 
     def test_circle(self):
         p = circle_patch(2.5)
         x = np.array([0.9])
-        h = mean_curvature(p, x)
+        h = geometry(p, x[None])[1][0]
         assert np.linalg.norm(h) == pytest.approx(1 / 2.5, abs=1e-11)
-        assert h @ p.position(x) < 0  # points inward
+        assert h @ one_row(p.positions, x) < 0  # points inward
 
     def test_sphere_fd_oracle(self):
         # oracle: area variation of the dilated sphere gives |H| = 2/r
         r = 1.4
         p = sphere_patch(r)
         x = np.array([1.0, 2.0])
-        h = mean_curvature(p, x)
+        h = geometry(p, x[None])[1][0]
         assert np.linalg.norm(h) == pytest.approx(2 / r, abs=1e-10)
-        nu = p.position(x) / np.linalg.norm(p.position(x))
+        nu = one_row(p.positions, x) / np.linalg.norm(one_row(p.positions, x))
 
         def area_near(t):
             q = sphere_patch(r + t)
@@ -383,9 +440,9 @@ class TestClosestPoint:
     def test_converges_off_sphere(self):
         p = sphere_patch(1.0, full=False)
         jet = jet_of_F(p, [1.0, 1.0])
-        y = p.position([1.3, 2.0]) * 1.2
+        y = one_row(p.positions, [1.3, 2.0]) * 1.2
         cp = jet.closest_point(y)
-        assert np.linalg.norm(p.position(cp) - y / 1.2) < 1e-9
+        assert np.linalg.norm(one_row(p.positions, cp) - y / 1.2) < 1e-9
 
     def test_failure_reported_with_residual(self):
         # beyond the curvature radius of a wavy graph the Gauss-Newton

@@ -42,6 +42,12 @@ G2 = standard_kit("associative")
 COASSOC = standard_kit("coassociative")
 SP7 = standard_kit("cayley")
 
+
+def frames_at(patch, xs):
+    """Orthonormal tangent frames at parameter rows xs (one for an affine patch)."""
+    return orthonormal_frames(np.swapaxes(patch.jacobians(np.asarray(xs, float)), -1, -2))[0]
+
+
 CURVED = {
     "um": graph_patch((1, 2), 6, [(3, 0.15, (1, 1), 0.4), (5, 0.1, (2, -1), 1.2)],
                       "graph-um"),
@@ -79,7 +85,7 @@ class TestFamilies:
         for _ in range(5):
             fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
             # the family starts at the background metric
-            y = p.position(x)
+            y = p.positions(x[None])[0]
             assert np.abs(fam.gbar_at(y, 0.0) - bg.metric(y)).max() < 1e-14
             fd, _ = fd_derivative(lambda t: fam.gbar_at(y, t), 0.0, 1e-4)
             assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-8
@@ -90,7 +96,7 @@ class TestFamilies:
         x = np.array([0.3, 0.6, 0.2])
         for _ in range(5):
             fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
-            fd, _ = fd_derivative(lambda t: fam.gbar_at(p.position(x), t), 0.0, 1e-4)
+            fd, _ = fd_derivative(lambda t: fam.gbar_at(p.positions(x[None])[0], t), 0.0, 1e-4)
             assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-7
 
     def test_assoc_constant_phi_direction(self):
@@ -129,7 +135,7 @@ class TestFamilies:
             gen = FormField.random_fourier(7, 3, rng)
             fam = coassoc_family_from_gamma(gen, COASSOC)
             h = fam.h(p, x[None])[0]
-            rho = gen.d_coeffs(p.position(x))
+            rho = gen.d_coeffs(p.positions(x[None])[0])
             hat = hat_rho_batch(rho)[0]
             assert 2 * np.trace(hat) == pytest.approx(96 * np.trace(h), abs=1e-9)
 
@@ -192,7 +198,7 @@ class TestTestVariations:
     def test_um_complex_plane_trace_vanishes(self):
         p = flat_plane((1, 2), 6)
         x = np.array([0.5, 0.5])
-        d = test_variation_derivative("um", p, x)
+        d = KForm(6, 2, test_variation_derivative("um", frames_at(p, x[None]))[0])
         kit = standard_kit("um", m=3, k=1)
         frame = np.eye(6)[:2]
         for f in frame:
@@ -203,21 +209,21 @@ class TestTestVariations:
         # on an associative plane both trace expressions are zero
         p = flat_plane((1, 2, 3), 7)
         x = np.array([0.5, 0.5, 0.5])
-        assert abs(chain_trace("associative", p, x, 0)) < 1e-14
-        assert abs(closed_form_trace("associative", p, x, 0)) < 1e-14
+        assert abs(chain_trace("associative", frames_at(p, x[None]), 0)[0]) < 1e-14
+        assert abs(closed_form_trace("associative", frames_at(p, x[None]), 0)[0]) < 1e-14
 
     def test_cayley_star_restriction_vanishes(self):
         for patch in (flat_plane((1, 2, 3, 4), 8), CURVED["cayley"]):
             x = patch.box.lo + 0.37 * (patch.box.hi - patch.box.lo)
-            d = test_variation_derivative("cayley", patch, x, 0, 1)
+            frames = frames_at(patch, x[None])
+            d = KForm(8, 4, test_variation_derivative("cayley", frames, 0, 1)[0])
             star = hodge_star(d)
-            frame = orthonormal_frames(patch.jacobian(x).T)[0]
-            assert abs(evaluate(star, frame)) < 1e-10
+            assert abs(evaluate(star, frames[0])) < 1e-10
 
     def test_non_tangent_selector_rejected(self):
         p = flat_plane((1, 2, 3), 7)
         with pytest.raises(ValueError):
-            test_variation_derivative("associative", p, [0.5, 0.5, 0.5],
+            test_variation_derivative("associative", frames_at(p, [[0.5, 0.5, 0.5]]),
                                       V=np.array([0, 0, 0, 1.0, 0, 0, 0]))
 
     @pytest.mark.parametrize("selector", [
@@ -233,9 +239,9 @@ class TestTestVariations:
         p = flat_plane((1, 2, 3), 7)
         rule = QuadratureRule(p.box, 2)
         with pytest.raises(ValueError, match="frame-row index"):
-            chain_trace("associative", p, [0.5, 0.5, 0.5], V=selector)
+            chain_trace("associative", frames_at(p, [[0.5, 0.5, 0.5]]), V=selector)
         with pytest.raises(ValueError, match="frame-row index"):
-            test_variation_family("associative", p, V=selector).h(p, rule.nodes)
+            test_variation_family("associative", V=selector).h(p, rule.nodes)
 
 
 class TestChainConsistency:
@@ -257,33 +263,34 @@ class TestChainConsistency:
     @pytest.mark.parametrize("case,name", [("associative", "graph-assoc-r7"),
                                            ("cayley", "graph-cayley-r8")])
     def test_batched_matches_per_point(self, case, name):
-        # the node-blocked paths against the public per-point traces
+        # the node-blocked paths against the stacked kernels on one frame at a time
         from caliblab.cli import make_patch
         from caliblab.variation import _canonical_selections, test_variation_family
 
         patch = make_patch(name)
         rule = QuadratureRule(patch.box, 3)
         selections = _canonical_selections(case, patch.k)
-        gaps = [abs(chain_trace(case, patch, x, *sel) - closed_form_trace(case, patch, x, *sel))
-                for x in rule.nodes for sel in selections]
+        frames = [frames_at(patch, x[None]) for x in rule.nodes]
+        gaps = [abs(chain_trace(case, f, *sel)[0] - closed_form_trace(case, f, *sel)[0])
+                for f in frames for sel in selections]
         # both maxima are round-off of one identity, so they agree to round-off
         assert chain_consistency(case, patch, rule) == pytest.approx(max(gaps), abs=1e-14)
         assert max(gaps) < 1e-12
-        # the blocked velocity integrates to the per-point chain traces
-        density = [math.sqrt(np.linalg.det(patch.jacobian(x).T @ patch.jacobian(x)))
-                   for x in rule.nodes]
+        # the blocked velocity integrates to the one-frame chain traces
+        density = [math.sqrt(np.linalg.det(j.T @ j))
+                   for j in (patch.jacobians(x[None])[0] for x in rule.nodes)]
         for sel in selections:
-            per_point = [chain_trace(case, patch, x, *sel) for x in rule.nodes]
+            per_point = [chain_trace(case, f, *sel)[0] for f in frames]
             want = 0.5 * rule.integrate(np.array(per_point) * density)
-            fam = test_variation_family(case, patch, *sel)
+            fam = test_variation_family(case, *sel)
             assert analytic_first_variation(patch, fam, rule) == pytest.approx(want, rel=1e-12)
         if case != "cayley":
             return
         out = cayley_anomaly(patch, rule)
-        dev = [abs(0.5 * (chain_trace(case, patch, x, keep_omega4_1=True)
-                          - chain_trace(case, patch, x)) - 2.0 / 7.0) for x in rule.nodes]
-        star = [abs(evaluate(hodge_star(test_variation_derivative(case, patch, x)),
-                             orthonormal_frames(patch.jacobian(x).T)[0])) for x in rule.nodes]
+        dev = [abs(0.5 * (chain_trace(case, f, keep_omega4_1=True)[0]
+                          - chain_trace(case, f)[0]) - 2.0 / 7.0) for f in frames]
+        star = [abs(evaluate(hodge_star(KForm(8, 4, test_variation_derivative(case, f)[0])), f[0]))
+                for f in frames]
         assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
 
@@ -318,7 +325,7 @@ class TestChainConsistency:
             fv = 0.0
             for sel in _canonical_selections(case, patch.k):
                 args = dict(zip(("V", "W"), sel))
-                fam = test_variation_family(case, patch, **args)
+                fam = test_variation_family(case, **args)
                 fv += analytic_first_variation(patch, fam, rule)
             defect = theorem_B_defect(case, patch, rule)
             assert defect == pytest.approx(sign[case] * 2.0 * fv, rel=1e-6)
@@ -489,11 +496,12 @@ class TestTheoremA:
             rule = QuadratureRule(p.box, 3)
             vals = []
             for x in rule.nodes:
-                y = p.position(x)
-                form = wedge(gen.value(y), bg.d_omega(y))
+                (y,), (j,) = p.rows(x[None])
+                form = wedge(KForm(p.n, 1, gen.value_coeffs(y)),
+                             KForm(p.n, 3, bg.d_omega_coeffs(y)))
                 for jj in range(1, k - 1):
-                    form = wedge(form, bg.omega(y)) * (1.0 / jj)
-                vals.append(evaluate(form, p.jacobian(x).T))
+                    form = wedge(form, KForm(p.n, 2, bg.omega_coeffs(y))) * (1.0 / jj)
+                vals.append(evaluate(form, j.T))
             ref = rule.integrate(np.array(vals))
             assert abs(ref) > 1e-3
             got = _um_dw_route(p, um_family_from_alpha(gen, bg, k), rule)
@@ -677,10 +685,10 @@ class TestCayleyAnomaly:
 
         p = flat_plane((1, 2, 3, 4), 8)
         x = np.array([0.3, 0.5, 0.7, 0.1])
-        d = test_variation_derivative("cayley", p, x, 0, 1)
-        proj = project_35_7_batch(d.coeffs)[0]
+        d = test_variation_derivative("cayley", frames_at(p, x[None]), 0, 1)
+        proj = project_35_7_batch(d)[0]
         h_proj = h_sp7_batch(proj)[0]
-        h_zero = h0_sp7_batch(d.coeffs)[0]
+        h_zero = h0_sp7_batch(d)[0]
         assert np.abs(h_proj - h_zero).max() < 1e-12
 
 
@@ -703,7 +711,7 @@ class TestTangentPlanePath:
         out = {
             "defect": lambda: theorem_B_defect(case, patch, rule),
             "chain": lambda: chain_consistency(case, patch, rule),
-            "velocity": lambda: test_variation_family(case, patch).h(patch, rule.nodes),
+            "velocity": lambda: test_variation_family(case).h(patch, rule.nodes),
         }
         if case == "cayley":
             out["anomaly"] = lambda: cayley_anomaly(patch, rule)
@@ -764,7 +772,7 @@ def _flow_volume_per_node(patch, xfield, rule):
         return (y + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                 m + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
-    base = [(patch.position(x), patch.jacobian(x)) for x in rule.nodes]
+    base = [(pos[0], jac[0]) for pos, jac in (patch.rows(x[None]) for x in rule.nodes)]
 
     def flowed_volume(t):
         vals = np.empty(len(base))
@@ -778,25 +786,28 @@ def _flow_volume_per_node(patch, xfield, rule):
 
 
 def _divergence_route_per_node(patch, xfield, rule):
-    """div_g(X^T) - <X_perp, H> node by node, with the per-point geometry."""
-    from caliblab.submanifold import mean_curvature, normal_projector
+    """div_g(X^T) - <X_perp, H> node by node, with its own per-point geometry:
+    P = I - J g^-1 J^T and H = P g^ab d2u/dx^a dx^b by direct solves."""
     from caliblab.variation import DIVERGENCE_FD_STEP
 
     def sqrtg_xi(x):
-        j = patch.jacobian(x)
+        (y,), (j,) = patch.rows(x[None])
         g = j.T @ j
-        return math.sqrt(np.linalg.det(g)) * np.linalg.solve(g, j.T @ xfield.value(patch.position(x)))
+        return math.sqrt(np.linalg.det(g)) * np.linalg.solve(g, j.T @ xfield.value(y))
 
     vals = np.empty(rule.nodes.shape[0])
     for i, x in enumerate(rule.nodes):
-        j = patch.jacobian(x)
-        sg = math.sqrt(np.linalg.det(j.T @ j))
+        (y,), (j,) = patch.rows(x[None])
+        g = j.T @ j
+        sg = math.sqrt(np.linalg.det(g))
         div = 0.0
         for a in range(patch.k):
             e = DIVERGENCE_FD_STEP * np.eye(patch.k)[a]
             div += (sqrtg_xi(x + e)[a] - sqrtg_xi(x - e)[a]) / (2 * DIVERGENCE_FD_STEP)
-        xperp = normal_projector(patch, x) @ xfield.value(patch.position(x))
-        vals[i] = (div / sg - xperp @ mean_curvature(patch, x)) * sg
+        p_normal = np.eye(patch.n) - j @ np.linalg.solve(g, j.T)
+        hvec = p_normal @ np.einsum("nab,ab->n", patch.hessians(x[None])[0], np.linalg.inv(g))
+        xperp = p_normal @ xfield.value(y)
+        vals[i] = (div / sg - xperp @ hvec) * sg
     return rule.integrate(vals)
 
 
