@@ -372,32 +372,23 @@ class CalibrationReport:
     is_calibrated: bool
 
 
-@lru_cache(maxsize=None)
-def _defect_pairs(k: int, arity: int) -> np.ndarray:
-    """Row indices (pairs, arity) of the defect's products: each selection S of
-    arity - 1 of k rows, followed by one row f outside S."""
-    pairs = np.array([(*sel, f) for sel in combinations(range(k), arity - 1)
-                      for f in range(k) if f not in sel], dtype=int).reshape(-1, arity)
-    pairs.flags.writeable = False
-    return pairs
-
-
 def invariance_defect(kit, tangent: np.ndarray):
     """Squared-norm failure of the tangent space to be closed under the kit's
     cross product: sum over selections S of arity - 1 tangent rows and over
     tangent rows f of |pi_N cross(S, f)|^2 (so a 3-fold product counts each
-    triple of rows once per pair in it).  A row f in S gives cross(S, f) = 0,
-    since the cross product is alternating, so each S is paired only with the
-    rows outside it (_defect_pairs).
+    triple of rows once per pair in it).  The product is alternating, so this
+    is arity times the sum over the distinct sets of arity rows, each crossed
+    once: cross(S, f) = 0 for f in S, and a set occurs once per member f, with
+    the same |pi_N .|^2 (a reordering only flips the product's sign).
 
     tangent holds orthonormal rows (k, n), or stacked frames (..., k, n); the
     result is a float, or one defect per frame (...)."""
     tangent = np.asarray(tangent, float)
-    # (..., pairs, arity, n): the rows of each product, gathered once
-    rows = tangent[..., _defect_pairs(tangent.shape[-2], kit.arity), :]
+    # (..., sets, arity, n): the rows of each distinct product, gathered once
+    rows = tangent[..., list(combinations(range(tangent.shape[-2]), kit.arity)), :]
     crossed = kit.cross(*(rows[..., j, :] for j in range(kit.arity)))
     normal = crossed - (crossed @ np.swapaxes(tangent, -1, -2)) @ tangent
-    out = np.sum(normal * normal, axis=(-2, -1))
+    out = kit.arity * np.sum(normal * normal, axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 

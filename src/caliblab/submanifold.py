@@ -219,13 +219,13 @@ def normal_projector(frames: np.ndarray) -> np.ndarray:
 def mean_curvature(frames: np.ndarray, jac: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """Mean curvature vectors (..., n) (Euclidean ambient metric) from the
     orthonormal tangent frames F (..., k, n) of the Jacobians (..., n, k) and
-    the Hessians (..., n, k, k): the normal part of g^ab d2u/dx^a dx^b.
+    the Hessians (..., n, k, k): the normal part t - (t F^T) F of t = g^ab d2u/dx^a dx^b.
 
     F = L^-1 J^T with L the Cholesky factor of g = J^T J, so F J = L^T and
     g^-1 = (F J)^-1 (F J)^-T: no second factorization of g."""
     c = np.linalg.inv(frames @ jac)  # L^-T; its columns are g-orthonormal directions
-    trace = np.einsum("...nab,...ac,...bc->...n", hess, c, c)
-    return (normal_projector(frames) @ trace[..., None])[..., 0]
+    trace = np.einsum("...nab,...ac,...bc->...n", hess, c, c)[..., None, :]
+    return (trace - (trace @ np.swapaxes(frames, -1, -2)) @ frames)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

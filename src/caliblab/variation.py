@@ -45,7 +45,6 @@ from .structures import (
     UmKit,
     _blocks,
     _blockwise,
-    _defect_pairs,
     invariance_defect,
     standard_kit,
 )
@@ -332,12 +331,18 @@ def _kit(case: str, k: int, n: int):
     return standard_kit(case, m=n // 2, k=max(1, k // 2))
 
 
+def _selectors(kit, frames, V=None, W=None) -> list:
+    """(selector, is a frame-row index) of the selection (V, W), rows 0 and 1 by default."""
+    return [(sel, isinstance(sel, int) and 0 <= sel < frames.shape[-2])
+            for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]]
+
+
 def _selection(kit, frames, V=None, W=None) -> list:
     """The vectors of the selection (V, W) along frames (..., k, n): frame row
     indices (0 and 1 by default) or fixed tangent vectors (n,)."""
     out = []
-    for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]:
-        if isinstance(sel, int) and 0 <= sel < frames.shape[-2]:  # frame rows are tangent
+    for sel, is_row in _selectors(kit, frames, V, W):
+        if is_row:  # frame rows are tangent
             out.append(frames[..., sel, :])
             continue
         if np.shape(sel) != (kit.n,):
@@ -435,7 +440,11 @@ def closed_form_trace(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarr
     (..., k, n), shape (...)."""
     kit = _kit(case, *frames.shape[-2:])
     S = _selection(kit, frames, V, W)
-    normal = kit.cross(*(v[..., None, :] for v in S), frames) @ normal_projector(frames)
+    # cross(S, f) = 0 for a frame row f in S: S meets only the other rows
+    in_S = {sel for sel, is_row in _selectors(kit, frames, V, W) if is_row}
+    rows = frames[..., [f for f in range(frames.shape[-2]) if f not in in_S], :]
+    crossed = kit.cross(*(v[..., None, :] for v in S), rows)
+    normal = crossed - (crossed @ np.swapaxes(frames, -1, -2)) @ frames
     return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
 
 
@@ -503,7 +512,7 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
         return scale * density * invariance_defect(kit, frames)
 
     # the defect's largest temporary is the gather of each product's rows
-    per_node = _defect_pairs(patch.k, kit.arity).size * patch.n
+    per_node = math.comb(patch.k, kit.arity) * kit.arity * patch.n
     return rule.integrate(_over_planes(patch, rule.nodes, per_node, defect))
 
 
@@ -724,8 +733,8 @@ def divergence_route(patch: Patch, xfield: VectorField, rule: QuadratureRule) ->
         return np.sqrt(np.linalg.det(g))[..., None] * xi
 
     vals = np.empty(rule.nodes.shape[0])
-    # the Hessians and normal projectors are the widest per-node temporaries
-    for sl in _blocks(len(vals), n * (n + k * k)):
+    # the Hessians are the widest per-node temporaries
+    for sl in _blocks(len(vals), n * k * k):
         xs = rule.nodes[sl]
         ys, j = patch.rows(xs)
         frames, sg = orthonormal_frames(np.swapaxes(j, -1, -2))

@@ -313,7 +313,7 @@ class TestCalibrationReport:
 
 def _defect_over_every_row(kit, tangent):
     """The defect summed over every selection S and every tangent row f, the
-    rows in S included: the formula the pairs-only defect must reproduce."""
+    rows in S included: the formula the distinct-set defect must reproduce."""
     sel = np.array(list(combinations(range(tangent.shape[-2]), kit.arity - 1)), dtype=int)
     rows = tangent[..., sel, None, :]
     frame = tangent[..., None, :, :]
@@ -326,8 +326,8 @@ class TestDefectTerms:
     KITS = {"um-3-1": standard_kit("um", m=3, k=1), "um-3-2": standard_kit("um", m=3, k=2),
             "um-4-3": standard_kit("um", m=4, k=3), "associative": G2,
             "coassociative": COASSOC, "cayley": SP7}
-    # products a frame makes: a selection of arity - 1 rows with each row outside it
-    PRODUCTS = {"associative": 6, "coassociative": 12, "cayley": 12}
+    # products a frame makes: one per distinct set of arity rows, C(k, arity)
+    PRODUCTS = {"associative": 3, "coassociative": 4, "cayley": 4}
 
     @pytest.mark.parametrize("name", sorted(KITS))
     def test_pairs_only_match_every_row(self, name, monkeypatch):

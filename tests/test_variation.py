@@ -244,7 +244,65 @@ class TestTestVariations:
             test_variation_family("associative", V=selector).h(p, rule.nodes)
 
 
+def _closed_form_over_every_row(case, frames, selectors):
+    """scale * sum_f |pi_N cross(S, f)|^2 over every frame row f, the rows in
+    S included: the sum closed_form_trace must reproduce."""
+    from caliblab.submanifold import normal_projector
+    from caliblab.variation import CLOSED_FORM_SCALE
+
+    k, n = frames.shape[-2:]
+    kit = standard_kit(case, m=n // 2, k=max(1, k // 2))
+    S = [frames[..., s, :] if isinstance(s, int) else s for s in selectors]
+    crossed = kit.cross(*(v[..., None, :] for v in S), frames)
+    normal = crossed @ normal_projector(frames)
+    return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
+
+
 class TestChainConsistency:
+    # (case, k, n) of the closed-form checks on random frames
+    SHAPES = {"um-1": ("um", 2, 6), "um-2": ("um", 4, 6), "associative": ("associative", 3, 7),
+              "coassociative": ("coassociative", 4, 7), "cayley": ("cayley", 4, 8)}
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_closed_form_skips_rows_in_selection(self, name, monkeypatch):
+        from caliblab import structures
+        from caliblab.structures import CROSS_ARITY
+        from caliblab.variation import _canonical_selections
+
+        case, k, n = self.SHAPES[name]
+        arity = CROSS_ARITY[case]
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.standard_normal((2, 3, n, k)))[0]
+        frames = np.swapaxes(q, -1, -2)  # (2, 3, k, n), orthonormal rows
+        # frames that all hold e_1 and e_2, rotated so neither is a frame row
+        raw = rng.standard_normal((2, 3, k, n))
+        raw[..., :2, :] = np.eye(n)[:2]
+        spanned = np.swapaxes(np.linalg.qr(np.swapaxes(raw, -1, -2))[0], -1, -2)
+        spanned = np.linalg.qr(rng.standard_normal((2, 3, k, k)))[0] @ spanned
+        vectors = tuple(np.eye(n)[: arity - 1])
+
+        counted = []
+
+        def counting(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                counted.append(int(np.prod(out.shape[:-1])))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(structures, "_contract", counting(structures._contract))
+        monkeypatch.setattr(structures.UmKit, "cross", counting(structures.UmKit.cross))
+        cases = [(frames, sel, k - arity + 1) for sel in _canonical_selections(case, k)]
+        if arity > 1:
+            cases.append((spanned, vectors, k))
+        for f, sel, per_frame in cases:
+            counted.clear()
+            got = closed_form_trace(case, f, *sel)
+            assert counted == [got.size * per_frame]
+            want = _closed_form_over_every_row(case, f, sel)
+            assert np.abs(want).min() > 1e-3
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("case", ["um", "associative", "coassociative", "cayley"])
     def test_flat_planes(self, case):
         good, bad = plane_catalog(case)
@@ -295,16 +353,17 @@ class TestChainConsistency:
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
 
     def test_blocked_paths_bound_memory(self):
-        # an unblocked defect over these 1296 nodes allocates 2.8 MB for the
-        # (1296, 12, 3, 8) gather of the rows of its cross products
+        # an unblocked defect over the 4096 nodes of order 8 peaks at about
+        # 7.1 MB (its (4096, 4, 3, 8) gather alone takes 3.1 MB), the blocked
+        # one at about 0.5 MB
         from caliblab.cli import make_patch
 
         patch = make_patch("graph-cayley-r8")
-        rule = QuadratureRule(patch.box, 6)
-        runs = (lambda r: theorem_B_defect("cayley", patch, r),
-                lambda r: chain_consistency("cayley", patch, r))
-        for run in runs:
+        runs = ((lambda r: theorem_B_defect("cayley", patch, r), 8),
+                (lambda r: chain_consistency("cayley", patch, r), 6))
+        for run, order in runs:
             run(QuadratureRule(patch.box, 2))  # build the lazy tables first
+            rule = QuadratureRule(patch.box, order)
             tracemalloc.start()
             try:
                 run(rule)
