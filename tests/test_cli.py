@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,15 +9,21 @@ from pathlib import Path
 
 import pytest
 
-CLI = [sys.executable, "-m", "caliblab.cli"]
+from caliblab import cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
-    # the child interpreter finds the package in this checkout, installed or not
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+    """cli.main(args) in this process, with the exit code, standard output and
+    standard error of a finished `caliblab` process (argparse exits by SystemExit)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def parse_jsonl(text):
@@ -61,6 +70,31 @@ class TestIdentitiesCommand:
         assert proc.returncode == 1
         records = parse_jsonl(proc.stdout)
         assert any(not r["pass"] for r in records)
+
+    def test_equality_bound_is_relative(self):
+        # an absolute 1e-10 failed this seed on round-off that grows with the norms
+        proc = run_cli("identities", "--seed", "53")
+        assert proc.returncode == 0
+        rec = {r["id"]: r for r in parse_jsonl(proc.stdout)}["equality-coassociative"]
+        assert rec["results"]["max_residual"] > 1e-10
+        assert rec["results"]["max_relative_residual"] < cli.EQUALITY_REL_TOL
+
+    def test_flipped_phi_constant_fails_equalities(self, monkeypatch):
+        # one structure constant of phi flipped in all six index orders keeps phi
+        # alternating but breaks both equalities by a relative residual of order 1
+        from caliblab import structures
+
+        phi, psi, Phi = structures._float_tensors()
+        bad = phi.copy()
+        for index in itertools.permutations((0, 1, 2)):
+            bad[index] = -bad[index]
+        monkeypatch.setattr(structures, "_float_tensors", lambda: (bad, psi, Phi))
+        proc = run_cli("identities", "--trials", "1000")
+        assert proc.returncode == 1
+        records = {r["id"]: r for r in parse_jsonl(proc.stdout)}
+        for name in ("equality-associative", "equality-coassociative"):
+            assert not records[name]["pass"]
+            assert records[name]["results"]["max_relative_residual"] > 0.1
 
     def test_chunked_equality_draw_bounds_memory(self, monkeypatch, capsys):
         # the equality vectors are drawn and checked a chunk at a time, so the
@@ -122,6 +156,15 @@ class TestTheoremCommand:
     def test_unknown_patch_exits_2(self):
         proc = run_cli("theorem", "--case", "associative", "--patch", "no-such-patch")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("patch,line", [
+        ("nope", "error: unknown patch 'nope'"),
+        ("plane-1x-r6", "error: malformed plane patch 'plane-1x-r6': "
+                        "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_patch_error_line(self, patch, line):
+        proc = run_cli("theorem", "--case", "um", "--patch", patch)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
 
     def test_malformed_plane_exits_2(self):
         proc = run_cli("theorem", "--case", "associative", "--patch", "plane-xy-r7")
@@ -256,12 +299,24 @@ class TestDeterminismAndFormats:
 
 
 class TestRecordTypes:
-    def test_report_record_round_trip(self):
-        from caliblab.cli import ReportRecord
-
-        rec = ReportRecord(1, "exp-000", {"case": "associative"},
-                           {"value": 0.125, "ok": True}, True, 3.25)
-        assert ReportRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
+    @pytest.mark.parametrize("args,code", [
+        (("identities", "--trials", "10"), 0),
+        (("identities", "--trials", "10", "--corrupt-structure-constant"), 1),
+        (("theorem", "--case", "cayley", "--count", "2"), 0),
+        (("smith", "--trials", "2"), 0),
+        (("minimal", "--count", "1"), 0),
+    ])
+    def test_report_format(self, args, code):
+        proc = run_cli(*args)
+        lines = proc.stdout.splitlines()
+        records = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(r, sort_keys=True) for r in records]
+        for r in records:
+            assert set(r) == {"schema", "id", "inputs", "results", "pass", "wall_ms"}
+            assert r["wall_ms"] >= 0
+        ids = [r["id"] for r in records]
+        assert ids == sorted(ids)
+        assert proc.returncode == code == (0 if all(r["pass"] for r in records) else 1)
 
     def test_experiment_config_validation(self):
         from caliblab.cli import ConfigError, theorem_patch, validate_options
@@ -277,7 +332,7 @@ class TestRecordTypes:
         with pytest.raises(ConfigError):
             theorem_patch(validate_options("theorem", {"case": "um", "patch": "t2-in-r6",
                                                        "keep_omega4_1": True}))
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             theorem_patch(validate_options("theorem", {"case": "associative",
                                                        "patch": "missing-patch"}))
 
@@ -291,13 +346,13 @@ class TestOtherCommands:
 
     def test_catalog_names_build(self):
         # every listed patch name builds; the plane template is a pattern, not a name
-        from caliblab.cli import catalog_patches, make_patch
+        from caliblab.cli import ConfigError, catalog_patches, make_patch
 
         names = catalog_patches()
         assert names[-1] == "plane-<axes>-r<n>"
         for name in names[:-1]:
             assert make_patch(name).name == name
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             make_patch(names[-1])
 
     def test_smith_small(self):
@@ -310,6 +365,19 @@ class TestOtherCommands:
         # the flat-torus zero check is quadrature-limited: keep the default order
         proc = run_cli("minimal", "--count", "1")
         assert proc.returncode == 0
+
+
+class TestEntryPoint:
+    def test_module_runs_main(self):
+        # python -m caliblab.cli in a fresh interpreter exits with main's code
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "caliblab.cli", "identities", "--case",
+                               "g2", "--corrupt-structure-constant"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        records = parse_jsonl(proc.stdout)
+        assert len(records) == 6 and not all(r["pass"] for r in records)
 
 
 class TestColdStart:
