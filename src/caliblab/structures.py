@@ -8,7 +8,7 @@ coefficients, since the literature has competing conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -326,16 +326,14 @@ def _gram_dets(*rows) -> np.ndarray:
     return np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
 
 
-def _associative_block(x, y, z):
-    phi_t, psi_t, _ = _float_tensors()
+def _associative_block(phi_t, psi_t, x, y, z):
     xy = _pairs(x, y)
     # chi_l = psi(x, y, z, e_l): contract psi(x, y, ., .) with z
     chi = (z[:, None, :] @ (xy @ psi_t.reshape(49, 49)).reshape(-1, 7, 7))[:, 0]
     return _dots(chi, chi) + _dots(xy @ phi_t.reshape(49, 7), z) ** 2 - _gram_dets(x, y, z)
 
 
-def _coassociative_block(x, y, z, w):
-    phi_t, psi_t, _ = _float_tensors()
+def _coassociative_block(phi_t, psi_t, x, y, z, w):
     xy, zw = _pairs(x, y), _pairs(z, w)
     # u = phi(x, y, .) and v = phi(z, w, .); phi is alternating, so
     # phi(y, z, w) = v . y and phi(x, y, w) = u . w
@@ -346,19 +344,23 @@ def _coassociative_block(x, y, z, w):
             - _gram_dets(x, y, z, w))
 
 
-def associative_equality_residuals(xs, ys, zs) -> np.ndarray:
+def associative_equality_residuals(xs, ys, zs, tensors=None) -> np.ndarray:
     """Batched residuals |chi(x,y,z)|^2 + phi(x,y,z)^2 - |x^y^z|^2 over triples
     of rows.  Each row block forms x (x) y once and contracts it by matmul with
-    psi as a (49, 49) and phi as a (49, 7) matrix."""
-    return _blockwise(_associative_block, 49, xs, ys, zs)
+    psi as a (49, 49) and phi as a (49, 7) matrix.  ``tensors`` is the float
+    (phi, psi) to contract with, by default the standard ones."""
+    block = partial(_associative_block, *(tensors or _float_tensors()[:2]))
+    return _blockwise(block, 49, xs, ys, zs)
 
 
-def coassociative_equality_residuals(xs, ys, zs, ws) -> np.ndarray:
+def coassociative_equality_residuals(xs, ys, zs, ws, tensors=None) -> np.ndarray:
     """Batched residuals psi(x,y,z,w)^2 + |vec|^2 - |x^y^z^w|^2 over quadruples
     of rows, where vec = phi(y,z,w) x - phi(x,z,w) y + phi(x,y,w) z - phi(x,y,z) w.
     Each row block forms x (x) y and z (x) w once and contracts them by matmul
-    with psi as a (49, 49) and phi as a (49, 7) matrix."""
-    return _blockwise(_coassociative_block, 49, xs, ys, zs, ws)
+    with psi as a (49, 49) and phi as a (49, 7) matrix; ``tensors`` as in
+    associative_equality_residuals."""
+    block = partial(_coassociative_block, *(tensors or _float_tensors()[:2]))
+    return _blockwise(block, 49, xs, ys, zs, ws)
 
 
 # ---------------------------------------------------------------------------

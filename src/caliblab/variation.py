@@ -558,14 +558,17 @@ class TheoremVerdict:
 
 def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
                          rule: QuadratureRule, tol_point: float = TOL_POINT,
-                         tol_int: float = TOL_INT) -> TheoremVerdict:
+                         tol_int: float = TOL_INT,
+                         defect_integral: float | None = None) -> TheoremVerdict:
     """Run the criticality experiment for one family on one patch.
 
     Checks (i) the analytic first variation, (ii) the pointwise integrand
     identity equating (1/2) Tr_g h vol with the velocity of the calibration
     form restricted to the patch, (iii) the direct quadrature of that
     restricted velocity (zero by Stokes on closed patches), and, in the
-    Cayley case, the extra condition integral.
+    Cayley case, the extra condition integral.  The verdict carries the
+    patch's theorem_B_defect, computed here unless ``defect_integral`` gives
+    it; it does not depend on the family.
 
     One minors array per node serves every restriction: forms are evaluated
     on the coordinate frame through the Jacobian minors, and on the
@@ -606,7 +609,8 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
         case=case, patch=patch.name, calibrated=plane_defect < 1e-8,
         plane_value=plane_value, plane_defect=plane_defect,
         analytic_first_variation=rule.integrate(fv),
-        defect_integral=theorem_B_defect(case, patch, rule),
+        defect_integral=(theorem_B_defect(case, patch, rule) if defect_integral is None
+                         else defect_integral),
         identity_max_err=float(identity.max()), stokes_value=rule.integrate(stokes),
         cayley_condition=rule.integrate(condition) if cayley else None,
         cayley_raw_identity_err=float(raw.max()) if cayley else None,

@@ -68,8 +68,12 @@ class TestIdentitiesCommand:
     def test_corrupt_hook_fails(self):
         proc = run_cli("identities", "--corrupt-structure-constant")
         assert proc.returncode == 1
-        records = parse_jsonl(proc.stdout)
-        assert any(not r["pass"] for r in records)
+        records = {r["id"]: r for r in parse_jsonl(proc.stdout)}
+        assert any(not r["pass"] for r in records.values())
+        # the flipped phi reaches the equality kernels, not only the identity families
+        for name in ("equality-associative", "equality-coassociative"):
+            assert not records[name]["pass"]
+            assert records[name]["results"]["max_relative_residual"] > 0.1
 
     def test_equality_bound_is_relative(self):
         # an absolute 1e-10 failed this seed on round-off that grows with the norms
@@ -180,6 +184,44 @@ class TestTheoremCommand:
         assert proc.returncode == 0
         rec = parse_jsonl(proc.stdout)[0]
         assert rec["results"]["calibrated"] is True
+
+    @pytest.mark.parametrize("args", [
+        ("--case", "associative", "--patch", "t3-in-r7", "--generator", "random"),
+        ("--case", "associative", "--patch", "t3-in-r7", "--generator", "test-variation"),
+        ("--case", "um", "--patch", "graph-um-r6", "--generator", "random"),
+        ("--case", "um", "--patch", "graph-um-r6", "--generator", "test-variation"),
+        ("--case", "cayley", "--generator", "test-variation", "--keep-omega4-1"),
+    ])
+    def test_patch_work_runs_once_per_request(self, monkeypatch, args):
+        # the defect, the chain check and the Cayley anomaly depend only on the
+        # patch, so --count 3 computes each once, whichever module calls it
+        from caliblab import variation
+
+        calls = {}
+        for name in ("theorem_B_defect", "chain_consistency", "cayley_anomaly"):
+            def counted(*a, _fn=getattr(variation, name), _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*a, **kw)
+            for module in (cli, variation):
+                monkeypatch.setattr(module, name, counted)
+        order = ("--quad-order", "4") if "graph-um-r6" in args else ()
+        proc = run_cli("theorem", *args, *order, "--count", "3")
+        assert proc.returncode == 0
+        keep = "--keep-omega4-1" in args
+        assert calls == {"theorem_B_defect": 1, "chain_consistency": 1,
+                         **({"cayley_anomaly": 1} if keep else {})}
+        records = parse_jsonl(proc.stdout)
+        assert [r["inputs"]["index"] for r in records] == [0, 1, 2]
+        for r in records:
+            for key in ("id", "wall_ms"):
+                r.pop(key)
+            r["inputs"].pop("index")
+        if "random" in args:  # each experiment draws its own generator
+            assert len({json.dumps(r["results"], sort_keys=True) for r in records}) == 3
+            records = [{name: r["results"][name]
+                        for name in ("defect_integral", "chain_consistency")}
+                       for r in records]
+        assert records[1:] == records[:-1]
 
     def test_keep_flag_wrong_case_exits_2(self):
         proc = run_cli("theorem", "--case", "um", "--keep-omega4-1")
