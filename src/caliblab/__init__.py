@@ -16,15 +16,11 @@ from .exterior import (
     wedge,
 )
 from .structures import (
-    G2Kit,
-    Spin7Kit,
-    UmKit,
+    Kit,
     calibration_report,
-    cayley_cross,
-    chi_3fold,
     comass_sample,
-    contraction_identity_check,
-    cross_2fold,
+    g2_identity_violations,
+    spin7_identity_violations,
     standard_kit,
 )
 from .decomposition import (

@@ -35,7 +35,6 @@ from .smith import (
     smith_residual,
 )
 from .structures import (
-    CROSS_ARITY,
     associative_equality_residuals,
     coassociative_equality_residuals,
     g2_identity_violations,
@@ -180,16 +179,7 @@ def _report(experiments, out: str | None, fmt: str) -> int:
 
 def cmd_identities(opts):
     case = opts["case"]
-    g2 = standard_kit("associative")
-    sp = standard_kit("cayley")
-    phi, psi = g2.phi_tensor.copy(), g2.psi_tensor.copy()
-    Phi = sp.Phi_tensor.copy()
-    tensors = None  # the equality kernels' float (phi, psi): by default the standard ones
-    if opts["corrupt_structure_constant"]:
-        phi[0, 1, 2] = -phi[0, 1, 2]
-        Phi[0, 1, 2, 3] = -Phi[0, 1, 2, 3]
-        tensors = (phi.astype(float), psi.astype(float))  # the flip reaches them too
-
+    phi, psi, Phi = (standard_kit(c).tensor for c in ("associative", "coassociative", "cayley"))
     suites = {"g2": lambda: g2_identity_violations(phi, psi),
               "sp7": lambda: spin7_identity_violations(Phi)}
     for prefix, violations in suites.items():
@@ -206,7 +196,7 @@ def cmd_identities(opts):
         worst = worst_rel = 0.0
         for start in range(0, trials, EQUALITY_CHUNK):
             xs = rng.standard_normal((4, min(EQUALITY_CHUNK, trials - start), 7))[:arity]
-            res = np.abs(residuals(*xs, tensors=tensors))
+            res = np.abs(residuals(*xs))
             # the residuals are degree-2 in each vector, and so is their round-off
             scale = np.prod(np.einsum("abi,abi->ab", xs, xs), axis=0)
             worst = np.maximum(worst, res.max())  # keeps a NaN
@@ -219,10 +209,10 @@ def cmd_identities(opts):
 # ---------------------------------------------------------------------------
 # theorem experiments
 
-def _random_generator(case: str, n: int, rng, tangent_axes) -> FormField:
-    deg = CROSS_ARITY[case]  # d(generator) is a velocity of the cross product's form
-    freq_axes = tangent_axes if case == "cayley" else None
-    return FormField.random_fourier(n, deg, rng, n_modes=3, frequency_axes=freq_axes)
+def _random_generator(kit, rng, tangent_axes) -> FormField:
+    # d(generator) is a velocity of the cross product's form, of degree arity + 1
+    freq_axes = tangent_axes if kit.case == "cayley" else None
+    return FormField.random_fourier(kit.n, kit.arity, rng, n_modes=3, frequency_axes=freq_axes)
 
 
 def _family_for(case: str, gen: FormField, background=None, k: int = 1,
@@ -263,6 +253,7 @@ def theorem_patch(opts) -> Patch:
 def cmd_theorem(opts):
     patch = theorem_patch(opts)
     case, generator, seed, k = opts["case"], opts["generator"], opts["seed"], opts["k"]
+    kit = standard_kit(case, m=patch.n // 2, k=k)
     keep, tol_point = opts["keep_omega4_1"], opts["tol_point"]
 
     rule = QuadratureRule(patch.box, opts["quad_order"])
@@ -292,8 +283,7 @@ def cmd_theorem(opts):
         if generator == "test-variation":
             results, passed = shared
         else:
-            gen = _random_generator(case, patch.n, rng,
-                                    tangent_axes or tuple(range(1, patch.k + 1)))
+            gen = _random_generator(kit, rng, tangent_axes or tuple(range(1, patch.k + 1)))
             if case == "um" and background is not None and not background.is_flat:
                 gen = _resonant_um_generator(background, rng)
             fam = _family_for(case, gen, background, k, keep)
@@ -536,8 +526,6 @@ COMMANDS = {
     "identities": ("exact contraction identity suites", cmd_identities, {
         "case": Option(str, None, "one family only", ("g2", "sp7")),
         "trials": Option(int, 10_000, "random vectors per equality check", lo=1),
-        "corrupt_structure_constant": Option(bool, False,
-                                             "test hook: flip one structure constant"),
         **_REPORT}),
     "theorem": ("criticality experiments for one case", cmd_theorem, {
         "case": Option(str, None, "calibration case", CASES, required=True),

@@ -28,11 +28,25 @@ from .exterior import (
     n_coeffs,
     wedge_coeffs,
 )
-from .structures import _float_tensors
+from .structures import standard_kit
+
+
+# (sym, trace) coefficients of each h-map: h = sym (hat + hat^T) - trace Tr(hat) g
+H_MAP_COEFFS = {
+    "h_from_3form": (1.0 / 4.0, 1.0 / 18.0),
+    "h_from_4form": (1.0 / 12.0, 1.0 / 48.0),
+    "h_sp7": (1.0 / 24.0, 1.0 / 112.0),
+    "h0_sp7": (1.0 / 24.0, 1.0 / 96.0),
+}
 
 
 # ---------------------------------------------------------------------------
 # precomputed linear maps on coefficient vectors
+
+def _phi_psi():
+    """The float tensors of phi and psi, from their kits."""
+    return standard_kit("associative").tensor, standard_kit("coassociative").tensor
+
 
 def _basis_contraction(k: int, form: np.ndarray, free: int) -> np.ndarray:
     """Contractions of the full tensor of each basis k-form, its first `free`
@@ -51,7 +65,7 @@ def _basis_contraction(k: int, form: np.ndarray, free: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _g2_maps():
-    phi_t, psi_t, _ = _float_tensors()
+    phi_t, psi_t = _phi_psi()
     hat3 = _basis_contraction(3, phi_t, 1).reshape(35, 49).T  # eta^ = hat3 @ coeffs
     hat4 = _basis_contraction(4, psi_t, 1).reshape(35, 49).T
     # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| phi)  (and psi): the
@@ -67,7 +81,7 @@ def _g2_maps():
 
 @lru_cache(maxsize=None)
 def _sp7_maps():
-    Phi_t = _float_tensors()[2]
+    Phi_t = standard_kit("cayley").tensor
     hat = _basis_contraction(4, Phi_t, 1).reshape(70, 64).T
     asm = hat.T / 12.0  # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| Phi), as asm4
     # star on 4-forms as a 70x70 matrix: basis form c goes to +-(its complement)
@@ -119,19 +133,19 @@ def _h_from_hat(hat: np.ndarray, sym_coeff: float, trace_coeff: float) -> np.nda
 
 
 def h_from_3form_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_eta_batch(coeffs), 0.25, 1.0 / 18.0)
+    return _h_from_hat(hat_eta_batch(coeffs), *H_MAP_COEFFS["h_from_3form"])
 
 
 def h_from_4form_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_rho_batch(coeffs), 1.0 / 12.0, 1.0 / 48.0)
+    return _h_from_hat(hat_rho_batch(coeffs), *H_MAP_COEFFS["h_from_4form"])
 
 
 def h_sp7_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_sigma_batch(coeffs), 1.0 / 24.0, 1.0 / 112.0)
+    return _h_from_hat(hat_sigma_batch(coeffs), *H_MAP_COEFFS["h_sp7"])
 
 
 def h0_sp7_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_sigma_batch(coeffs), 1.0 / 24.0, 1.0 / 96.0)
+    return _h_from_hat(hat_sigma_batch(coeffs), *H_MAP_COEFFS["h0_sp7"])
 
 
 def project_35_7_batch(coeffs: np.ndarray) -> np.ndarray:
@@ -226,7 +240,7 @@ def project_35_7(sigma: KForm) -> KForm:
 
 def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
     """2 eta_ijk = h_ip phi_pjk + h_jp phi_ipk + h_kp phi_ijp + X_p psi_pijk."""
-    phi_t, psi_t, _ = _float_tensors()
+    phi_t, psi_t = _phi_psi()
     t = (np.einsum("ip,pjk->ijk", h, phi_t)
          + np.einsum("jp,ipk->ijk", h, phi_t)
          + np.einsum("kp,ijp->ijk", h, phi_t)
@@ -236,7 +250,7 @@ def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
 
 def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
     """2 rho = (h acting on psi) + X ^ phi, written out index by index."""
-    phi_t, psi_t, _ = _float_tensors()
+    phi_t, psi_t = _phi_psi()
     t = (np.einsum("ip,pjkl->ijkl", h, psi_t)
          + np.einsum("jp,ipkl->ijkl", h, psi_t)
          + np.einsum("kp,ijpl->ijkl", h, psi_t)
@@ -250,7 +264,7 @@ def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
 
 def four_form_from_a_27(A: np.ndarray, sigma27: KForm) -> KForm:
     """2 sigma = (A acting on Phi) + 2 sigma_27 with A = h + beta."""
-    Phi_t = _float_tensors()[2]
+    Phi_t = standard_kit("cayley").tensor
     t = (np.einsum("ip,pjkl->ijkl", A, Phi_t)
          + np.einsum("jp,ipkl->ijkl", A, Phi_t)
          + np.einsum("kp,ijpl->ijkl", A, Phi_t)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exterior import KForm, index_position, n_coeffs, wedge_coeffs
-from .structures import UmKit
+from .structures import standard_kit
 
 
 class FourierMode(NamedTuple):
@@ -173,7 +173,7 @@ class UmBackground:
         modes = [FourierMode(amp * pair_forms[a], freq, phase)
                  for a, wlist in enumerate(waves or []) for amp, freq, phase in wlist]
         self.omega_field = FormField(self.n, 2, KForm(self.n, 2, pair_forms.sum(axis=0)), modes)
-        self.J = UmKit(m, 1).J
+        self.J = standard_kit("um", m, 1).tensor.T  # omega(x, y) = <J x, y>
 
     @staticmethod
     def flat(m: int) -> "UmBackground":

@@ -46,186 +46,62 @@ SPIN7_PHI_TERMS = (
 )
 
 
-def _int_form(n: int, k: int, terms) -> KForm:
-    return KForm.from_components(n, k, {idx: float(s) for idx, s in terms})
-
-
-def _int_tensor(form: KForm) -> np.ndarray:
-    t = form.to_tensor()
-    return np.rint(t).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # kits
 
-# Each kit's cross product kit.cross(v_1, ..., v_r), r = kit.arity, is the vector
-# with <cross(v_1, ..., v_r), w> = omega, phi, psi or Phi on (v_1, ..., v_r, w):
-# J v, V x W, chi(U, V, W) or P(U, V, W).  Stacked vectors (..., n) broadcast.
-CROSS_ARITY = {"um": 1, "associative": 2, "coassociative": 3, "cayley": 3}
+@dataclass(frozen=True, eq=False)
+class Kit:
+    """The standard structure of one calibration case on R^n.
 
-
-@dataclass(frozen=True)
-class UmKit:
-    """Standard U(m) structure on R^{2m}, calibrating 2k-dimensional planes."""
-    m: int
-    k: int
-
-    case = "um"
-    arity = CROSS_ARITY["um"]
-
-    @property
-    def n(self) -> int:
-        return 2 * self.m
-
-    @property
-    def calibration_dim(self) -> int:
-        return 2 * self.k
-
-    @property
-    def J(self) -> np.ndarray:
-        """The complex structure, one read-only array per m."""
-        return _um_j(self.m)
-
-    def cross(self, v) -> np.ndarray:
-        return np.asarray(v, float) @ self.J.T
-
-    @property
-    def omega(self) -> KForm:
-        return KForm.from_components(
-            self.n, 2, {(2 * a + 1, 2 * a + 2): 1.0 for a in range(self.m)}
-        )
-
-    @property
-    def mu(self) -> KForm:
-        """The comass-one form omega^k / k!."""
-        out = self.omega
-        for j in range(2, self.k + 1):
-            out = wedge(out, self.omega) * (1.0 / j)
-        return out
-
-
-@dataclass(frozen=True)
-class G2Kit:
-    """Standard G2 structure on R^7; flavor picks the calibration (phi or psi)."""
-    flavor: str  # "associative" | "coassociative"
-
-    n = 7
-
-    @property
-    def case(self) -> str:
-        return self.flavor
-
-    @property
-    def arity(self) -> int:
-        return CROSS_ARITY[self.flavor]
-
-    @property
-    def calibration_dim(self) -> int:
-        return 3 if self.flavor == "associative" else 4
-
-    @property
-    def phi(self) -> KForm:
-        return _g2_forms()[0]
-
-    @property
-    def psi(self) -> KForm:
-        return _g2_forms()[1]
-
-    @property
-    def mu(self) -> KForm:
-        return self.phi if self.flavor == "associative" else self.psi
-
-    @property
-    def phi_tensor(self) -> np.ndarray:
-        return _g2_tensors()[0]
-
-    @property
-    def psi_tensor(self) -> np.ndarray:
-        return _g2_tensors()[1]
+    form is the form of the cross product (omega, phi, psi or Phi) and tensor
+    its read-only float tensor; mu calibrates calibration_dim-planes.  The cross
+    product cross(v_1, ..., v_r), r = arity = deg(form) - 1, is the vector with
+    <cross(v_1, ..., v_r), w> = form(v_1, ..., v_r, w): J v, V x W, chi(U, V, W)
+    or P(U, V, W).  Stacked vectors (..., n) broadcast.
+    """
+    case: str
+    n: int
+    calibration_dim: int
+    form: KForm
+    mu: KForm
+    tensor: np.ndarray
+    arity: int
 
     def cross(self, *vectors) -> np.ndarray:
-        return (cross_2fold if self.flavor == "associative" else chi_3fold)(*vectors)
+        return _contract(self.tensor, vectors)
 
 
-@dataclass(frozen=True)
-class Spin7Kit:
-    """Standard Spin(7) structure on R^8; Phi is self-dual and calibrates Cayley 4-planes."""
-
-    case = "cayley"
-    arity = CROSS_ARITY["cayley"]
-    n = 8
-    calibration_dim = 4
-
-    @property
-    def Phi(self) -> KForm:
-        return _spin7_form()
-
-    @property
-    def mu(self) -> KForm:
-        return self.Phi
-
-    @property
-    def Phi_tensor(self) -> np.ndarray:
-        return _spin7_tensor()
-
-    def cross(self, u, v, w) -> np.ndarray:
-        return cayley_cross(u, v, w)
-
-
-StructureKit = UmKit | G2Kit | Spin7Kit
-
-
-@lru_cache(maxsize=None)
-def _um_j(m: int) -> np.ndarray:
-    j = np.zeros((2 * m, 2 * m))
-    for a in range(m):
-        j[2 * a + 1, 2 * a] = 1.0
-        j[2 * a, 2 * a + 1] = -1.0
-    j.flags.writeable = False
-    return j
-
-
-@lru_cache(maxsize=None)
-def _g2_forms():
-    phi = _int_form(7, 3, G2_PHI_TERMS)
-    return phi, hodge_star(phi)
-
-
-@lru_cache(maxsize=None)
-def _spin7_form():
-    return _int_form(8, 4, SPIN7_PHI_TERMS)
-
-
-@lru_cache(maxsize=None)
-def _g2_tensors():
-    phi, psi = _g2_forms()
-    return _int_tensor(phi), _int_tensor(psi)
-
-
-@lru_cache(maxsize=None)
-def _spin7_tensor():
-    return _int_tensor(_spin7_form())
-
-
-@lru_cache(maxsize=None)
-def _float_tensors():
-    """Float copies of phi, psi and Phi, shared by every contraction with them."""
-    return tuple(t.astype(float) for t in (*_g2_tensors(), _spin7_tensor()))
-
-
-def standard_kit(case: str, m: int | None = None, k: int | None = None) -> StructureKit:
-    """Build the standard-frame structure data for one calibration case."""
+def standard_kit(case: str, m: int | None = None, k: int | None = None) -> Kit:
+    """The standard-frame structure of one calibration case; m and k (the U(m)
+    case calibrates 2k-planes in R^{2m}) apply to U(m) only."""
     if case == "um":
         if m is None or k is None:
             raise ValueError("the U(m) case needs m and k")
         if not (1 <= k <= m - 1):
             raise DimensionError(f"need 1 <= k <= m-1, got m={m}, k={k}")
-        return UmKit(m, k)
-    if case in ("associative", "coassociative"):
-        return G2Kit(case)
-    if case == "cayley":
-        return Spin7Kit()
+        return _build_kit(case, m, k)
+    if case in ("associative", "coassociative", "cayley"):
+        return _build_kit(case, None, None)
     raise ValueError(f"unknown case {case!r}")
+
+
+@lru_cache(maxsize=None)
+def _build_kit(case: str, m: int | None, k: int | None) -> Kit:
+    """One record per case (and U(m) shape) and process, from the term tables."""
+    if case == "um":
+        form = KForm.from_components(2 * m, 2, {(2 * a + 1, 2 * a + 2): 1.0 for a in range(m)})
+        mu = form  # the comass-one form omega^k / k!
+        for j in range(2, k + 1):
+            mu = wedge(mu, form) * (1.0 / j)
+    elif case == "cayley":
+        form = mu = KForm.from_components(8, 4, dict(SPIN7_PHI_TERMS))
+    else:
+        phi = KForm.from_components(7, 3, dict(G2_PHI_TERMS))
+        form = mu = phi if case == "associative" else hodge_star(phi)
+    tensor = form.to_tensor() + 0.0  # + 0.0 makes the zeros unsigned
+    for shared in (form.coeffs, mu.coeffs, tensor):  # every caller gets this record
+        shared.flags.writeable = False
+    return Kit(case, form.n, mu.k, form, mu, tensor, form.k - 1)
 
 
 def _blocks(count: int, floats_per_node: int):
@@ -253,41 +129,21 @@ def _blockwise(fn, floats_per_row: int, *rows) -> np.ndarray:
 # cross products (stacked vectors (..., n) broadcast)
 
 def _contract(tensor: np.ndarray, vectors) -> np.ndarray:
-    """tensor(v_1, ..., v_r, .)."""
+    """tensor(v_1, ..., v_r, .); one vector is a matmul."""
+    if len(vectors) == 1:
+        return np.asarray(vectors[0], float) @ tensor
     idx = "ijkl"[: tensor.ndim]
     spec = ",".join("..." + c for c in idx[:-1])
     return np.einsum(f"{idx},{spec}->...{idx[-1]}", tensor, *vectors)
 
 
-def cross_2fold(X, Y) -> np.ndarray:
-    """The 7-dimensional cross product: <X x Y, Z> = phi(X, Y, Z)."""
-    return _contract(_float_tensors()[0], (X, Y))
-
-
-def chi_3fold(X, Y, Z) -> np.ndarray:
-    """The vector-valued 3-form chi: <chi(X,Y,Z), W> = psi(X, Y, Z, W)."""
-    return _contract(_float_tensors()[1], (X, Y, Z))
-
-
-def cayley_cross(X, Y, Z) -> np.ndarray:
-    """The 3-fold cross product on R^8: <P(X,Y,Z), W> = Phi(X, Y, Z, W)."""
-    return _contract(_float_tensors()[2], (X, Y, Z))
-
-
 # ---------------------------------------------------------------------------
-# exact contraction identities
-
-def contraction_identity_check(kit) -> dict[str, int]:
-    """Max absolute integer violation of each contraction identity family."""
-    if isinstance(kit, G2Kit):
-        return g2_identity_violations(kit.phi_tensor, kit.psi_tensor)
-    if isinstance(kit, Spin7Kit):
-        return spin7_identity_violations(kit.Phi_tensor)
-    raise ValueError("contraction identities apply to G2 and Spin(7) kits")
-
+# exact contraction identities (the tensors hold small integers, so every sum
+# is exact in float)
 
 def g2_identity_violations(phi: np.ndarray, psi: np.ndarray) -> dict[str, int]:
-    d = np.eye(7, dtype=np.int64)
+    """Max absolute violation of each G2 contraction identity family."""
+    d = np.eye(7)
     checks = {
         "phiphi-pair": np.einsum("ijp,klp->ijkl", phi, phi)
         - (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d) - psi),
@@ -302,7 +158,8 @@ def g2_identity_violations(phi: np.ndarray, psi: np.ndarray) -> dict[str, int]:
 
 
 def spin7_identity_violations(Phi: np.ndarray) -> dict[str, int]:
-    d = np.eye(8, dtype=np.int64)
+    """Max absolute violation of each Spin(7) contraction identity family."""
+    d = np.eye(8)
     checks = {
         "PhiPhi-pair": np.einsum("ijpq,klpq->ijkl", Phi, Phi)
         - (6 * np.einsum("ik,jl->ijkl", d, d) - 6 * np.einsum("il,jk->ijkl", d, d) - 4 * Phi),
@@ -344,23 +201,24 @@ def _coassociative_block(phi_t, psi_t, x, y, z, w):
             - _gram_dets(x, y, z, w))
 
 
-def associative_equality_residuals(xs, ys, zs, tensors=None) -> np.ndarray:
+def _g2_blockwise(block, *rows) -> np.ndarray:
+    phi_t, psi_t = (standard_kit(c).tensor for c in ("associative", "coassociative"))
+    return _blockwise(partial(block, phi_t, psi_t), 49, *rows)
+
+
+def associative_equality_residuals(xs, ys, zs) -> np.ndarray:
     """Batched residuals |chi(x,y,z)|^2 + phi(x,y,z)^2 - |x^y^z|^2 over triples
     of rows.  Each row block forms x (x) y once and contracts it by matmul with
-    psi as a (49, 49) and phi as a (49, 7) matrix.  ``tensors`` is the float
-    (phi, psi) to contract with, by default the standard ones."""
-    block = partial(_associative_block, *(tensors or _float_tensors()[:2]))
-    return _blockwise(block, 49, xs, ys, zs)
+    psi as a (49, 49) and phi as a (49, 7) matrix."""
+    return _g2_blockwise(_associative_block, xs, ys, zs)
 
 
-def coassociative_equality_residuals(xs, ys, zs, ws, tensors=None) -> np.ndarray:
+def coassociative_equality_residuals(xs, ys, zs, ws) -> np.ndarray:
     """Batched residuals psi(x,y,z,w)^2 + |vec|^2 - |x^y^z^w|^2 over quadruples
     of rows, where vec = phi(y,z,w) x - phi(x,z,w) y + phi(x,y,w) z - phi(x,y,z) w.
     Each row block forms x (x) y and z (x) w once and contracts them by matmul
-    with psi as a (49, 49) and phi as a (49, 7) matrix; ``tensors`` as in
-    associative_equality_residuals."""
-    block = partial(_coassociative_block, *(tensors or _float_tensors()[:2]))
-    return _blockwise(block, 49, xs, ys, zs, ws)
+    with psi as a (49, 49) and phi as a (49, 7) matrix."""
+    return _g2_blockwise(_coassociative_block, xs, ys, zs, ws)
 
 
 # ---------------------------------------------------------------------------

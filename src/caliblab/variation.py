@@ -39,10 +39,7 @@ from .exterior import (
 )
 from .fields import FormField, UmBackground, VectorField
 from .structures import (
-    CROSS_ARITY,
-    G2Kit,
-    Spin7Kit,
-    UmKit,
+    Kit,
     _blocks,
     _blockwise,
     invariance_defect,
@@ -113,7 +110,7 @@ def _linearized_metric(kit, coeffs: np.ndarray, keep_omega4_1: bool = False) -> 
     """Ambient metric velocities (N, n, n) of velocity rows (N, C(n, p)) of omega
     (fixed J), phi, psi or Phi (trace-free unless keep_omega4_1)."""
     if kit.case == "um":
-        aj = _antisym_mats(coeffs, kit.n) @ kit.J
+        aj = _antisym_mats(coeffs, kit.n) @ kit.tensor.T  # J = omega's tensor transposed
         return 0.5 * (aj + np.swapaxes(aj, -1, -2))
     if kit.case == "associative":
         return h_from_3form_batch(coeffs)
@@ -130,8 +127,8 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
     """Metric family from omega_t = omega + t (d alphadot)^(1,1), fixed J."""
     if alphadot.n != background.n:
         raise ValueError("1-form field dimension does not match the background")
-    kit = UmKit(background.m, k)
-    J, n = kit.J, kit.n
+    kit = standard_kit("um", background.m, k)
+    J, n = kit.tensor.T, kit.n
 
     def omega(patch, xs):
         # constant on the flat background: one row serves every node
@@ -167,9 +164,9 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
                            meta={"background": background, "k": k, "generator": alphadot})
 
 
-def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
+def assoc_family_from_beta(betadot: FormField, kit: Kit) -> VariationFamily:
     """Metric family induced by phi_t = phi + t d(betadot)."""
-    phi = kit.phi
+    phi = kit.form
 
     def d(patch, xs):
         return betadot.d_coeffs(patch.positions(xs))
@@ -181,17 +178,17 @@ def assoc_family_from_beta(betadot: FormField, kit: G2Kit) -> VariationFamily:
                            _constant(phi), gbar_at, meta={"generator": betadot, "kit": kit})
 
 
-def coassoc_family_from_gamma(gammadot: FormField, kit: G2Kit) -> VariationFamily:
+def coassoc_family_from_gamma(gammadot: FormField, kit: Kit) -> VariationFamily:
     """Metric family induced by psi_t = psi + t d(gammadot); linearized route only."""
 
     def d(patch, xs):
         return gammadot.d_coeffs(patch.positions(xs))
 
     return VariationFamily("coassociative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
-                           _constant(kit.psi), meta={"generator": gammadot, "kit": kit})
+                           _constant(kit.form), meta={"generator": gammadot, "kit": kit})
 
 
-def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
+def cayley_family_from_gamma(gammadot: FormField, kit: Kit,
                              keep_omega4_1: bool = False) -> VariationFamily:
     """Metric family with velocity pi_{35+7} d(gammadot).
 
@@ -212,14 +209,14 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Spin7Kit,
         return _linearized_metric(kit, gammadot.d_coeffs(patch.positions(xs)),
                                   keep_omega4_1)
 
-    return VariationFamily("cayley", h, sigma, _constant(kit.Phi),
+    return VariationFamily("cayley", h, sigma, _constant(kit.form),
                            meta={"generator": gammadot, "kit": kit,
                                  "keep_omega4_1": keep_omega4_1})
 
 
 @lru_cache(maxsize=None)
 def _phi_unit():
-    c = standard_kit("cayley").Phi.coeffs
+    c = standard_kit("cayley").form.coeffs
     return c / np.linalg.norm(c)
 
 
@@ -457,14 +454,14 @@ def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
     def gaps(frames, _):
         return np.max([np.abs(chain_trace(case, frames, *sel)
                               - closed_form_trace(case, frames, *sel))
-                       for sel in _canonical_selections(case, patch.k)], axis=0)
+                       for sel in _canonical_selections(case, patch.k, patch.n)], axis=0)
 
     return float(_over_planes(patch, pts, _minors_floats(_kit(case, patch.k, patch.n)),
                               gaps).max())
 
 
-def _canonical_selections(case: str, k: int):
-    return list(combinations(range(k), CROSS_ARITY[case] - 1))
+def _canonical_selections(case: str, k: int, n: int):
+    return list(combinations(range(k), _kit(case, k, n).arity - 1))
 
 
 PLANE_CATALOG = {

@@ -32,7 +32,8 @@ from caliblab.smith import (
 from caliblab.structures import (
     associative_equality_residuals,
     coassociative_equality_residuals,
-    contraction_identity_check,
+    g2_identity_violations,
+    spin7_identity_violations,
     standard_kit,
 )
 from caliblab.submanifold import (
@@ -77,8 +78,8 @@ def report(number, passed, detail):
 
 def test_criterion_01_exact_identities():
     t0 = time.perf_counter()
-    g2 = contraction_identity_check(G2)
-    sp = contraction_identity_check(SP7)
+    g2 = g2_identity_violations(G2.tensor, COASSOC.tensor)
+    sp = spin7_identity_violations(SP7.tensor)
     elapsed = time.perf_counter() - t0
     worst = max(list(g2.values()) + list(sp.values()))
     passed = worst == 0 and len(g2) == 6 and len(sp) == 2 and elapsed < 1.0
@@ -115,7 +116,7 @@ def test_criterion_03_decomposition_lemmas():
     part = h3.reshape(count, 49) @ asm3.T
     resid = eta - part
     xs = resid @ x3map.T
-    psi_cols = np.stack([(0.5 * interior(np.eye(7)[j], G2.psi)).coeffs for j in range(7)])
+    psi_cols = np.stack([(0.5 * interior(np.eye(7)[j], COASSOC.form)).coeffs for j in range(7)])
     rebuilt = part + xs @ psi_cols
     worst = max(worst, float(np.abs(rebuilt - eta).max()))
     again = h_from_3form_batch(rebuilt)
@@ -131,7 +132,7 @@ def test_criterion_03_decomposition_lemmas():
     x4map = _g2_maps()[5]
     part4 = h4.reshape(count, 49) @ asm4.T
     xs4 = (rho - part4) @ x4map.T
-    phi_cols = np.stack([(0.5 * wedge(KForm.covector(np.eye(7)[j]), G2.phi)).coeffs
+    phi_cols = np.stack([(0.5 * wedge(KForm.covector(np.eye(7)[j]), G2.form)).coeffs
                          for j in range(7)])
     rebuilt4 = part4 + xs4 @ phi_cols
     worst = max(worst, float(np.abs(rebuilt4 - rho).max()))
@@ -165,7 +166,7 @@ def test_criterion_04_metric_linearization():
     for _ in range(100):
         eta = KForm(7, 3, rng.standard_normal(35))
         h = h_from_3form_batch(eta.coeffs)[0]
-        fd, _ = fd_derivative(lambda t: metric_from_3form((G2.phi + t * eta).coeffs)[0],
+        fd, _ = fd_derivative(lambda t: metric_from_3form((G2.form + t * eta).coeffs)[0],
                               0.0, step=1e-4, richardson_levels=2)
         worst = max(worst, float(np.abs(fd - h).max() / np.abs(h).max()))
     elapsed = time.perf_counter() - t0

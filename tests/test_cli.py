@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -8,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import flip_first_term
 
-from caliblab import cli
+from caliblab import cli, structures
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -65,16 +65,6 @@ class TestIdentitiesCommand:
         assert len(records) == 6
         assert all(r["id"].startswith("identity-g2") for r in records)
 
-    def test_corrupt_hook_fails(self):
-        proc = run_cli("identities", "--corrupt-structure-constant")
-        assert proc.returncode == 1
-        records = {r["id"]: r for r in parse_jsonl(proc.stdout)}
-        assert any(not r["pass"] for r in records.values())
-        # the flipped phi reaches the equality kernels, not only the identity families
-        for name in ("equality-associative", "equality-coassociative"):
-            assert not records[name]["pass"]
-            assert records[name]["results"]["max_relative_residual"] > 0.1
-
     def test_equality_bound_is_relative(self):
         # an absolute 1e-10 failed this seed on round-off that grows with the norms
         proc = run_cli("identities", "--seed", "53")
@@ -82,23 +72,6 @@ class TestIdentitiesCommand:
         rec = {r["id"]: r for r in parse_jsonl(proc.stdout)}["equality-coassociative"]
         assert rec["results"]["max_residual"] > 1e-10
         assert rec["results"]["max_relative_residual"] < cli.EQUALITY_REL_TOL
-
-    def test_flipped_phi_constant_fails_equalities(self, monkeypatch):
-        # one structure constant of phi flipped in all six index orders keeps phi
-        # alternating but breaks both equalities by a relative residual of order 1
-        from caliblab import structures
-
-        phi, psi, Phi = structures._float_tensors()
-        bad = phi.copy()
-        for index in itertools.permutations((0, 1, 2)):
-            bad[index] = -bad[index]
-        monkeypatch.setattr(structures, "_float_tensors", lambda: (bad, psi, Phi))
-        proc = run_cli("identities", "--trials", "1000")
-        assert proc.returncode == 1
-        records = {r["id"]: r for r in parse_jsonl(proc.stdout)}
-        for name in ("equality-associative", "equality-coassociative"):
-            assert not records[name]["pass"]
-            assert records[name]["results"]["max_relative_residual"] > 0.1
 
     def test_chunked_equality_draw_bounds_memory(self, monkeypatch, capsys):
         # the equality vectors are drawn and checked a chunk at a time, so the
@@ -343,12 +316,15 @@ class TestDeterminismAndFormats:
 class TestRecordTypes:
     @pytest.mark.parametrize("args,code", [
         (("identities", "--trials", "10"), 0),
-        (("identities", "--trials", "10", "--corrupt-structure-constant"), 1),
+        (("identities", "--trials", "10"), 1),  # under a wrong sign of phi
         (("theorem", "--case", "cayley", "--count", "2"), 0),
         (("smith", "--trials", "2"), 0),
         (("minimal", "--count", "1"), 0),
     ])
-    def test_report_format(self, args, code):
+    def test_report_format(self, args, code, convention):
+        if code == 1:
+            flipped = flip_first_term(structures.G2_PHI_TERMS)
+            convention(structures, "G2_PHI_TERMS", None, flipped)
         proc = run_cli(*args)
         lines = proc.stdout.splitlines()
         records = [json.loads(line) for line in lines]
@@ -414,12 +390,10 @@ class TestEntryPoint:
         # python -m caliblab.cli in a fresh interpreter exits with main's code
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "caliblab.cli", "identities", "--case",
-                               "g2", "--corrupt-structure-constant"],
+        proc = subprocess.run([sys.executable, "-m", "caliblab.cli", "theorem", "--case",
+                               "associative", "--patch", "nope"],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stderr) == (1, "")
-        records = parse_jsonl(proc.stdout)
-        assert len(records) == 6 and not all(r["pass"] for r in records)
+        assert_config_error(proc)
 
 
 class TestColdStart:

@@ -28,6 +28,7 @@ from caliblab.structures import standard_kit
 from caliblab.submanifold import fd_derivative
 
 G2 = standard_kit("associative")
+COASSOC = standard_kit("coassociative")
 SP7 = standard_kit("cayley")
 
 
@@ -38,7 +39,7 @@ def random_forms(rng, n, k, count):
 class TestG2ThreeFormSplit:
     def test_phi_anchor(self):
         # eta = phi has hat(eta) = 6 Id and Tr = 42, so h = 3 Id - (42/18) Id
-        split = g2_split_3form(G2.phi)
+        split = g2_split_3form(G2.form)
         assert np.allclose(split.h, (2.0 / 3.0) * np.eye(7), atol=1e-13)
         assert np.abs(split.eta_7.coeffs).max() < 1e-13
         assert np.abs(split.X).max() < 1e-13
@@ -66,7 +67,7 @@ class TestG2ThreeFormSplit:
             assert np.abs(rebuilt.coeffs - eta.coeffs).max() < 1e-12
             assert abs(form_inner(split.eta_1_27, split.eta_7)) < 1e-10
             # the 7-part is (1/2) X _| psi
-            again = 0.5 * interior(split.X, G2.psi)
+            again = 0.5 * interior(split.X, COASSOC.form)
             assert np.abs(again.coeffs - split.eta_7.coeffs).max() < 1e-11
             # re-splitting is stable
             again_split = g2_split_3form(rebuilt)
@@ -86,7 +87,7 @@ class TestG2ThreeFormSplit:
 
 class TestG2FourFormSplit:
     def test_psi_anchor(self):
-        split = g2_split_4form(G2.psi)
+        split = g2_split_4form(COASSOC.form)
         assert np.allclose(split.h, 0.5 * np.eye(7), atol=1e-13)
         assert np.abs(split.rho_7.coeffs).max() < 1e-13
 
@@ -106,7 +107,7 @@ class TestG2FourFormSplit:
             assert np.abs(rebuilt.coeffs - rho.coeffs).max() < 1e-12
             assert abs(form_inner(split.rho_1_27, split.rho_7)) < 1e-10
             # the 7-part is (1/2) X ^ phi
-            again = 0.5 * wedge(KForm.covector(split.X), G2.phi)
+            again = 0.5 * wedge(KForm.covector(split.X), G2.form)
             assert np.abs(again.coeffs - split.rho_7.coeffs).max() < 1e-11
 
     def test_forward_formula_exact_on_integers(self):
@@ -122,7 +123,7 @@ class TestG2FourFormSplit:
 
 class TestSpin7Split:
     def test_phi_anchor(self):
-        split = sp7_split_4form(SP7.Phi)
+        split = sp7_split_4form(SP7.form)
         assert np.allclose(split.h, 0.5 * np.eye(8), atol=1e-13)
         assert np.abs(split.h0).max() < 1e-13
         assert np.abs(split.sigma_7.coeffs).max() < 1e-12
@@ -138,7 +139,7 @@ class TestSpin7Split:
 
     def test_round_trip_and_27_condition(self):
         rng = np.random.default_rng(7)
-        Phi_t = SP7.Phi_tensor.astype(float)
+        Phi_t = SP7.tensor
         for _ in range(15):
             sigma = KForm(8, 4, rng.standard_normal(70))
             split = sp7_split_4form(sigma)
@@ -206,7 +207,7 @@ class TestContractionTables:
     def test_g2_tables_bit_identical(self):
         from caliblab.decomposition import _g2_maps
 
-        phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+        phi_t, psi_t = G2.tensor, COASSOC.tensor
         b3, b4 = basis_tensors(7, 3), basis_tensors(7, 4)
         hat3, hat4, _, _, x3, x4 = _g2_maps()
         assert np.array_equal(hat3, np.einsum("cpij,qij->cpq", b3, phi_t).reshape(35, 49).T)
@@ -217,7 +218,7 @@ class TestContractionTables:
     def test_spin7_table_bit_identical(self):
         from caliblab.decomposition import _sp7_maps
 
-        Phi_t = SP7.Phi_tensor.astype(float)
+        Phi_t = SP7.tensor
         want = np.einsum("cpijk,qijk->cpq", basis_tensors(8, 4), Phi_t).reshape(70, 64).T
         assert np.array_equal(_sp7_maps()[0], want)
 
@@ -227,7 +228,7 @@ class TestContractionTables:
         from caliblab.decomposition import _g2_maps, _sp7_maps
 
         _, _, asm3, asm4, _, _ = _g2_maps()
-        for asm, form in ((asm3, G2.phi), (asm4, G2.psi), (_sp7_maps()[1], SP7.Phi)):
+        for asm, form in ((asm3, G2.form), (asm4, COASSOC.form), (_sp7_maps()[1], SP7.form)):
             eye = np.eye(form.n)
             want = np.stack([(0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], form))).coeffs
                              for i in range(form.n) for j in range(form.n)], axis=1)
@@ -239,7 +240,7 @@ class TestContractionTables:
         from caliblab.decomposition import _sp7_maps
 
         _, asm, star, q7, beta_from, _ = _sp7_maps()
-        Phi_t = SP7.Phi_tensor.astype(float)
+        Phi_t = SP7.tensor
         eye70 = np.eye(70)
         want_star = np.zeros((70, 70))
         for c in range(70):
@@ -272,7 +273,7 @@ class TestContractionTables:
 
 class TestProjection:
     def test_kills_phi(self):
-        out = project_35_7(SP7.Phi)
+        out = project_35_7(SP7.form)
         assert np.abs(out.coeffs).max() < 1e-12
 
     def test_idempotent(self):
@@ -329,13 +330,13 @@ class TestSplitRanks:
 
 class TestMetricFrom3Form:
     def test_standard_anchor(self):
-        g, scale = metric_from_3form(G2.phi.coeffs)
+        g, scale = metric_from_3form(G2.form.coeffs)
         assert np.abs(g - np.eye(7)).max() < 1e-12
         assert scale == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_homogeneity(self):
         for c in (0.6, 0.9, 1.3, 2.0):
-            g, _ = metric_from_3form(((c**3) * G2.phi).coeffs)
+            g, _ = metric_from_3form(((c**3) * G2.form).coeffs)
             assert np.abs(g - c * c * np.eye(7)).max() < 1e-9
 
     def test_linearization_matches_split(self):
@@ -345,7 +346,7 @@ class TestMetricFrom3Form:
             eta = KForm(7, 3, rng.standard_normal(35))
             h = h_from_3form_batch(eta.coeffs)[0]
             fd, _ = fd_derivative(
-                lambda t: metric_from_3form((G2.phi + t * eta).coeffs)[0],
+                lambda t: metric_from_3form((G2.form + t * eta).coeffs)[0],
                 0.0, step=1e-4, richardson_levels=2)
             rel = np.abs(fd - h).max() / np.abs(h).max()
             worst = max(worst, rel)
@@ -355,11 +356,11 @@ class TestMetricFrom3Form:
         with pytest.raises(DegenerateInputError):
             metric_from_3form(KForm.zero(7, 3).coeffs)
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(-G2.phi.coeffs)
+            metric_from_3form(-G2.form.coeffs)
 
     def test_stacked_rows_match_single_rows(self):
         rng = np.random.default_rng(17)
-        rows = G2.phi.coeffs + 0.2 * rng.standard_normal((2, 3, 35))
+        rows = G2.form.coeffs + 0.2 * rng.standard_normal((2, 3, 35))
         g, scale = metric_from_3form(rows)
         assert g.shape == (2, 3, 7, 7) and scale.shape == (2, 3)
         for i in range(2):
@@ -369,6 +370,6 @@ class TestMetricFrom3Form:
                 assert scale[i, j] == pytest.approx(sij, rel=1e-14)
         # one degenerate row refuses the whole stack
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(np.stack([G2.phi.coeffs, np.zeros(35)]))
+            metric_from_3form(np.stack([G2.form.coeffs, np.zeros(35)]))
         with pytest.raises(DimensionError):
             metric_from_3form(np.zeros((2, 21)))

@@ -8,13 +8,11 @@ from caliblab.exterior import DimensionError, KForm, evaluate, orthonormal_frame
 from caliblab.structures import (
     associative_equality_residuals,
     calibration_report,
-    cayley_cross,
-    chi_3fold,
     coassociative_equality_residuals,
     comass_sample,
-    contraction_identity_check,
-    cross_2fold,
+    g2_identity_violations,
     invariance_defect,
+    spin7_identity_violations,
     standard_kit,
 )
 
@@ -27,14 +25,14 @@ E8 = np.eye(8)
 
 class TestStandardKits:
     def test_g2_phi_quoted_coefficients(self):
-        phi = G2.phi
+        phi = G2.form
         assert phi.coefficient((1, 2, 3)) == 1.0
         assert phi.coefficient((1, 6, 7)) == -1.0
         assert phi.coefficient((1, 4, 5)) == 1.0
 
     def test_psi_is_star_phi_frame_expression(self):
         # e4567 - e23^(e45-e67) - e31^(e46-e75) - e12^(e47-e56)
-        psi = COASSOC.psi
+        psi = COASSOC.form
         expected = {(4, 5, 6, 7): 1.0, (2, 3, 4, 5): -1.0, (2, 3, 6, 7): 1.0,
                     (1, 3, 4, 6): 1.0, (1, 3, 5, 7): 1.0, (1, 2, 4, 7): -1.0,
                     (1, 2, 5, 6): 1.0}
@@ -43,7 +41,7 @@ class TestStandardKits:
         assert np.count_nonzero(psi.coeffs) == 7
 
     def test_spin7_quoted_coefficients(self):
-        Phi = SP7.Phi
+        Phi = SP7.form
         assert Phi.coefficient((1, 2, 3, 4)) == 1.0
         assert Phi.coefficient((5, 6, 7, 8)) == 1.0
         assert np.count_nonzero(Phi.coeffs) == 14
@@ -51,23 +49,35 @@ class TestStandardKits:
     def test_spin7_self_dual(self):
         from caliblab.exterior import hodge_star
 
-        assert np.array_equal(hodge_star(SP7.Phi).coeffs, SP7.Phi.coeffs)
+        assert np.array_equal(hodge_star(SP7.form).coeffs, SP7.form.coeffs)
 
     def test_um_standard(self):
         kit = standard_kit("um", m=2, k=1)
-        assert kit.omega.coefficient((1, 2)) == 1.0
-        assert kit.omega.coefficient((3, 4)) == 1.0
-        j = kit.J
+        assert kit.form.coefficient((1, 2)) == 1.0
+        assert kit.form.coefficient((3, 4)) == 1.0
+        j = kit.tensor.T
         assert np.allclose(j @ j, -np.eye(4))
         # omega(X, Y) = <JX, Y>
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((2, 4))
-        assert evaluate(kit.omega, [x, y]) == pytest.approx((j @ x) @ y)
+        assert evaluate(kit.form, [x, y]) == pytest.approx((j @ x) @ y)
 
     def test_um_mu_power(self):
         kit = standard_kit("um", m=3, k=2)
         # omega^2/2 evaluates to 1 on a complex 4-plane
         assert evaluate(kit.mu, np.eye(6)[:4]) == pytest.approx(1.0)
+
+    def test_one_read_only_record_per_case(self):
+        for case in ("associative", "coassociative", "cayley"):
+            kit = standard_kit(case)
+            assert standard_kit(case, m=4, k=1) is kit  # m and k apply to U(m) only
+            assert kit.arity == kit.form.k - 1 and kit.calibration_dim == kit.mu.k
+            assert np.array_equal(kit.tensor, kit.form.to_tensor())
+        assert standard_kit("um", 3, 2) is standard_kit("um", m=3, k=2)
+        for kit in (standard_kit("um", 3, 2), G2):
+            for array in (kit.tensor, kit.form.coeffs, kit.mu.coeffs):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
 
     def test_invalid_um(self):
         with pytest.raises(DimensionError):
@@ -80,7 +90,7 @@ class TestQuotedFormValues:
     def test_interior_of_phi(self):
         from caliblab.exterior import interior
 
-        out = interior(E7[0], G2.phi)
+        out = interior(E7[0], G2.form)
         want = {(2, 3): 1.0, (4, 5): 1.0, (6, 7): -1.0}
         for idx, val in want.items():
             assert out.coefficient(idx) == val
@@ -89,47 +99,47 @@ class TestQuotedFormValues:
     def test_phi_norm_squared(self):
         from caliblab.exterior import form_inner
 
-        assert form_inner(G2.phi, G2.phi) == 7.0
+        assert form_inner(G2.form, G2.form) == 7.0
 
     def test_phi_evaluates_on_frame(self):
-        assert evaluate(G2.phi, E7[:3]) == 1.0
+        assert evaluate(G2.form, E7[:3]) == 1.0
 
 
 class TestCrossProducts:
     def test_g2_frame_relations(self):
-        assert np.allclose(cross_2fold(E7[0], E7[1]), E7[2])
-        assert np.allclose(cross_2fold(E7[0], E7[3]), E7[4])
-        assert np.allclose(cross_2fold(E7[1], E7[3]), E7[5])
-        assert np.allclose(cross_2fold(E7[2], E7[3]), E7[6])
+        assert np.allclose(G2.cross(E7[0], E7[1]), E7[2])
+        assert np.allclose(G2.cross(E7[0], E7[3]), E7[4])
+        assert np.allclose(G2.cross(E7[1], E7[3]), E7[5])
+        assert np.allclose(G2.cross(E7[2], E7[3]), E7[6])
 
     def test_self_cross_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.standard_normal(7)
-            assert np.abs(cross_2fold(x, x)).max() < 1e-12
+            assert np.abs(G2.cross(x, x)).max() < 1e-12
 
     def test_cross_orthogonality_and_norm(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x, y = rng.standard_normal((2, 7))
-            v = cross_2fold(x, y)
+            v = G2.cross(x, y)
             assert abs(v @ x) < 1e-10 and abs(v @ y) < 1e-10
             gram = np.linalg.det(np.array([x, y]) @ np.array([x, y]).T)
             assert v @ v == pytest.approx(gram, rel=1e-10)
 
     def test_chi_on_planes(self):
-        assert np.abs(chi_3fold(E7[0], E7[1], E7[2])).max() < 1e-12
-        out = chi_3fold(E7[3], E7[4], E7[5])
+        assert np.abs(COASSOC.cross(E7[0], E7[1], E7[2])).max() < 1e-12
+        out = COASSOC.cross(E7[3], E7[4], E7[5])
         assert np.allclose(out, E7[6])
-        assert evaluate(G2.phi, [E7[3], E7[4], E7[5]]) == 0.0
+        assert evaluate(G2.form, [E7[3], E7[4], E7[5]]) == 0.0
 
     def test_chi_alternating(self):
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, 7))
-        assert np.abs(chi_3fold(x, x, y)).max() < 1e-12
+        assert np.abs(COASSOC.cross(x, x, y)).max() < 1e-12
 
     def test_cayley_cross_basis(self):
-        out = cayley_cross(E8[0], E8[1], E8[2])
+        out = SP7.cross(E8[0], E8[1], E8[2])
         assert np.allclose(out, E8[3])
         for i in range(3):
             assert abs(out @ E8[i]) < 1e-14
@@ -139,30 +149,28 @@ class TestCrossProducts:
         rng = np.random.default_rng(4)
         for _ in range(50):
             x, y, z = rng.standard_normal((3, 8))
-            p = cayley_cross(x, y, z)
+            p = SP7.cross(x, y, z)
             gram = np.linalg.det(np.array([x, y, z]) @ np.array([x, y, z]).T)
             assert p @ p == pytest.approx(gram, rel=1e-10, abs=1e-12)
 
 
 class TestIdentities:
     def test_g2_exact(self):
-        violations = contraction_identity_check(G2)
+        violations = g2_identity_violations(G2.tensor, COASSOC.tensor)
         assert set(violations) == {"phiphi-pair", "phiphi-trace", "phipsi",
                                    "phipsi-trace", "psipsi-pair", "psipsi-trace"}
         assert all(v == 0 for v in violations.values())
 
     def test_spin7_exact(self):
-        violations = contraction_identity_check(SP7)
+        violations = spin7_identity_violations(SP7.tensor)
         assert set(violations) == {"PhiPhi-pair", "PhiPhi-trace"}
         assert all(v == 0 for v in violations.values())
 
     def test_trace_normalizations(self):
-        phi = G2.phi_tensor
-        psi = G2.psi_tensor
-        Phi = SP7.Phi_tensor
-        assert np.array_equal(np.einsum("ipq,jpq->ij", phi, phi), 6 * np.eye(7, dtype=np.int64))
-        assert np.array_equal(np.einsum("impq,jmpq->ij", psi, psi), 24 * np.eye(7, dtype=np.int64))
-        assert np.array_equal(np.einsum("impq,jmpq->ij", Phi, Phi), 42 * np.eye(8, dtype=np.int64))
+        phi, psi, Phi = G2.tensor, COASSOC.tensor, SP7.tensor
+        assert np.array_equal(np.einsum("ipq,jpq->ij", phi, phi), 6 * np.eye(7))
+        assert np.array_equal(np.einsum("impq,jmpq->ij", psi, psi), 24 * np.eye(7))
+        assert np.array_equal(np.einsum("impq,jmpq->ij", Phi, Phi), 42 * np.eye(8))
 
     def test_equalities_random(self):
         rng = np.random.default_rng(5)
@@ -173,7 +181,7 @@ class TestIdentities:
 
 def _einsum_associative(xs, ys, zs):
     """The equality as written: psi and phi contracted with all rows in one einsum."""
-    phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+    phi_t, psi_t = G2.tensor, COASSOC.tensor
     chi = np.einsum("ijkl,bi,bj,bk->bl", psi_t, xs, ys, zs)
     phi_vals = np.einsum("ijk,bi,bj,bk->b", phi_t, xs, ys, zs)
     stacks = np.stack([xs, ys, zs], axis=1)
@@ -182,7 +190,7 @@ def _einsum_associative(xs, ys, zs):
 
 
 def _einsum_coassociative(xs, ys, zs, ws):
-    phi_t, psi_t = (t.astype(float) for t in (G2.phi_tensor, G2.psi_tensor))
+    phi_t, psi_t = G2.tensor, COASSOC.tensor
     psi_vals = np.einsum("ijkl,bi,bj,bk,bl->b", psi_t, xs, ys, zs, ws)
 
     def p(a, b, c):
@@ -252,7 +260,7 @@ class TestCalibrationReport:
         rep = calibration_report(COASSOC, E7[3:7])
         assert abs(rep.value) == 1.0 and rep.is_calibrated
         # phi restricts to zero
-        restricted = [evaluate(G2.phi, E7[list(t)])
+        restricted = [evaluate(G2.form, E7[list(t)])
                       for t in [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]]
         assert max(abs(v) for v in restricted) == 0.0
 
@@ -348,8 +356,7 @@ class TestDefectTerms:
                 return out
             return wrapped
 
-        monkeypatch.setattr(structures, "_contract", counting(structures._contract))
-        monkeypatch.setattr(structures.UmKit, "cross", counting(structures.UmKit.cross))
+        monkeypatch.setattr(structures.Kit, "cross", counting(structures.Kit.cross))
         got = invariance_defect(kit, frames)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
         assert counted == [got.size * self.PRODUCTS.get(name, k)]
@@ -364,7 +371,7 @@ class TestCoassociativeCondition:
 
     def phi_restriction(self, plane_rows):
         frame = orthonormal_frames(plane_rows)[0]
-        vals = [evaluate(G2.phi, frame[list(t)])
+        vals = [evaluate(G2.form, frame[list(t)])
                 for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
         return max(abs(v) for v in vals)
 
@@ -384,8 +391,8 @@ class TestCoassociativeCondition:
             frame = orthonormal_frames(rows)[0]
             if invariance_defect(COASSOC, frame) > 1e-10:
                 continue
-            lam = evaluate(COASSOC.psi, frame)
-            phis = [evaluate(G2.phi, frame[list(t)])
+            lam = evaluate(COASSOC.form, frame)
+            phis = [evaluate(G2.form, frame[list(t)])
                     for t in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
             for p in phis:
                 assert lam**2 + p**2 == pytest.approx(1.0, abs=1e-12)

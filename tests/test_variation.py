@@ -104,13 +104,13 @@ class TestFamilies:
         # same value the decomposition lemma produces
         from caliblab.decomposition import h_from_3form_batch
 
-        h = h_from_3form_batch(G2.phi.coeffs)[0]
+        h = h_from_3form_batch(G2.form.coeffs)[0]
         assert np.allclose(h, (2.0 / 3.0) * np.eye(7), atol=1e-13)
 
     def test_coassoc_constant_psi_direction(self):
         from caliblab.decomposition import h_from_4form_batch
 
-        h = h_from_4form_batch(COASSOC.psi.coeffs)[0]
+        h = h_from_4form_batch(COASSOC.form.coeffs)[0]
         assert np.allclose(h, 0.5 * np.eye(7), atol=1e-13)
 
     def test_zero_generators_give_zero_velocity(self):
@@ -203,7 +203,7 @@ class TestTestVariations:
         frame = np.eye(6)[:2]
         for f in frame:
             assert d.to_tensor()[0] is not None
-            assert evaluate(d, [f, kit.J @ f]) == pytest.approx(0.0, abs=1e-14)
+            assert evaluate(d, [f, kit.tensor.T @ f]) == pytest.approx(0.0, abs=1e-14)
 
     def test_assoc_plane_trace_expressions_vanish(self):
         # on an associative plane both trace expressions are zero
@@ -266,11 +266,10 @@ class TestChainConsistency:
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_closed_form_skips_rows_in_selection(self, name, monkeypatch):
         from caliblab import structures
-        from caliblab.structures import CROSS_ARITY
         from caliblab.variation import _canonical_selections
 
         case, k, n = self.SHAPES[name]
-        arity = CROSS_ARITY[case]
+        arity = standard_kit(case, m=n // 2, k=max(1, k // 2)).arity
         rng = np.random.default_rng(5)
         q = np.linalg.qr(rng.standard_normal((2, 3, n, k)))[0]
         frames = np.swapaxes(q, -1, -2)  # (2, 3, k, n), orthonormal rows
@@ -290,9 +289,8 @@ class TestChainConsistency:
                 return out
             return wrapped
 
-        monkeypatch.setattr(structures, "_contract", counting(structures._contract))
-        monkeypatch.setattr(structures.UmKit, "cross", counting(structures.UmKit.cross))
-        cases = [(frames, sel, k - arity + 1) for sel in _canonical_selections(case, k)]
+        monkeypatch.setattr(structures.Kit, "cross", counting(structures.Kit.cross))
+        cases = [(frames, sel, k - arity + 1) for sel in _canonical_selections(case, k, n)]
         if arity > 1:
             cases.append((spanned, vectors, k))
         for f, sel, per_frame in cases:
@@ -327,7 +325,7 @@ class TestChainConsistency:
 
         patch = make_patch(name)
         rule = QuadratureRule(patch.box, 3)
-        selections = _canonical_selections(case, patch.k)
+        selections = _canonical_selections(case, patch.k, patch.n)
         frames = [frames_at(patch, x[None]) for x in rule.nodes]
         gaps = [abs(chain_trace(case, f, *sel)[0] - closed_form_trace(case, f, *sel)[0])
                 for f in frames for sel in selections]
@@ -382,7 +380,7 @@ class TestChainConsistency:
         for case, patch in CURVED.items():
             rule = QuadratureRule(patch.box, 3)
             fv = 0.0
-            for sel in _canonical_selections(case, patch.k):
+            for sel in _canonical_selections(case, patch.k, patch.n):
                 args = dict(zip(("V", "W"), sel))
                 fam = test_variation_family(case, **args)
                 fv += analytic_first_variation(patch, fam, rule)
@@ -795,10 +793,11 @@ class TestTangentPlanePath:
     def test_axis_plane_evaluated_once(self, case, axes, n, order):
         import dataclasses
 
-        from caliblab.structures import CROSS_ARITY, _blocks
+        from caliblab.structures import _blocks
 
         p = flat_plane(axes, n)
-        k, arity = len(axes), CROSS_ARITY[case]
+        k = len(axes)
+        arity = standard_kit(case, m=n // 2, k=max(1, k // 2)).arity
         rule = QuadratureRule(p.box, order)
         # the node blocks of the defect and of the derivative-minors routes
         for floats in (math.comb(k, arity - 1) * k * n, n * math.comb(n, arity + 1)):
