@@ -7,12 +7,13 @@ and the map-energy (Smith) functionals.
 """
 
 from .exterior import (
-    KForm,
-    evaluate,
-    form_inner,
+    form_coeffs,
+    from_tensor,
     hodge_star,
     interior,
+    minors,
     orthonormal_frames,
+    to_tensor,
     wedge,
 )
 from .structures import (
@@ -24,11 +25,10 @@ from .structures import (
     standard_kit,
 )
 from .decomposition import (
-    g2_split_3form,
-    g2_split_4form,
+    g2_split,
     metric_from_3form,
     project_35_7,
-    sp7_split_4form,
+    sp7_split,
 )
 from .submanifold import (
     Box,

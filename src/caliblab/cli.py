@@ -54,6 +54,7 @@ from .submanifold import (
 )
 from .variation import (
     CASES,
+    CAYLEY_KEPT_TRACE,
     TOL_INT,
     TOL_POINT,
     ambient_family,
@@ -316,7 +317,7 @@ def _test_variation_results(case, patch, rule, keep, tol_point):
         vol = float(np.prod(patch.box.hi - patch.box.lo)) if patch.flat else None
         if vol is not None and defect < CALIBRATED_DEFECT_TOL:
             # criticality must fail by exactly the predicted (2/7)|V^W|^2 volume term
-            results["kept_first_variation"] = (2.0 / 7.0) * vol
+            results["kept_first_variation"] = CAYLEY_KEPT_TRACE * vol
             passed = passed and anomaly["trace_discrepancy_err"] < tol_point \
                 and anomaly["star_restriction_max"] < STAR_RESTRICTION_TOL
         else:

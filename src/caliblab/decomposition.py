@@ -10,10 +10,12 @@ The linearized metric maps h(.) are the contractions
 where eta^_pq = eta_pij phi_qij, rho^_pq = rho_pijk psi_qijk and
 sig^_pq = sig_pijk Phi_qijk.  All maps here are linear with integer-tensor
 kernels, so they are precomputed once as dense matrices on the coefficient
-vectors and reused in batch.
+vectors.  A form is its coefficient row; every kernel maps rows
+(..., C(n, k)) and keeps their leading shape.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,11 +24,14 @@ import numpy as np
 from .exterior import (
     DegenerateInputError,
     DimensionError,
-    KForm,
+    _interior_maps,
     _star_table,
     _tensor_table,
+    _wedge_table,
+    from_tensor,
     n_coeffs,
-    wedge_coeffs,
+    to_tensor,
+    wedge,
 )
 from .structures import standard_kit
 
@@ -64,39 +69,43 @@ def _basis_contraction(k: int, form: np.ndarray, free: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _g2_maps():
+def _g2_maps(k: int):
+    """(hat, asm, x) of k-forms on R^7, k = 3 or 4: the hat map (49, 35) with
+    eta^ = hat @ coeffs, the assembly map (35, 49) with A_ij -> coefficients of
+    (1/2) A_ij e_i ^ (e_j _| phi) (psi for k = 4), and the X recovery (7, 35)
+    from the 7 part."""
     phi_t, psi_t = _phi_psi()
-    hat3 = _basis_contraction(3, phi_t, 1).reshape(35, 49).T  # eta^ = hat3 @ coeffs
-    hat4 = _basis_contraction(4, psi_t, 1).reshape(35, 49).T
-    # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| phi)  (and psi): the
-    # transposed hat maps over 2 (k - 1)!, since a hat entry sums the (k - 1)!
-    # orderings of the indices it contracts
-    asm3 = hat3.T / 4.0
-    asm4 = hat4.T / 12.0
-    # X recovery from the residual pieces
-    x3 = _basis_contraction(3, psi_t, 0).reshape(35, 7).T / 12.0  # X_q = (eta7)_ijk psi_qijk / 12
-    x4 = _basis_contraction(4, phi_t, 1).reshape(35, 7).T / 12.0  # X_i = (rho7)_ijkl phi_jkl / 12
-    return hat3, hat4, asm3, asm4, x3, x4
+    if k == 3:
+        hat = _basis_contraction(3, phi_t, 1).reshape(35, 49).T
+        x = _basis_contraction(3, psi_t, 0).reshape(35, 7).T / 12.0  # X_q = (eta7)_ijk psi_qijk / 12
+    else:
+        hat = _basis_contraction(4, psi_t, 1).reshape(35, 49).T
+        x = _basis_contraction(4, phi_t, 1).reshape(35, 7).T / 12.0  # X_i = (rho7)_ijkl phi_jkl / 12
+    # the transposed hat map over 2 (k - 1)!, since a hat entry sums the
+    # (k - 1)! orderings of the indices it contracts
+    return hat, hat.T / (2 * math.factorial(k - 1)), x
 
 
 @lru_cache(maxsize=None)
 def _sp7_maps():
     Phi_t = standard_kit("cayley").tensor
     hat = _basis_contraction(4, Phi_t, 1).reshape(70, 64).T
-    asm = hat.T / 12.0  # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| Phi), as asm4
+    asm = hat.T / 12.0  # A_ij -> coefficients of (1/2) A_ij e_i ^ (e_j _| Phi), as in G2
     # star on 4-forms as a 70x70 matrix: basis form c goes to +-(its complement)
     perm, sg = _star_table(8, 4)
     star = np.zeros((70, 70))
     star[perm, np.arange(70)] = sg
     # Omega^2_7 from the eigenspaces of beta_kl -> beta_rs Phi_rskl
-    i, j = pairs = np.triu_indices(8, 1)  # lexicographic pairs, the coefficient order
+    i, j = np.triu_indices(8, 1)  # lexicographic pairs, the coefficient order
     t2 = Phi_t[i[None], j[None], i[:, None], j[:, None]]
     evals, evecs = np.linalg.eigh(t2)
     rounded = np.rint(evals).astype(int)
-    seven = [v for v in set(rounded) if np.sum(rounded == v) == 7]
-    if len(seven) != 1:
-        raise RuntimeError("could not isolate the 7-dimensional 2-form eigenspace")
-    basis2_7 = evecs[:, rounded == seven[0]]  # (28, 7)
+    values, counts = np.unique(rounded, return_counts=True)
+    if np.count_nonzero(counts == 7) != 1:
+        found = dict(zip(values.tolist(), counts.tolist()))
+        raise RuntimeError("could not isolate the 7-dimensional 2-form eigenspace: "
+                           f"multiplicities of the rounded eigenvalues are {found}")
+    basis2_7 = evecs[:, rounded == values[counts == 7][0]]  # (28, 7)
     # push Omega^2_7 through beta -> (1/2) beta_ij e_i ^ (e_j _| Phi)
     skew_to_full = np.zeros((64, 28))
     skew_to_full[8 * i + j, np.arange(28)] = 1.0
@@ -104,25 +113,30 @@ def _sp7_maps():
     image = asm @ skew_to_full @ basis2_7  # (70, 7)
     q7, _ = np.linalg.qr(image)
     beta_from_coeffs = np.linalg.pinv(asm @ skew_to_full) # 4-form coeffs -> pair coeffs
-    return hat, asm, star, q7, beta_from_coeffs, pairs
+    return hat, asm, star, q7, beta_from_coeffs
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (coefficient arrays in, symmetric matrices out)
+# kernels: coefficient rows (..., C(n, k)) in, the leading shape kept
 
-def hat_eta_batch(coeffs: np.ndarray) -> np.ndarray:
-    hat3 = _g2_maps()[0]
-    return (np.atleast_2d(coeffs) @ hat3.T).reshape(-1, 7, 7)
-
-
-def hat_rho_batch(coeffs: np.ndarray) -> np.ndarray:
-    hat4 = _g2_maps()[1]
-    return (np.atleast_2d(coeffs) @ hat4.T).reshape(-1, 7, 7)
+def _hat(coeffs, table: np.ndarray, n: int) -> np.ndarray:
+    coeffs = np.asarray(coeffs)
+    return (coeffs @ table.T).reshape(coeffs.shape[:-1] + (n, n))
 
 
-def hat_sigma_batch(coeffs: np.ndarray) -> np.ndarray:
-    hat = _sp7_maps()[0]
-    return (np.atleast_2d(coeffs) @ hat.T).reshape(-1, 8, 8)
+def hat_eta(coeffs) -> np.ndarray:
+    """eta^ (..., 7, 7) of 3-form rows (..., 35)."""
+    return _hat(coeffs, _g2_maps(3)[0], 7)
+
+
+def hat_rho(coeffs) -> np.ndarray:
+    """rho^ (..., 7, 7) of 4-form rows (..., 35) on R^7."""
+    return _hat(coeffs, _g2_maps(4)[0], 7)
+
+
+def hat_sigma(coeffs) -> np.ndarray:
+    """sigma^ (..., 8, 8) of 4-form rows (..., 70) on R^8."""
+    return _hat(coeffs, _sp7_maps()[0], 8)
 
 
 def _h_from_hat(hat: np.ndarray, sym_coeff: float, trace_coeff: float) -> np.ndarray:
@@ -132,25 +146,26 @@ def _h_from_hat(hat: np.ndarray, sym_coeff: float, trace_coeff: float) -> np.nda
     return sym - trace_coeff * tr[..., None, None] * np.eye(n)
 
 
-def h_from_3form_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_eta_batch(coeffs), *H_MAP_COEFFS["h_from_3form"])
+def h_from_3form(coeffs) -> np.ndarray:
+    return _h_from_hat(hat_eta(coeffs), *H_MAP_COEFFS["h_from_3form"])
 
 
-def h_from_4form_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_rho_batch(coeffs), *H_MAP_COEFFS["h_from_4form"])
+def h_from_4form(coeffs) -> np.ndarray:
+    return _h_from_hat(hat_rho(coeffs), *H_MAP_COEFFS["h_from_4form"])
 
 
-def h_sp7_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_sigma_batch(coeffs), *H_MAP_COEFFS["h_sp7"])
+def h_sp7(coeffs) -> np.ndarray:
+    return _h_from_hat(hat_sigma(coeffs), *H_MAP_COEFFS["h_sp7"])
 
 
-def h0_sp7_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _h_from_hat(hat_sigma_batch(coeffs), *H_MAP_COEFFS["h0_sp7"])
+def h0_sp7(coeffs) -> np.ndarray:
+    return _h_from_hat(hat_sigma(coeffs), *H_MAP_COEFFS["h0_sp7"])
 
 
-def project_35_7_batch(coeffs: np.ndarray) -> np.ndarray:
-    _, _, star, q7, _, _ = _sp7_maps()
-    c = np.atleast_2d(coeffs)
+def project_35_7(coeffs) -> np.ndarray:
+    """Orthogonal projection of 4-form rows (..., 70) on R^8 onto the 35 + 7 types."""
+    _, _, star, q7, _ = _sp7_maps()
+    c = np.asarray(coeffs)
     anti = 0.5 * (c - c @ star.T)
     selfdual = 0.5 * (c + c @ star.T)
     part7 = (selfdual @ q7) @ q7.T
@@ -158,97 +173,67 @@ def project_35_7_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# split records
+# splits: coefficient rows in, records of rows out
 
 @dataclass(frozen=True)
-class G2ThreeFormSplit:
-    eta_1_27: KForm
-    eta_7: KForm
-    h: np.ndarray  # (7, 7)
-    X: np.ndarray
-
-
-@dataclass(frozen=True)
-class G2FourFormSplit:
-    rho_1_27: KForm
-    rho_7: KForm
-    h: np.ndarray  # (7, 7)
-    X: np.ndarray
+class G2Split:
+    """A G2 split of k-form rows (..., 35) on R^7, k = 3 or 4."""
+    part_1_27: np.ndarray
+    part_7: np.ndarray
+    h: np.ndarray  # (..., 7, 7)
+    X: np.ndarray  # (..., 7)
 
 
 @dataclass(frozen=True)
-class SP7FourFormSplit:
-    sigma_1_35: KForm
-    sigma_7: KForm
-    sigma_27: KForm
-    h: np.ndarray   # (8, 8)
-    h0: np.ndarray  # (8, 8), trace-free
-    beta: np.ndarray
+class Sp7Split:
+    """A Spin(7) split of 4-form rows (..., 70) on R^8."""
+    sigma_1_35: np.ndarray
+    sigma_7: np.ndarray
+    sigma_27: np.ndarray
+    h: np.ndarray   # (..., 8, 8)
+    h0: np.ndarray  # (..., 8, 8), trace-free
+    beta: np.ndarray  # (..., 8, 8), skew
 
 
-def g2_split_3form(eta: KForm) -> G2ThreeFormSplit:
-    """Split a 3-form on R^7 into its (1+27) and 7 parts with (h, X) data."""
-    if (eta.n, eta.k) != (7, 3):
-        raise DimensionError("g2_split_3form needs a 3-form on R^7")
-    h = h_from_3form_batch(eta.coeffs)[0]
-    asm3 = _g2_maps()[2]
-    part = KForm(7, 3, asm3 @ h.reshape(49))
-    resid = eta - part
-    X = _g2_maps()[4] @ resid.coeffs
-    return G2ThreeFormSplit(part, resid, h, X)
+def g2_split(rows, k: int) -> G2Split:
+    """Split 3-form (k = 3) or 4-form (k = 4) rows on R^7 into their (1+27)
+    and 7 parts with (h, X) data."""
+    if k not in (3, 4):
+        raise DimensionError(f"g2_split needs 3- or 4-forms on R^7, got k={k}")
+    rows = np.asarray(rows, float)
+    _, asm, x = _g2_maps(k)
+    h = (h_from_3form if k == 3 else h_from_4form)(rows)
+    part = h.reshape(h.shape[:-2] + (49,)) @ asm.T
+    resid = rows - part
+    return G2Split(part, resid, h, resid @ x.T)
 
 
-def g2_split_4form(rho: KForm) -> G2FourFormSplit:
-    """Split a 4-form on R^7 into its (1+27) and 7 parts with (h, X) data."""
-    if (rho.n, rho.k) != (7, 4):
-        raise DimensionError("g2_split_4form needs a 4-form on R^7")
-    h = h_from_4form_batch(rho.coeffs)[0]
-    asm4 = _g2_maps()[3]
-    part = KForm(7, 4, asm4 @ h.reshape(49))
-    resid = rho - part
-    X = _g2_maps()[5] @ resid.coeffs
-    return G2FourFormSplit(part, resid, h, X)
-
-
-def sp7_split_4form(sigma: KForm) -> SP7FourFormSplit:
-    """Split a 4-form on R^8 into (1+35) + 7 + 27 with (h, h0, beta) data."""
-    if (sigma.n, sigma.k) != (8, 4):
-        raise DimensionError("sp7_split_4form needs a 4-form on R^8")
-    hat, asm, star, q7, beta_from, pairs = _sp7_maps()
-    h = h_sp7_batch(sigma.coeffs)[0]
-    h0 = h - np.trace(h) / 8.0 * np.eye(8)
-    part_1_35 = KForm(8, 4, asm @ h.reshape(64))
-    resid = sigma - part_1_35
-    part7 = KForm(8, 4, (resid.coeffs @ q7) @ q7.T)
-    part27 = resid - part7
-    pair_coeffs = beta_from @ part7.coeffs
-    beta = np.zeros((8, 8))
-    beta[pairs] = pair_coeffs
-    beta[pairs[::-1]] = -pair_coeffs
-    return SP7FourFormSplit(part_1_35, part7, part27, h, h0, beta)
-
-
-def project_35_7(sigma: KForm) -> KForm:
-    """Orthogonal projection of a 4-form on R^8 onto the 35 + 7 types."""
-    if (sigma.n, sigma.k) != (8, 4):
-        raise DimensionError("project_35_7 needs a 4-form on R^8")
-    return KForm(8, 4, project_35_7_batch(sigma.coeffs)[0])
+def sp7_split(rows) -> Sp7Split:
+    """Split 4-form rows on R^8 into (1+35) + 7 + 27 with (h, h0, beta) data."""
+    rows = np.asarray(rows, float)
+    _, asm, _, q7, beta_from = _sp7_maps()
+    h = h_sp7(rows)
+    part_1_35 = h.reshape(h.shape[:-2] + (64,)) @ asm.T
+    resid = rows - part_1_35
+    part7 = (resid @ q7) @ q7.T
+    beta = to_tensor(part7 @ beta_from.T, 8, 2)  # beta's pair coefficients are a 2-form row
+    return Sp7Split(part_1_35, part7, resid - part7, h, h0_sp7(rows), beta)
 
 
 # ---------------------------------------------------------------------------
 # forward assemblies (used as independent oracles in tests)
 
-def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
+def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> np.ndarray:
     """2 eta_ijk = h_ip phi_pjk + h_jp phi_ipk + h_kp phi_ijp + X_p psi_pijk."""
     phi_t, psi_t = _phi_psi()
     t = (np.einsum("ip,pjk->ijk", h, phi_t)
          + np.einsum("jp,ipk->ijk", h, phi_t)
          + np.einsum("kp,ijp->ijk", h, phi_t)
          + np.einsum("p,pijk->ijk", X, psi_t)) / 2.0
-    return KForm.from_tensor(t)
+    return from_tensor(t)
 
 
-def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
+def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> np.ndarray:
     """2 rho = (h acting on psi) + X ^ phi, written out index by index."""
     phi_t, psi_t = _phi_psi()
     t = (np.einsum("ip,pjkl->ijkl", h, psi_t)
@@ -259,17 +244,17 @@ def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> KForm:
          - np.einsum("j,ikl->ijkl", X, phi_t)
          + np.einsum("k,ijl->ijkl", X, phi_t)
          - np.einsum("l,ijk->ijkl", X, phi_t)) / 2.0
-    return KForm.from_tensor(t)
+    return from_tensor(t)
 
 
-def four_form_from_a_27(A: np.ndarray, sigma27: KForm) -> KForm:
+def four_form_from_a_27(A: np.ndarray, sigma27: np.ndarray) -> np.ndarray:
     """2 sigma = (A acting on Phi) + 2 sigma_27 with A = h + beta."""
     Phi_t = standard_kit("cayley").tensor
     t = (np.einsum("ip,pjkl->ijkl", A, Phi_t)
          + np.einsum("jp,ipkl->ijkl", A, Phi_t)
          + np.einsum("kp,ijpl->ijkl", A, Phi_t)
          + np.einsum("lp,ijkp->ijkl", A, Phi_t)) / 2.0
-    return KForm.from_tensor(t) + sigma27
+    return from_tensor(t) + sigma27
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +266,7 @@ _METRIC_SCALE = 24.0 ** (2.0 / 9.0)
 @lru_cache(maxsize=None)
 def _metric_tables():
     """Precomputed contractions for the cubic form-to-metric pipeline."""
-    from .exterior import _interior_table, _wedge_table
-
-    ax, pi, po, sg = _interior_table(7, 3)
-    int_maps = np.zeros((7, 21, 35))
-    int_maps[ax, po, pi] = sg
+    int_maps = _interior_maps(7, 3)
     ia25, ib25, sg25 = _wedge_table(7, 2, 5)
     pair = np.zeros((21, 21))
     pair[ia25, ib25] = sg25
@@ -306,7 +287,7 @@ def metric_from_3form(coeffs) -> tuple[np.ndarray, np.ndarray]:
     int_maps, pair = _metric_tables()
     contractions = np.einsum("ipq,...q->...ip", int_maps, v)   # (..., 7, 21): e_i _| phi
     rows = np.broadcast_to(v[..., None, :], contractions.shape[:-1] + (35,))
-    fives = wedge_coeffs(contractions, rows, 7, 2, 3)            # (e_j _| phi) ^ phi
+    fives = wedge(contractions, rows, 7, 2, 3)            # (e_j _| phi) ^ phi
     b = -(contractions @ pair @ np.swapaxes(fives, -1, -2)) / 144.0
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
     det = np.linalg.det(b)

@@ -1,14 +1,14 @@
 """Alternating multilinear algebra over R^n (n <= 8) with a flat background metric.
 
-Coefficients of a k-form are stored densely, one per strictly increasing
-multi-index in lexicographic order.  Multi-indices are 1-based in the public
-API (axis labels 1..n); all internal tables are 0-based.
+A k-form is its coefficient row, one coefficient per strictly increasing
+multi-index in lexicographic order; stacked forms are rows (..., C(n, k)), and
+every operation takes n and the degrees from its caller.  Multi-indices are
+1-based in `form_coeffs` (axis labels 1..n); all internal tables are 0-based.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -78,22 +78,18 @@ def _wedge_table(n: int, ka: int, kb: int):
 
 
 @lru_cache(maxsize=None)
-def _interior_table(n: int, k: int):
-    """(axis, pos_in, pos_out, sign) so that (v .| a)[pos_out] += sign*v[axis]*a[pos_in]."""
-    ax, pi, po, sg = [], [], [], []
+def _interior_maps(n: int, k: int) -> np.ndarray:
+    """Contraction in the first slot as one matrix per axis, (n, C(n, k-1), C(n, k)):
+    (e_p .| a) = _interior_maps(n, k)[p] @ a."""
+    out = np.zeros((n, n_coeffs(n, k - 1), n_coeffs(n, k)))
     pos_in = index_position(n, k)
-    for po_idx, idx_out in enumerate(multi_indices(n, k - 1)):
-        out_set = set(idx_out)
+    for po, idx_out in enumerate(multi_indices(n, k - 1)):
         for p in range(n):
-            if p in out_set:
-                continue
-            merged, sign = sort_with_sign((p,) + idx_out)
-            ax.append(p)
-            pi.append(pos_in[merged])
-            po.append(po_idx)
-            sg.append(sign)
-    return (np.asarray(ax), np.asarray(pi), np.asarray(po),
-            np.asarray(sg, dtype=np.int64))
+            if p not in idx_out:
+                merged, sign = sort_with_sign((p,) + idx_out)
+                out[p, po, pos_in[merged]] = sign
+    out.flags.writeable = False  # shared by every caller
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -124,123 +120,38 @@ def _tensor_table(n: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# coefficient rows
 
-def _metric_matrix(metric, n: int) -> np.ndarray | None:
-    """Normalize a metric argument (n, n), or stacked (..., n, n); None or the
-    identity -> None (Euclidean fast path)."""
-    if metric is None:
-        return None
-    mat = np.asarray(metric, float)
-    if mat.shape[-2:] != (n, n):
-        raise DimensionError(f"metric shape {mat.shape} does not match n={n}")
-    if np.array_equal(mat, np.eye(n)):
-        return None
-    return mat
-
-
-@dataclass(frozen=True)
-class KForm:
-    """Dense alternating k-tensor over R^n."""
-    n: int
-    k: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if c.shape != (n_coeffs(self.n, self.k),):
-            raise DimensionError(
-                f"coefficient array must have length C({self.n},{self.k})"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    # construction helpers -------------------------------------------------
-    @staticmethod
-    def zero(n: int, k: int) -> "KForm":
-        return KForm(n, k, np.zeros(n_coeffs(n, k)))
-
-    @staticmethod
-    def from_components(n: int, k: int, terms: dict[tuple[int, ...], float]) -> "KForm":
-        """Build from {1-based multi-index (any order): coefficient}."""
-        c = np.zeros(n_coeffs(n, k))
-        pos = index_position(n, k)
-        for idx, val in terms.items():
-            mi = tuple(i - 1 for i in idx)
-            srt, sign = sort_with_sign(mi)
-            if sign == 0:
-                raise ValueError(f"repeated axis in {idx}")
-            c[pos[srt]] += sign * val
-        return KForm(n, k, c)
-
-    @staticmethod
-    def basis(n: int, *axes: int) -> "KForm":
-        """The basis form e^{i1} ^ ... ^ e^{ik} for 1-based axes."""
-        return KForm.from_components(n, len(axes), {tuple(axes): 1.0})
-
-    @staticmethod
-    def covector(v) -> "KForm":
-        v = np.asarray(v, float)
-        return KForm(v.shape[0], 1, v.copy())
-
-    @staticmethod
-    def from_tensor(t: np.ndarray) -> "KForm":
-        t = np.asarray(t)
-        n = t.shape[0]
-        k = t.ndim
-        idxs = multi_indices(n, k)
-        c = np.array([t[idx] for idx in idxs], dtype=float)
-        return KForm(n, k, c)
-
-    # basic queries ---------------------------------------------------------
-    def coefficient(self, idx: tuple[int, ...]) -> float:
-        """Coefficient on a 1-based multi-index (any order, sign-adjusted)."""
+def form_coeffs(n: int, k: int, terms: dict[tuple[int, ...], float]) -> np.ndarray:
+    """The coefficient row (C(n, k),) of {1-based multi-index (any order): coefficient}."""
+    c = np.zeros(n_coeffs(n, k))
+    pos = index_position(n, k)
+    for idx, val in terms.items():
         srt, sign = sort_with_sign(tuple(i - 1 for i in idx))
         if sign == 0:
-            return 0.0
-        return sign * float(self.coeffs[index_position(self.n, self.k)[srt]])
-
-    def to_tensor(self) -> np.ndarray:
-        """Full antisymmetric ndarray of shape (n,)*k."""
-        flat_pos, sg, src = _tensor_table(self.n, self.k)
-        t = np.zeros(self.n ** self.k, dtype=self.coeffs.dtype)
-        t[flat_pos] = sg * self.coeffs[src]
-        return t.reshape((self.n,) * self.k)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    # arithmetic ------------------------------------------------------------
-    def _like(self, coeffs) -> "KForm":
-        return KForm(self.n, self.k, coeffs)
-
-    def __add__(self, other: "KForm") -> "KForm":
-        self._check_same(other)
-        return self._like(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        self._check_same(other)
-        return self._like(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "KForm":
-        return self._like(-self.coeffs)
-
-    def __mul__(self, s) -> "KForm":
-        return self._like(self.coeffs * float(s))
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other: "KForm"):
-        if self.n != other.n:
-            raise DimensionError("ambient dimension mismatch")
-        if self.k != other.k:
-            raise DimensionError("degree mismatch")
+            raise ValueError(f"repeated axis in {idx}")
+        c[pos[srt]] += sign * val
+    return c
 
 
-# ---------------------------------------------------------------------------
-# operations
+def to_tensor(coeffs, n: int, k: int) -> np.ndarray:
+    """Full antisymmetric tensors (..., n, ..., n) of coefficient rows (..., C(n, k))."""
+    flat_pos, sg, src = _tensor_table(n, k)
+    coeffs = np.asarray(coeffs, float)
+    t = np.zeros(coeffs.shape[:-1] + (n ** k,))
+    t[..., flat_pos] = sg * coeffs[..., src]
+    return t.reshape(coeffs.shape[:-1] + (n,) * k)
 
-def wedge_coeffs(a, b, n: int, ka: int, kb: int) -> np.ndarray:
-    """Wedge of coefficient arrays (..., C(n, ka)) and (..., C(n, kb)).
+
+def from_tensor(t) -> np.ndarray:
+    """The coefficient row of an antisymmetric tensor (n,) * k: its entries on
+    the increasing multi-indices."""
+    t = np.asarray(t, float)
+    return t[tuple(np.array(multi_indices(t.shape[0], t.ndim)).T)]
+
+
+def wedge(a, b, n: int, ka: int, kb: int) -> np.ndarray:
+    """Wedge of coefficient rows (..., C(n, ka)) and (..., C(n, kb)).
 
     The leading shapes must agree, or one of them must hold a single form,
     which is then used for every row of the other.  Batches are processed
@@ -256,7 +167,7 @@ def wedge_coeffs(a, b, n: int, ka: int, kb: int) -> np.ndarray:
         return (sg * a[ia] * b[ib]).sum(axis=0)
     lead = max(a.shape[:-1], b.shape[:-1], key=math.prod)
     if a.size == a.shape[-1] and b.size == b.shape[-1]:
-        return wedge_coeffs(a.ravel(), b.ravel(), n, ka, kb).reshape(lead + (-1,))
+        return wedge(a.ravel(), b.ravel(), n, ka, kb).reshape(lead + (-1,))
     at = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
     bt = np.ascontiguousarray(b.reshape(-1, b.shape[-1]).T)
     out = 0.0
@@ -269,68 +180,28 @@ def wedge_coeffs(a, b, n: int, ka: int, kb: int) -> np.ndarray:
 
 def minors(rows) -> np.ndarray:
     """Coefficients of v_1 ^ ... ^ v_k for rows (..., k, n): the k x k minors,
-    shape (..., C(n, k))."""
+    shape (..., C(n, k)).  A form's value on the rows is minors(rows) @ coeffs."""
     rows = np.asarray(rows, float)
     k, n = rows.shape[-2:]
     if k == 0:
         return np.ones(rows.shape[:-2] + (1,))
     out = rows[..., 0, :]
     for i in range(1, k):
-        out = wedge_coeffs(out, rows[..., i, :], n, i, 1)
+        out = wedge(out, rows[..., i, :], n, i, 1)
     return out
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-commutative wedge product."""
-    if a.n != b.n:
-        raise DimensionError("ambient dimension mismatch")
-    return KForm(a.n, a.k + b.k, wedge_coeffs(a.coeffs, b.coeffs, a.n, a.k, b.k))
-
-
-def interior(v, a: KForm) -> KForm:
-    """Contraction in the first slot: (v .| a)(w2,...,wk) = a(v, w2,...,wk)."""
-    if a.k < 1:
+def interior(v, coeffs, n: int, k: int) -> np.ndarray:
+    """Contraction in the first slot, (v .| a)(w_2, ..., w_k) = a(v, w_2, ..., w_k),
+    of vectors (..., n) with coefficient rows (..., C(n, k)): rows (..., C(n, k - 1))."""
+    if k < 1:
         raise DimensionError("interior product needs degree >= 1")
-    v = np.asarray(v, float)
-    if v.shape != (a.n,):
-        raise DimensionError("vector dimension mismatch")
-    ax, pi, po, sg = _interior_table(a.n, a.k)
-    out = np.zeros(n_coeffs(a.n, a.k - 1))
-    np.add.at(out, po, sg * v[ax] * a.coeffs[pi])
-    return KForm(a.n, a.k - 1, out)
+    return np.einsum("...p,pqc,...c->...q", np.asarray(v, float), _interior_maps(n, k),
+                     np.asarray(coeffs, float))
 
 
-def evaluate(a: KForm, vectors) -> float:
-    """Fully alternating multilinear evaluation on k vectors."""
-    vecs = np.asarray(vectors, float)
-    if vecs.shape != (a.k, a.n):
-        raise DimensionError(f"need {a.k} vectors of dimension {a.n}")
-    return float(a.coeffs @ minors(vecs))
-
-
-def pullback(a: KForm, mat) -> KForm:
-    """The form a(M.,...,M.) for a linear map M on R^n."""
-    if a.k == 0:
-        return a
-    m = np.asarray(mat, float)
-    t = a.to_tensor()
-    for slot in range(a.k):
-        t = np.tensordot(t, m, axes=([0], [0]))
-    return KForm.from_tensor(t)
-
-
-def form_inner(a: KForm, b: KForm, metric=None) -> float:
-    """Induced inner product on k-forms; Euclidean default."""
-    a._check_same(b)
-    g = _metric_matrix(metric, a.n)
-    if g is None:
-        return float(a.coeffs @ b.coeffs)
-    basis = orthonormal_frames(np.eye(a.n), g)[0].T
-    return float(pullback(a, basis).coeffs @ pullback(b, basis).coeffs)
-
-
-def star_coeffs(coeffs, n: int, k: int) -> np.ndarray:
-    """Euclidean Hodge star on coefficient arrays (..., C(n, k))."""
+def hodge_star(coeffs, n: int, k: int) -> np.ndarray:
+    """Euclidean Hodge star of coefficient rows (..., C(n, k)): rows (..., C(n, n - k))."""
     perm, sg = _star_table(n, k)
     coeffs = np.asarray(coeffs, float)
     out = np.empty_like(coeffs)
@@ -338,16 +209,17 @@ def star_coeffs(coeffs, n: int, k: int) -> np.ndarray:
     return out
 
 
-def hodge_star(a: KForm, metric=None, orientation: int = 1) -> KForm:
-    """Hodge dual with respect to a constant metric and orientation sign."""
-    g = _metric_matrix(metric, a.n)
-    if g is None:
-        return KForm(a.n, a.n - a.k, orientation * star_coeffs(a.coeffs, a.n, a.k))
-    # columns: a g-orthonormal, positively oriented basis
-    basis = orthonormal_frames(np.eye(a.n), g)[0].T
-    in_frame = pullback(a, basis)
-    starred = hodge_star(in_frame, None, orientation)
-    return pullback(starred, np.linalg.inv(basis))
+def _metric_matrix(metric, n: int) -> np.ndarray | None:
+    """Normalize a metric argument (n, n), or stacked (..., n, n); None or the
+    identity -> None (Euclidean fast path)."""
+    if metric is None:
+        return None
+    mat = np.asarray(metric, float)
+    if mat.shape[-2:] != (n, n):
+        raise DimensionError(f"metric shape {mat.shape} does not match n={n}")
+    if np.array_equal(mat, np.eye(n)):
+        return None
+    return mat
 
 
 def orthonormal_frames(rows, metric=None):

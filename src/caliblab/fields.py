@@ -1,7 +1,7 @@
 """Ambient fields on R^n with analytic derivatives.
 
 Fourier fields (trigonometric modes with constant coefficient forms) are the
-workhorses: on a torus-identified patch their pullbacks are periodic whenever
+workhorses: on a torus-identified patch their restrictions are periodic whenever
 every mode carries an integer frequency, which is what the Stokes arguments in
 the variation experiments need.  Each field keeps its modes as arrays
 (coefficients (M, ...), frequencies (M, n), phases (M,)), and every evaluator
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import KForm, index_position, n_coeffs, wedge_coeffs
+from .exterior import index_position, n_coeffs, wedge
 from .structures import standard_kit
 
 
@@ -49,25 +49,21 @@ def _angles(freqs: np.ndarray, phases: np.ndarray, points) -> np.ndarray:
 
 
 class FormField:
-    """k-form field: a constant form plus modes sin(2 pi f.y + c) alpha."""
+    """k-form field: a constant coefficient row plus modes sin(2 pi f.y + c) alpha."""
 
-    def __init__(self, n: int, k: int, constant: KForm | None = None,
-                 modes: list[FourierMode] | None = None):
+    def __init__(self, n: int, k: int, constant=None, modes: list[FourierMode] | None = None):
         self.n = n
         self.k = k
-        self.constant = constant if constant is not None else KForm.zero(n, k)
+        self.constant = (np.zeros(n_coeffs(n, k)) if constant is None
+                         else np.asarray(constant, float))
         self.coeffs, self.freqs, self.phases = _stack(modes, n, n_coeffs(n, k))
         # d(sin(2 pi f.y + c) alpha) = 2 pi cos(...) (f_p e^p) ^ alpha; d of a top-degree form is 0
-        self.d_table = (2 * math.pi * wedge_coeffs(self.freqs, self.coeffs, n, 1, k) if k < n
+        self.d_table = (2 * math.pi * wedge(self.freqs, self.coeffs, n, 1, k) if k < n
                         else np.zeros((len(self.phases), 0)))
 
     @property
     def modes(self) -> list[FourierMode]:
         return [FourierMode(*mode) for mode in zip(self.coeffs, self.freqs, self.phases)]
-
-    @staticmethod
-    def constant_form(form: KForm) -> "FormField":
-        return FormField(form.n, form.k, constant=form)
 
     @staticmethod
     def random_fourier(n: int, k: int, rng, n_modes: int = 3,
@@ -86,7 +82,7 @@ class FormField:
     # evaluation -------------------------------------------------------------
     def value_coeffs(self, y) -> np.ndarray:
         """Coefficients at one point (C(n, k),) or at stacked points (..., C(n, k))."""
-        return self.constant.coeffs + np.sin(_angles(self.freqs, self.phases, y)) @ self.coeffs
+        return self.constant + np.sin(_angles(self.freqs, self.phases, y)) @ self.coeffs
 
     def d_coeffs(self, y) -> np.ndarray:
         """Coefficients of the ambient exterior derivative (analytic) at one point
@@ -172,7 +168,7 @@ class UmBackground:
         # waves: per complex line a, list of (amplitude, freq vector, phase)
         modes = [FourierMode(amp * pair_forms[a], freq, phase)
                  for a, wlist in enumerate(waves or []) for amp, freq, phase in wlist]
-        self.omega_field = FormField(self.n, 2, KForm(self.n, 2, pair_forms.sum(axis=0)), modes)
+        self.omega_field = FormField(self.n, 2, pair_forms.sum(axis=0), modes)
         self.J = standard_kit("um", m, 1).tensor.T  # omega(x, y) = <J x, y>
 
     @staticmethod

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exterior import DegenerateInputError, evaluate, orthonormal_frames
+from .exterior import DegenerateInputError, minors, orthonormal_frames
 from .submanifold import Patch, QuadratureRule
 
 # points per axis of the uniform grid the residual sups sample beside the nodes
@@ -25,7 +25,7 @@ class MapTriple:
     """Map u (as a Patch), a domain metric field g(x), and a calibration kit."""
     patch: Patch
     g_field: Callable          # x -> (k, k) positive definite
-    kit: object                # supplies mu of degree k
+    kit: object                # a Kit: the row mu of degree calibration_dim = k
 
     @property
     def k(self) -> int:
@@ -76,13 +76,12 @@ def k_volume(triple: MapTriple, rule: QuadratureRule) -> float:
 def calibration_integral(triple: MapTriple, rule: QuadratureRule) -> float:
     """Integral of u*mu over the domain."""
     mu = triple.kit.mu
-    if mu.k != triple.k:
-        raise DegenerateInputError(
-            f"calibration degree {mu.k} does not match the domain dimension {triple.k}"
-        )
+    if triple.kit.calibration_dim != triple.k:
+        raise DegenerateInputError(f"calibration degree {triple.kit.calibration_dim} does "
+                                   f"not match the domain dimension {triple.k}")
     vals = np.empty(rule.nodes.shape[0])
     for i, j in enumerate(_jacobians(triple, rule.nodes)):
-        vals[i] = evaluate(mu, j.T)
+        vals[i] = mu @ minors(j.T)
     return rule.integrate(vals)
 
 
@@ -114,7 +113,7 @@ def smith_residual(triple: MapTriple, rule: QuadratureRule) -> tuple[float, floa
     xs = sample_points(triple, rule)
     for x, j in zip(xs, _jacobians(triple, xs)):
         du2, sg, _, _ = _densities(triple, x, j)
-        pulled = evaluate(mu, j.T)
+        pulled = mu @ minors(j.T)
         model = max(du2, 0.0) ** (k / 2.0) * sg / math.sqrt(k) ** k
         worst = max(worst, abs(pulled - model))
     return conformality_residual(triple, rule), worst

@@ -15,10 +15,11 @@ import numpy as np
 
 from .exterior import (
     DimensionError,
-    KForm,
-    evaluate,
+    form_coeffs,
     hodge_star,
+    minors,
     orthonormal_frames,
+    to_tensor,
     wedge,
 )
 
@@ -53,17 +54,19 @@ SPIN7_PHI_TERMS = (
 class Kit:
     """The standard structure of one calibration case on R^n.
 
-    form is the form of the cross product (omega, phi, psi or Phi) and tensor
-    its read-only float tensor; mu calibrates calibration_dim-planes.  The cross
-    product cross(v_1, ..., v_r), r = arity = deg(form) - 1, is the vector with
+    form is the read-only coefficient row of the cross product's form (omega,
+    phi, psi or Phi), of degree arity + 1, and tensor its read-only float
+    tensor; mu, the read-only row of degree calibration_dim, calibrates
+    calibration_dim-planes.  The cross product cross(v_1, ..., v_r),
+    r = arity = deg(form) - 1, is the vector with
     <cross(v_1, ..., v_r), w> = form(v_1, ..., v_r, w): J v, V x W, chi(U, V, W)
     or P(U, V, W).  Stacked vectors (..., n) broadcast.
     """
     case: str
     n: int
     calibration_dim: int
-    form: KForm
-    mu: KForm
+    form: np.ndarray
+    mu: np.ndarray
     tensor: np.ndarray
     arity: int
 
@@ -89,19 +92,23 @@ def standard_kit(case: str, m: int | None = None, k: int | None = None) -> Kit:
 def _build_kit(case: str, m: int | None, k: int | None) -> Kit:
     """One record per case (and U(m) shape) and process, from the term tables."""
     if case == "um":
-        form = KForm.from_components(2 * m, 2, {(2 * a + 1, 2 * a + 2): 1.0 for a in range(m)})
-        mu = form  # the comass-one form omega^k / k!
-        for j in range(2, k + 1):
-            mu = wedge(mu, form) * (1.0 / j)
+        n, degree, dim = 2 * m, 2, 2 * k
+        form = mu = form_coeffs(n, 2, {(2 * a + 1, 2 * a + 2): 1.0 for a in range(m)})
+        for j in range(2, k + 1):  # the comass-one form omega^k / k!
+            mu = wedge(mu, form, n, 2 * j - 2, 2) * (1.0 / j)
     elif case == "cayley":
-        form = mu = KForm.from_components(8, 4, dict(SPIN7_PHI_TERMS))
-    else:
-        phi = KForm.from_components(7, 3, dict(G2_PHI_TERMS))
-        form = mu = phi if case == "associative" else hodge_star(phi)
-    tensor = form.to_tensor() + 0.0  # + 0.0 makes the zeros unsigned
-    for shared in (form.coeffs, mu.coeffs, tensor):  # every caller gets this record
+        n, degree, dim = 8, 4, 4
+        form = mu = form_coeffs(8, 4, dict(SPIN7_PHI_TERMS))
+    elif case == "associative":
+        n, degree, dim = 7, 3, 3
+        form = mu = form_coeffs(7, 3, dict(G2_PHI_TERMS))
+    else:  # psi = star phi
+        n, degree, dim = 7, 4, 4
+        form = mu = hodge_star(form_coeffs(7, 3, dict(G2_PHI_TERMS)), 7, 3)
+    tensor = to_tensor(form, n, degree) + 0.0  # + 0.0 makes the zeros unsigned
+    for shared in (form, mu, tensor):  # every caller gets this record
         shared.flags.writeable = False
-    return Kit(case, form.n, mu.k, form, mu, tensor, form.k - 1)
+    return Kit(case, n, dim, form, mu, tensor, degree - 1)
 
 
 def _blocks(count: int, floats_per_node: int):
@@ -255,12 +262,13 @@ def invariance_defect(kit, tangent: np.ndarray):
 def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> CalibrationReport:
     """Evaluate the calibration form and the invariance defect on a k-plane."""
     rows = np.asarray(tangent_basis, float)
-    if rows.ndim != 2 or len(rows) != kit.calibration_dim:
+    if rows.shape != (kit.calibration_dim, kit.n):
         raise DimensionError(
-            f"{kit.case} calibrates {kit.calibration_dim}-planes, got rows {rows.shape}"
+            f"{kit.case} calibrates {kit.calibration_dim}-planes in R^{kit.n}, "
+            f"got rows {rows.shape}"
         )
     frame = orthonormal_frames(rows)[0]
-    value = evaluate(kit.mu, frame)
+    value = float(kit.mu @ minors(frame))
     defect = invariance_defect(kit, frame)
     return CalibrationReport(frame, value, defect, defect < tol)
 
@@ -271,7 +279,7 @@ def comass_sample(kit, trials: int, seed: int = 0) -> float:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     n, k = kit.n, kit.calibration_dim
-    mu_t = kit.mu.to_tensor()
+    mu_t = to_tensor(kit.mu, n, k)
     spec = "ijkl"[:k]
     args_spec = ",".join(f"b{c}" for c in spec)
 

@@ -22,21 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import (
-    h0_sp7_batch,
-    h_from_3form_batch,
-    h_from_4form_batch,
-    h_sp7_batch,
-    hat_sigma_batch,
+    h0_sp7,
+    h_from_3form,
+    h_from_4form,
+    h_sp7,
+    hat_sigma,
     metric_from_3form,
-    project_35_7_batch,
+    project_35_7,
 )
-from .exterior import (
-    KForm,
-    minors,
-    orthonormal_frames,
-    star_coeffs,
-    wedge_coeffs,
-)
+from .exterior import hodge_star, minors, orthonormal_frames, wedge
 from .fields import FormField, UmBackground, VectorField
 from .structures import (
     Kit,
@@ -70,6 +64,12 @@ CASES = ("um", "associative", "coassociative", "cayley")
 # Tr_g h of the test variation over sum_f |pi_N cross(S, f)|^2; the sign is
 # pinned by direct evaluation of the construction (see tests)
 CLOSED_FORM_SCALE = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 0.5}
+# along a Cayley plane, retaining the pure-trace direction of the test variation
+# adds CAYLEY_KEPT_TRACE |V ^ W|^2 to (1/2) Tr_g h
+CAYLEY_KEPT_TRACE = 2.0 / 7.0
+# the raw Cayley trace identity Tr_g h(sigma) = sigma_T - sigma_N + Tr(sigma^) / 168
+# for unprojected sigma along Cayley planes: the divisor of Tr(sigma^)
+CAYLEY_RAW_TRACE_DIVISOR = 168.0
 
 
 @dataclass
@@ -88,8 +88,8 @@ class VariationFamily:
     meta: dict = field(default_factory=dict)
 
 
-def _constant(form: KForm) -> Callable:
-    return lambda patch, xs: form.coeffs[None]
+def _constant(form: np.ndarray) -> Callable:
+    return lambda patch, xs: form[None]
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +98,8 @@ def _pair_indices(n: int):
 
 
 def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Antisymmetric matrices (..., n, n) of 2-form coefficient rows."""
+    """Antisymmetric matrices (..., n, n) of 2-form coefficient rows: to_tensor
+    for k = 2, by two scatters, which is faster on the U(m) fast path."""
     i, j = _pair_indices(n)
     out = np.zeros(coeffs.shape[:-1] + (n, n))
     out[..., i, j] = coeffs
@@ -113,10 +114,10 @@ def _linearized_metric(kit, coeffs: np.ndarray, keep_omega4_1: bool = False) -> 
         aj = _antisym_mats(coeffs, kit.n) @ kit.tensor.T  # J = omega's tensor transposed
         return 0.5 * (aj + np.swapaxes(aj, -1, -2))
     if kit.case == "associative":
-        return h_from_3form_batch(coeffs)
+        return h_from_3form(coeffs)
     if kit.case == "coassociative":
-        return h_from_4form_batch(coeffs)
-    return (h_sp7_batch if keep_omega4_1 else h0_sp7_batch)(coeffs)
+        return h_from_4form(coeffs)
+    return (h_sp7 if keep_omega4_1 else h0_sp7)(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
     def wedge_omegas(c, om, first):
         # c ^ om^(k-1) / (first (first + 1) ... (first + k - 2))
         for i in range(k - 1):
-            c = wedge_coeffs(c, om, n, 2 + 2 * i, 2) * (1.0 / (first + i))
+            c = wedge(c, om, n, 2 + 2 * i, 2) * (1.0 / (first + i))
         return c
 
     def h(patch, xs):
@@ -166,16 +167,14 @@ def um_family_from_alpha(alphadot: FormField, background: UmBackground,
 
 def assoc_family_from_beta(betadot: FormField, kit: Kit) -> VariationFamily:
     """Metric family induced by phi_t = phi + t d(betadot)."""
-    phi = kit.form
-
     def d(patch, xs):
         return betadot.d_coeffs(patch.positions(xs))
 
     def gbar_at(ys, t):
-        return metric_from_3form(phi.coeffs + t * betadot.d_coeffs(ys))[0]
+        return metric_from_3form(kit.form + t * betadot.d_coeffs(ys))[0]
 
     return VariationFamily("associative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
-                           _constant(phi), gbar_at, meta={"generator": betadot, "kit": kit})
+                           _constant(kit.form), gbar_at, meta={"generator": betadot, "kit": kit})
 
 
 def coassoc_family_from_gamma(gammadot: FormField, kit: Kit) -> VariationFamily:
@@ -199,7 +198,7 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Kit,
 
     def sigma(patch, xs):
         d = gammadot.d_coeffs(patch.positions(xs))
-        out = project_35_7_batch(d)
+        out = project_35_7(d)
         if keep_omega4_1:
             u = _phi_unit()
             out = out + (d @ u)[:, None] * u
@@ -216,7 +215,7 @@ def cayley_family_from_gamma(gammadot: FormField, kit: Kit,
 
 @lru_cache(maxsize=None)
 def _phi_unit():
-    c = standard_kit("cayley").form.coeffs
+    c = standard_kit("cayley").form
     return c / np.linalg.norm(c)
 
 
@@ -367,9 +366,7 @@ def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
 def _velocity(kit, p_normal, S, keep_omega4_1: bool = False) -> np.ndarray:
     """Ambient metric velocities (..., n, n) of the test variation: derivative
     minors -> h-map."""
-    d = _derivative(kit, p_normal, S)
-    h = _linearized_metric(kit, d.reshape(-1, d.shape[-1]), keep_omega4_1)
-    return h.reshape(d.shape[:-1] + h.shape[-2:])
+    return _linearized_metric(kit, _derivative(kit, p_normal, S), keep_omega4_1)
 
 
 def _trace(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -590,15 +587,15 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
             continue
         # Stokes route uses the exact form d(gammadot), not its projection
         d = family.meta["generator"].d_coeffs(patch.positions(xs))
-        star_d = star_coeffs(d, patch.n, 4)
+        star_d = hodge_star(d, patch.n, 4)
         stokes[sl] = np.sum(d * jac_minors, axis=-1)
         condition[sl] = np.sum(star_d * jac_minors, axis=-1)
-        # raw trace identity Tr_g h(sigma) = sigma_T - sigma_N + Tr(sigma^)/168 for
-        # unprojected sigma (valid along Cayley planes), where sigma_N, sigma on
-        # the completing normal frame, is (*sigma) on the oriented tangent frame
+        # the raw trace identity, where sigma_N, sigma on the completing normal
+        # frame, is (*sigma) on the oriented tangent frame
         sig_tn = orient * np.sum((d - star_d) * frame, axis=-1)
-        tr_hat = np.trace(hat_sigma_batch(d), axis1=-2, axis2=-1)
-        raw[sl] = np.abs(_trace_g(g, jac, h_sp7_batch(d)) - (sig_tn + tr_hat / 168.0))
+        tr_hat = np.trace(hat_sigma(d), axis1=-2, axis2=-1)
+        raw[sl] = np.abs(_trace_g(g, jac, h_sp7(d))
+                         - (sig_tn + tr_hat / CAYLEY_RAW_TRACE_DIVISOR))
 
     plane_value = float(value[0])
     plane_defect = float(np.max(np.abs(np.abs(value) - 1.0)))
@@ -629,6 +626,7 @@ def _finalize_verdict(verdict: TheoremVerdict, case: str, patch: Patch,
         return
     verdict.passes["integrand_identity"] = verdict.identity_max_err < tol_point
     if case == "cayley":
+        verdict.passes["raw_trace_identity"] = verdict.cayley_raw_identity_err < tol_point
         if not family.meta.get("keep_omega4_1"):
             if patch.closed:  # both integrals vanish by Stokes only on a closed patch
                 verdict.passes["condition_holds"] = abs(verdict.cayley_condition) < tol_int
@@ -650,9 +648,9 @@ def _um_dw_route(patch: Patch, family: VariationFamily, rule: QuadratureRule) ->
     for sl in _blocks(len(vals), 4 * math.comb(n, n // 2)):
         xs = rule.nodes[sl]
         ys = patch.positions(xs)
-        form = wedge_coeffs(alphadot.value_coeffs(ys), background.d_omega_coeffs(ys), n, 1, 3)
+        form = wedge(alphadot.value_coeffs(ys), background.d_omega_coeffs(ys), n, 1, 3)
         for jj in range(1, k - 1):
-            form = wedge_coeffs(form, background.omega_coeffs(ys), n, 2 + 2 * jj, 2) * (1.0 / jj)
+            form = wedge(form, background.omega_coeffs(ys), n, 2 + 2 * jj, 2) * (1.0 / jj)
         vals[sl] = np.sum(form * minors(np.swapaxes(patch.jacobians(xs), -1, -2)), axis=-1)
     return rule.integrate(vals)
 
@@ -663,18 +661,19 @@ def _um_dw_route(patch: Patch, family: VariationFamily, rule: QuadratureRule) ->
 def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     """Pointwise failure data for retaining the pure-trace direction.
 
-    Returns the max deviation of (1/2)(Tr_g h - Tr_g h0) from (2/7)|V ^ W|^2
-    and the max of |star(d gdot) restricted to the patch|.
+    Returns the max deviation of (1/2)(Tr_g h - Tr_g h0) from
+    CAYLEY_KEPT_TRACE |V ^ W|^2 = (2/7)|V ^ W|^2 and the max of
+    |star(d gdot) restricted to the patch|.
     """
     kit = standard_kit("cayley")
 
     def failures(frames, _):
         v, w = _selection(kit, frames, V, W)
         d = _derivative(kit, normal_projector(frames), (v, w))
-        half_gap = 0.5 * _trace(frames, h_sp7_batch(d) - h0_sp7_batch(d))
+        half_gap = 0.5 * _trace(frames, h_sp7(d) - h0_sp7(d))
         vw2 = np.sum(v * v, -1) * np.sum(w * w, -1) - np.sum(v * w, -1) ** 2
-        star = np.sum(star_coeffs(d, 8, 4) * minors(frames), axis=-1)
-        return np.stack([np.abs(half_gap - (2.0 / 7.0) * vw2), np.abs(star)], axis=-1)
+        star = np.sum(hodge_star(d, 8, 4) * minors(frames), axis=-1)
+        return np.stack([np.abs(half_gap - CAYLEY_KEPT_TRACE * vw2), np.abs(star)], axis=-1)
 
     max_dev, max_star = _over_planes(patch, rule.nodes, _minors_floats(kit), failures).max(axis=0)
     return {"trace_discrepancy_err": float(max_dev), "star_restriction_max": float(max_star)}

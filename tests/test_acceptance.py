@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from caliblab.decomposition import (
-    h0_sp7_batch,
-    h_from_3form_batch,
-    h_from_4form_batch,
-    h_sp7_batch,
-    hat_eta_batch,
-    hat_rho_batch,
-    hat_sigma_batch,
+    h0_sp7,
+    h_from_3form,
+    h_from_4form,
+    h_sp7,
+    hat_eta,
+    hat_rho,
+    hat_sigma,
     metric_from_3form,
-    project_35_7_batch,
+    project_35_7,
 )
-from caliblab.exterior import KForm, interior, orthonormal_frames, wedge
+from caliblab.exterior import interior, orthonormal_frames, wedge
 from caliblab.fields import FormField, SymTensorField, UmBackground, VectorField
 from caliblab.smith import (
     MapTriple,
@@ -107,41 +107,39 @@ def test_criterion_03_decomposition_lemmas():
 
     # 3-forms on R^7
     eta = rng.standard_normal((count, 35))
-    h3 = h_from_3form_batch(eta)
-    trace_gap = np.abs(2 * np.trace(hat_eta_batch(eta), axis1=1, axis2=2)
+    h3 = h_from_3form(eta)
+    trace_gap = np.abs(2 * np.trace(hat_eta(eta), axis1=1, axis2=2)
                        - 18 * np.trace(h3, axis1=1, axis2=2)).max()
     worst = max(worst, float(trace_gap) / 100.0)  # scale: traces are O(100)
-    asm3 = _g2_maps()[2]
-    x3map = _g2_maps()[4]
+    _, asm3, x3map = _g2_maps(3)
     part = h3.reshape(count, 49) @ asm3.T
     resid = eta - part
     xs = resid @ x3map.T
-    psi_cols = np.stack([(0.5 * interior(np.eye(7)[j], COASSOC.form)).coeffs for j in range(7)])
+    psi_cols = np.stack([0.5 * interior(np.eye(7)[j], COASSOC.form, 7, 4) for j in range(7)])
     rebuilt = part + xs @ psi_cols
     worst = max(worst, float(np.abs(rebuilt - eta).max()))
-    again = h_from_3form_batch(rebuilt)
+    again = h_from_3form(rebuilt)
     worst = max(worst, float(np.abs(again - h3).max()))
 
     # 4-forms on R^7
     rho = rng.standard_normal((count, 35))
-    h4 = h_from_4form_batch(rho)
-    trace_gap = np.abs(2 * np.trace(hat_rho_batch(rho), axis1=1, axis2=2)
+    h4 = h_from_4form(rho)
+    trace_gap = np.abs(2 * np.trace(hat_rho(rho), axis1=1, axis2=2)
                        - 96 * np.trace(h4, axis1=1, axis2=2)).max()
     worst = max(worst, float(trace_gap) / 100.0)
-    asm4 = _g2_maps()[3]
-    x4map = _g2_maps()[5]
+    _, asm4, x4map = _g2_maps(4)
     part4 = h4.reshape(count, 49) @ asm4.T
     xs4 = (rho - part4) @ x4map.T
-    phi_cols = np.stack([(0.5 * wedge(KForm.covector(np.eye(7)[j]), G2.form)).coeffs
+    phi_cols = np.stack([0.5 * wedge(np.eye(7)[j], G2.form, 7, 1, 3)
                          for j in range(7)])
     rebuilt4 = part4 + xs4 @ phi_cols
     worst = max(worst, float(np.abs(rebuilt4 - rho).max()))
 
     # 4-forms on R^8
     sig = rng.standard_normal((count, 70))
-    h8 = h_sp7_batch(sig)
-    h80 = h0_sp7_batch(sig)
-    trace_gap = np.abs(2 * np.trace(hat_sigma_batch(sig), axis1=1, axis2=2)
+    h8 = h_sp7(sig)
+    h80 = h0_sp7(sig)
+    trace_gap = np.abs(2 * np.trace(hat_sigma(sig), axis1=1, axis2=2)
                        - 168 * np.trace(h8, axis1=1, axis2=2)).max()
     worst = max(worst, float(trace_gap) / 100.0)
     tracefree = float(np.abs(np.trace(h80, axis1=1, axis2=2)).max())
@@ -164,9 +162,9 @@ def test_criterion_04_metric_linearization():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        eta = KForm(7, 3, rng.standard_normal(35))
-        h = h_from_3form_batch(eta.coeffs)[0]
-        fd, _ = fd_derivative(lambda t: metric_from_3form((G2.form + t * eta).coeffs)[0],
+        eta = rng.standard_normal(35)
+        h = h_from_3form(eta)
+        fd, _ = fd_derivative(lambda t: metric_from_3form(G2.form + t * eta)[0],
                               0.0, step=1e-4, richardson_levels=2)
         worst = max(worst, float(np.abs(fd - h).max() / np.abs(h).max()))
     elapsed = time.perf_counter() - t0
@@ -260,8 +258,8 @@ def test_criterion_07_cayley_anomaly():
 
     frame = orthonormal_frames(p.jacobians(np.array([[0.3, 0.4, 0.5, 0.6]])).swapaxes(1, 2))[0]
     d = test_variation_derivative("cayley", frame, 0, 1)
-    gap = np.abs(h_sp7_batch(project_35_7_batch(d))
-                 - h0_sp7_batch(d)).max()
+    gap = np.abs(h_sp7(project_35_7(d))
+                 - h0_sp7(d)).max()
     passed = worst_dev < 1e-8 and worst_star < 1e-10 and gap < 1e-12
     report(7, passed,
            f"Cayley anomaly: trace discrepancy matches (2/7)|V^W|^2 "

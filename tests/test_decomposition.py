@@ -4,26 +4,25 @@ import numpy as np
 import pytest
 
 from caliblab.decomposition import (
+    H_MAP_COEFFS,
     DegenerateInputError,
     DimensionError,
     four_form_from_a_27,
     four_form_from_h_x,
-    g2_split_3form,
-    g2_split_4form,
-    h0_sp7_batch,
-    h_from_3form_batch,
-    h_from_4form_batch,
-    h_sp7_batch,
-    hat_eta_batch,
-    hat_rho_batch,
-    hat_sigma_batch,
+    g2_split,
+    h0_sp7,
+    h_from_3form,
+    h_from_4form,
+    h_sp7,
+    hat_eta,
+    hat_rho,
+    hat_sigma,
     metric_from_3form,
     project_35_7,
-    project_35_7_batch,
-    sp7_split_4form,
+    sp7_split,
     three_form_from_h_x,
 )
-from caliblab.exterior import KForm, form_inner, hodge_star, interior, wedge
+from caliblab.exterior import hodge_star, interior, to_tensor, wedge
 from caliblab.structures import standard_kit
 from caliblab.submanifold import fd_derivative
 
@@ -36,43 +35,75 @@ def random_forms(rng, n, k, count):
     return rng.standard_normal((count, math.comb(n, k)))
 
 
+# every kernel on coefficient rows: (name, row width, output shape of one row)
+KERNELS = [(name, 35, (7, 7)) for name in ("hat_eta", "hat_rho", "h_from_3form",
+                                           "h_from_4form")]
+KERNELS += [(name, 70, (8, 8)) for name in ("hat_sigma", "h_sp7", "h0_sp7")]
+KERNELS += [("project_35_7", 70, (70,))]
+
+
+@pytest.mark.parametrize("name,width,out", KERNELS, ids=[k[0] for k in KERNELS])
+def test_kernels_keep_leading_shape(name, width, out):
+    from caliblab import decomposition
+
+    kernel = getattr(decomposition, name)
+    rows = np.random.default_rng(30).standard_normal((2, 3, width))
+    stacked = kernel(rows)
+    assert stacked.shape == (2, 3) + out
+    single = kernel(rows[1, 2])
+    assert single.shape == out
+    assert np.abs(stacked[1, 2] - single).max() < 1e-12
+    assert np.abs(stacked.reshape((6,) + out) - kernel(rows.reshape(6, width))).max() < 1e-12
+
+
+def test_h_map_names_are_kernels():
+    from caliblab import decomposition
+
+    assert all(callable(getattr(decomposition, name)) for name in H_MAP_COEFFS)
+
+
 class TestG2ThreeFormSplit:
     def test_phi_anchor(self):
         # eta = phi has hat(eta) = 6 Id and Tr = 42, so h = 3 Id - (42/18) Id
-        split = g2_split_3form(G2.form)
+        split = g2_split(G2.form, 3)
         assert np.allclose(split.h, (2.0 / 3.0) * np.eye(7), atol=1e-13)
-        assert np.abs(split.eta_7.coeffs).max() < 1e-13
+        assert np.abs(split.part_7).max() < 1e-13
         assert np.abs(split.X).max() < 1e-13
 
     def test_zero(self):
-        split = g2_split_3form(KForm.zero(7, 3))
+        split = g2_split(np.zeros(35), 3)
         assert np.abs(split.h).max() == 0.0
         assert np.abs(split.X).max() == 0.0
+        with pytest.raises(DimensionError):
+            g2_split(np.zeros(35), 2)
 
     def test_trace_relation(self):
         rng = np.random.default_rng(0)
         coeffs = random_forms(rng, 7, 3, 200)
-        hats = hat_eta_batch(coeffs)
-        hs = h_from_3form_batch(coeffs)
+        hats = hat_eta(coeffs)
+        hs = h_from_3form(coeffs)
         lhs = 2 * np.trace(hats, axis1=1, axis2=2)
         rhs = 18 * np.trace(hs, axis1=1, axis2=2)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_round_trip_and_orthogonality(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            eta = KForm(7, 3, rng.standard_normal(35))
-            split = g2_split_3form(eta)
-            rebuilt = split.eta_1_27 + split.eta_7
-            assert np.abs(rebuilt.coeffs - eta.coeffs).max() < 1e-12
-            assert abs(form_inner(split.eta_1_27, split.eta_7)) < 1e-10
-            # the 7-part is (1/2) X _| psi
-            again = 0.5 * interior(split.X, COASSOC.form)
-            assert np.abs(again.coeffs - split.eta_7.coeffs).max() < 1e-11
-            # re-splitting is stable
-            again_split = g2_split_3form(rebuilt)
-            assert np.abs(again_split.h - split.h).max() < 1e-12
-            assert np.abs(again_split.X - split.X).max() < 1e-12
+        eta = rng.standard_normal((25, 35))
+        split = g2_split(eta, 3)
+        rebuilt = split.part_1_27 + split.part_7
+        assert np.abs(rebuilt - eta).max() < 1e-12
+        assert np.abs(np.sum(split.part_1_27 * split.part_7, axis=-1)).max() < 1e-10
+        # the 7-part is (1/2) X _| psi
+        again = 0.5 * interior(split.X, COASSOC.form, 7, 4)
+        assert np.abs(again - split.part_7).max() < 1e-11
+        # re-splitting is stable
+        again_split = g2_split(rebuilt, 3)
+        assert np.abs(again_split.h - split.h).max() < 1e-12
+        assert np.abs(again_split.X - split.X).max() < 1e-12
+        # stacked rows split as single rows
+        one = g2_split(eta[3], 3)
+        assert np.abs(one.h - split.h[3]).max() < 1e-13
+        assert np.abs(one.part_7 - split.part_7[3]).max() < 1e-13
 
     def test_forward_formula_exact_on_integers(self):
         rng = np.random.default_rng(2)
@@ -80,35 +111,34 @@ class TestG2ThreeFormSplit:
         h = h + h.T
         x = rng.integers(-3, 4, 7).astype(float)
         eta = three_form_from_h_x(h, x)
-        split = g2_split_3form(eta)
+        split = g2_split(eta, 3)
         assert np.array_equal(split.h, h)
         assert np.array_equal(split.X, x)
 
 
 class TestG2FourFormSplit:
     def test_psi_anchor(self):
-        split = g2_split_4form(COASSOC.form)
+        split = g2_split(COASSOC.form, 4)
         assert np.allclose(split.h, 0.5 * np.eye(7), atol=1e-13)
-        assert np.abs(split.rho_7.coeffs).max() < 1e-13
+        assert np.abs(split.part_7).max() < 1e-13
 
     def test_trace_relation(self):
         rng = np.random.default_rng(3)
         coeffs = random_forms(rng, 7, 4, 200)
-        lhs = 2 * np.trace(hat_rho_batch(coeffs), axis1=1, axis2=2)
-        rhs = 96 * np.trace(h_from_4form_batch(coeffs), axis1=1, axis2=2)
+        lhs = 2 * np.trace(hat_rho(coeffs), axis1=1, axis2=2)
+        rhs = 96 * np.trace(h_from_4form(coeffs), axis1=1, axis2=2)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            rho = KForm(7, 4, rng.standard_normal(35))
-            split = g2_split_4form(rho)
-            rebuilt = split.rho_1_27 + split.rho_7
-            assert np.abs(rebuilt.coeffs - rho.coeffs).max() < 1e-12
-            assert abs(form_inner(split.rho_1_27, split.rho_7)) < 1e-10
-            # the 7-part is (1/2) X ^ phi
-            again = 0.5 * wedge(KForm.covector(split.X), G2.form)
-            assert np.abs(again.coeffs - split.rho_7.coeffs).max() < 1e-11
+        rho = rng.standard_normal((25, 35))
+        split = g2_split(rho, 4)
+        rebuilt = split.part_1_27 + split.part_7
+        assert np.abs(rebuilt - rho).max() < 1e-12
+        assert np.abs(np.sum(split.part_1_27 * split.part_7, axis=-1)).max() < 1e-10
+        # the 7-part is (1/2) X ^ phi
+        again = 0.5 * wedge(split.X, G2.form, 7, 1, 3)
+        assert np.abs(again - split.part_7).max() < 1e-11
 
     def test_forward_formula_exact_on_integers(self):
         rng = np.random.default_rng(5)
@@ -116,42 +146,45 @@ class TestG2FourFormSplit:
         h = h + h.T
         x = rng.integers(-3, 4, 7).astype(float)
         rho = four_form_from_h_x(h, x)
-        split = g2_split_4form(rho)
+        split = g2_split(rho, 4)
         assert np.array_equal(split.h, h)
         assert np.array_equal(split.X, x)
 
 
 class TestSpin7Split:
     def test_phi_anchor(self):
-        split = sp7_split_4form(SP7.form)
+        split = sp7_split(SP7.form)
         assert np.allclose(split.h, 0.5 * np.eye(8), atol=1e-13)
         assert np.abs(split.h0).max() < 1e-13
-        assert np.abs(split.sigma_7.coeffs).max() < 1e-12
-        assert np.abs(split.sigma_27.coeffs).max() < 1e-12
+        assert np.abs(split.sigma_7).max() < 1e-12
+        assert np.abs(split.sigma_27).max() < 1e-12
 
     def test_trace_relation_and_tracefree(self):
         rng = np.random.default_rng(6)
         coeffs = random_forms(rng, 8, 4, 200)
-        lhs = 2 * np.trace(hat_sigma_batch(coeffs), axis1=1, axis2=2)
-        rhs = 168 * np.trace(h_sp7_batch(coeffs), axis1=1, axis2=2)
+        lhs = 2 * np.trace(hat_sigma(coeffs), axis1=1, axis2=2)
+        rhs = 168 * np.trace(h_sp7(coeffs), axis1=1, axis2=2)
         assert np.abs(lhs - rhs).max() < 1e-10
-        assert np.abs(np.trace(h0_sp7_batch(coeffs), axis1=1, axis2=2)).max() < 1e-12
+        assert np.abs(np.trace(h0_sp7(coeffs), axis1=1, axis2=2)).max() < 1e-12
 
     def test_round_trip_and_27_condition(self):
         rng = np.random.default_rng(7)
-        Phi_t = SP7.tensor
-        for _ in range(15):
-            sigma = KForm(8, 4, rng.standard_normal(70))
-            split = sp7_split_4form(sigma)
-            rebuilt = split.sigma_1_35 + split.sigma_7 + split.sigma_27
-            assert np.abs(rebuilt.coeffs - sigma.coeffs).max() < 1e-12
-            # sigma_27 satisfies the contraction characterization
-            vio = np.einsum("ijkl,mjkl->im", split.sigma_27.to_tensor(), Phi_t)
-            assert np.abs(vio).max() < 1e-9
-            # beta is skew and the three pieces are mutually orthogonal
-            assert np.abs(split.beta + split.beta.T).max() < 1e-12
-            assert abs(form_inner(split.sigma_1_35, split.sigma_7)) < 1e-9
-            assert abs(form_inner(split.sigma_7, split.sigma_27)) < 1e-9
+        sigma = rng.standard_normal((15, 70))
+        split = sp7_split(sigma)
+        rebuilt = split.sigma_1_35 + split.sigma_7 + split.sigma_27
+        assert np.abs(rebuilt - sigma).max() < 1e-12
+        # sigma_27 satisfies the contraction characterization
+        vio = np.einsum("nijkl,mjkl->nim", to_tensor(split.sigma_27, 8, 4), SP7.tensor)
+        assert np.abs(vio).max() < 1e-9
+        # beta is skew and the three pieces are mutually orthogonal
+        assert np.abs(split.beta + np.swapaxes(split.beta, -1, -2)).max() < 1e-12
+        assert np.abs(np.sum(split.sigma_1_35 * split.sigma_7, axis=-1)).max() < 1e-9
+        assert np.abs(np.sum(split.sigma_7 * split.sigma_27, axis=-1)).max() < 1e-9
+        # stacked rows split as single rows
+        one = sp7_split(sigma[4])
+        for got, want in zip((one.sigma_27, one.h0, one.beta),
+                             (split.sigma_27[4], split.h0[4], split.beta[4])):
+            assert np.abs(got - want).max() < 1e-12
 
     def test_forward_formula_exact(self):
         rng = np.random.default_rng(8)
@@ -160,45 +193,34 @@ class TestSpin7Split:
         beta_raw = rng.integers(-3, 4, (8, 8)).astype(float)
         beta = beta_raw - beta_raw.T
         # a generic skew part contributes only through its 7-type component
-        sigma0 = four_form_from_a_27(h + beta, KForm.zero(8, 4))
-        split = sp7_split_4form(sigma0)
+        sigma0 = four_form_from_a_27(h + beta, np.zeros(70))
+        split = sp7_split(sigma0)
         again = four_form_from_a_27(split.h + split.beta, split.sigma_27)
-        assert np.abs(again.coeffs - sigma0.coeffs).max() < 1e-10
+        assert np.abs(again - sigma0).max() < 1e-10
 
     def test_anti_self_dual_input(self):
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            sigma = KForm(8, 4, rng.standard_normal(70))
-            anti = 0.5 * (sigma - hodge_star(sigma))
-            split = sp7_split_4form(anti)
-            assert abs(np.trace(split.h)) < 1e-10
-            assert np.abs(split.sigma_7.coeffs).max() < 1e-10
-            assert np.abs(split.sigma_27.coeffs).max() < 1e-10
+        sigma = rng.standard_normal((10, 70))
+        split = sp7_split(0.5 * (sigma - hodge_star(sigma, 8, 4)))
+        assert np.abs(np.trace(split.h, axis1=-2, axis2=-1)).max() < 1e-10
+        assert np.abs(split.sigma_7).max() < 1e-10
+        assert np.abs(split.sigma_27).max() < 1e-10
 
     def test_self_dual_cross_checks(self):
         from caliblab.decomposition import _sp7_maps
 
         rng = np.random.default_rng(10)
         asm = _sp7_maps()[1]
-        sigma = KForm(8, 4, rng.standard_normal(70))
-        split = sp7_split_4form(sigma)
-        s35 = KForm(8, 4, asm @ split.h0.reshape(64))
-        assert np.abs(hodge_star(s35).coeffs + s35.coeffs).max() < 1e-10
+        split = sp7_split(rng.standard_normal(70))
+        s35 = asm @ split.h0.reshape(64)
+        assert np.abs(hodge_star(s35, 8, 4) + s35).max() < 1e-10
         sd = (split.sigma_1_35 - s35) + split.sigma_7 + split.sigma_27
-        assert np.abs(hodge_star(sd).coeffs - sd.coeffs).max() < 1e-10
+        assert np.abs(hodge_star(sd, 8, 4) - sd).max() < 1e-10
 
     def test_h_annihilates_type_7(self):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            sigma = KForm(8, 4, rng.standard_normal(70))
-            part7 = sp7_split_4form(sigma).sigma_7
-            assert np.abs(h_sp7_batch(part7.coeffs)[0]).max() < 1e-10
-
-
-def basis_tensors(n, k):
-    """(C(n, k), n, ..., n) stack of the full tensors of the coefficient basis."""
-    eye = np.eye(math.comb(n, k))
-    return np.stack([KForm(n, k, row).to_tensor() for row in eye])
+        part7 = sp7_split(rng.standard_normal((10, 70))).sigma_7
+        assert np.abs(h_sp7(part7)).max() < 1e-10
 
 
 class TestContractionTables:
@@ -208,8 +230,8 @@ class TestContractionTables:
         from caliblab.decomposition import _g2_maps
 
         phi_t, psi_t = G2.tensor, COASSOC.tensor
-        b3, b4 = basis_tensors(7, 3), basis_tensors(7, 4)
-        hat3, hat4, _, _, x3, x4 = _g2_maps()
+        b3, b4 = to_tensor(np.eye(35), 7, 3), to_tensor(np.eye(35), 7, 4)
+        (hat3, _, x3), (hat4, _, x4) = _g2_maps(3), _g2_maps(4)
         assert np.array_equal(hat3, np.einsum("cpij,qij->cpq", b3, phi_t).reshape(35, 49).T)
         assert np.array_equal(hat4, np.einsum("cpijk,qijk->cpq", b4, psi_t).reshape(35, 49).T)
         assert np.array_equal(x3, np.einsum("cijk,qijk->cq", b3, psi_t).T / 12.0)
@@ -219,7 +241,7 @@ class TestContractionTables:
         from caliblab.decomposition import _sp7_maps
 
         Phi_t = SP7.tensor
-        want = np.einsum("cpijk,qijk->cpq", basis_tensors(8, 4), Phi_t).reshape(70, 64).T
+        want = np.einsum("cpijk,qijk->cpq", to_tensor(np.eye(70), 8, 4), Phi_t).reshape(70, 64).T
         assert np.array_equal(_sp7_maps()[0], want)
 
     def test_assembly_maps_match_wedge_interior(self):
@@ -227,11 +249,11 @@ class TestContractionTables:
         # basis pair by basis pair; the maps come from the hat maps, exactly
         from caliblab.decomposition import _g2_maps, _sp7_maps
 
-        _, _, asm3, asm4, _, _ = _g2_maps()
-        for asm, form in ((asm3, G2.form), (asm4, COASSOC.form), (_sp7_maps()[1], SP7.form)):
-            eye = np.eye(form.n)
-            want = np.stack([(0.5 * wedge(KForm.covector(eye[i]), interior(eye[j], form))).coeffs
-                             for i in range(form.n) for j in range(form.n)], axis=1)
+        for asm, kit in ((_g2_maps(3)[1], G2), (_g2_maps(4)[1], COASSOC), (_sp7_maps()[1], SP7)):
+            n, k = kit.n, kit.arity + 1
+            eye = np.eye(n)
+            want = np.stack([0.5 * wedge(eye[i], interior(eye[j], kit.form, n, k), n, 1, k - 1)
+                             for i in range(n) for j in range(n)], axis=1)
             assert np.array_equal(asm, want)
 
     def test_spin7_index_tables_match_loops(self):
@@ -239,12 +261,12 @@ class TestContractionTables:
         # entry over the lexicographic pairs, as the builders once did
         from caliblab.decomposition import _sp7_maps
 
-        _, asm, star, q7, beta_from, _ = _sp7_maps()
+        _, asm, star, q7, beta_from = _sp7_maps()
         Phi_t = SP7.tensor
         eye70 = np.eye(70)
         want_star = np.zeros((70, 70))
         for c in range(70):
-            want_star[:, c] = hodge_star(KForm(8, 4, eye70[c])).coeffs
+            want_star[:, c] = hodge_star(eye70[c], 8, 4)
         pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         t2 = np.zeros((28, 28))
         skew_to_full = np.zeros((64, 28))
@@ -261,9 +283,8 @@ class TestContractionTables:
         assert np.array_equal(q7, want_q7)
         assert np.array_equal(beta_from, np.linalg.pinv(asm @ skew_to_full))
 
-        sigma = KForm(8, 4, np.random.default_rng(13).standard_normal(70))
-        split = sp7_split_4form(sigma)
-        pair_coeffs = beta_from @ split.sigma_7.coeffs
+        split = sp7_split(np.random.default_rng(13).standard_normal(70))
+        pair_coeffs = split.sigma_7 @ beta_from.T
         want_beta = np.zeros((8, 8))
         for a, (i, j) in enumerate(pairs):
             want_beta[i, j] = pair_coeffs[a]
@@ -273,80 +294,68 @@ class TestContractionTables:
 
 class TestProjection:
     def test_kills_phi(self):
-        out = project_35_7(SP7.form)
-        assert np.abs(out.coeffs).max() < 1e-12
+        assert np.abs(project_35_7(SP7.form)).max() < 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(12)
         sigma = rng.standard_normal((20, 70))
-        once = project_35_7_batch(sigma)
-        twice = project_35_7_batch(once)
+        once = project_35_7(sigma)
+        twice = project_35_7(once)
         assert np.abs(once - twice).max() < 1e-12
 
     def test_kills_27(self):
         rng = np.random.default_rng(13)
-        for _ in range(10):
-            sigma = KForm(8, 4, rng.standard_normal(70))
-            part27 = sp7_split_4form(sigma).sigma_27
-            assert np.abs(project_35_7_batch(part27.coeffs)).max() < 1e-10
+        part27 = sp7_split(rng.standard_normal((10, 70))).sigma_27
+        assert np.abs(project_35_7(part27)).max() < 1e-10
 
     def test_35_part_is_anti_self_dual_projection(self):
         # on the 1+35 subspace: 2 sigma_35 = sigma - star sigma
         rng = np.random.default_rng(14)
-        sigma = KForm(8, 4, rng.standard_normal(70))
-        split = sp7_split_4form(sigma)
-        s_1_35 = split.sigma_1_35
-        lhs = 2 * project_35_7(s_1_35).coeffs
-        rhs = (s_1_35 - hodge_star(s_1_35)).coeffs
+        s_1_35 = sp7_split(rng.standard_normal(70)).sigma_1_35
+        lhs = 2 * project_35_7(s_1_35)
+        rhs = s_1_35 - hodge_star(s_1_35, 8, 4)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_h_of_projection_is_h0(self):
         rng = np.random.default_rng(15)
         sigma = rng.standard_normal((50, 70))
-        proj = project_35_7_batch(sigma)
-        assert np.abs(h_sp7_batch(proj) - h0_sp7_batch(sigma)).max() < 1e-10
+        proj = project_35_7(sigma)
+        assert np.abs(h_sp7(proj) - h0_sp7(sigma)).max() < 1e-10
 
 
 class TestSplitRanks:
     def test_dimension_counts(self):
         eye35 = np.eye(35)
-        p_1_27 = np.array([g2_split_3form(KForm(7, 3, c)).eta_1_27.coeffs for c in eye35])
-        p_7 = np.array([g2_split_3form(KForm(7, 3, c)).eta_7.coeffs for c in eye35])
-        assert np.linalg.matrix_rank(p_1_27) == 28
-        assert np.linalg.matrix_rank(p_7) == 7
-        q_1_27 = np.array([g2_split_4form(KForm(7, 4, c)).rho_1_27.coeffs for c in eye35])
-        q_7 = np.array([g2_split_4form(KForm(7, 4, c)).rho_7.coeffs for c in eye35])
-        assert np.linalg.matrix_rank(q_1_27) == 28
-        assert np.linalg.matrix_rank(q_7) == 7
-        eye70 = np.eye(70)
-        splits = [sp7_split_4form(KForm(8, 4, c)) for c in eye70]
-        r_1_35 = np.array([s.sigma_1_35.coeffs for s in splits])
-        r_7 = np.array([s.sigma_7.coeffs for s in splits])
-        r_27 = np.array([s.sigma_27.coeffs for s in splits])
-        assert np.linalg.matrix_rank(r_1_35) == 36
-        assert np.linalg.matrix_rank(r_7) == 7
-        assert np.linalg.matrix_rank(r_27) == 27
+        three, four = g2_split(eye35, 3), g2_split(eye35, 4)
+        assert np.linalg.matrix_rank(three.part_1_27) == 28
+        assert np.linalg.matrix_rank(three.part_7) == 7
+        assert np.linalg.matrix_rank(four.part_1_27) == 28
+        assert np.linalg.matrix_rank(four.part_7) == 7
+        split = sp7_split(np.eye(70))
+        assert np.linalg.matrix_rank(split.sigma_1_35) == 36
+        assert np.linalg.matrix_rank(split.sigma_7) == 7
+        assert np.linalg.matrix_rank(split.sigma_27) == 27
 
 
 class TestMetricFrom3Form:
     def test_standard_anchor(self):
-        g, scale = metric_from_3form(G2.form.coeffs)
+        g, scale = metric_from_3form(G2.form)
         assert np.abs(g - np.eye(7)).max() < 1e-12
         assert scale == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_homogeneity(self):
         for c in (0.6, 0.9, 1.3, 2.0):
-            g, _ = metric_from_3form(((c**3) * G2.form).coeffs)
+            g, _ = metric_from_3form((c**3) * G2.form)
             assert np.abs(g - c * c * np.eye(7)).max() < 1e-9
 
     def test_linearization_matches_split(self):
         rng = np.random.default_rng(16)
         worst = 0.0
         for _ in range(25):
-            eta = KForm(7, 3, rng.standard_normal(35))
-            h = h_from_3form_batch(eta.coeffs)[0]
+            eta = rng.standard_normal(35)
+            h = h_from_3form(eta)
             fd, _ = fd_derivative(
-                lambda t: metric_from_3form((G2.form + t * eta).coeffs)[0],
+                lambda t: metric_from_3form(G2.form + t * eta)[0],
                 0.0, step=1e-4, richardson_levels=2)
             rel = np.abs(fd - h).max() / np.abs(h).max()
             worst = max(worst, rel)
@@ -354,13 +363,13 @@ class TestMetricFrom3Form:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(KForm.zero(7, 3).coeffs)
+            metric_from_3form(np.zeros(35))
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(-G2.form.coeffs)
+            metric_from_3form(-G2.form)
 
     def test_stacked_rows_match_single_rows(self):
         rng = np.random.default_rng(17)
-        rows = G2.form.coeffs + 0.2 * rng.standard_normal((2, 3, 35))
+        rows = G2.form + 0.2 * rng.standard_normal((2, 3, 35))
         g, scale = metric_from_3form(rows)
         assert g.shape == (2, 3, 7, 7) and scale.shape == (2, 3)
         for i in range(2):
@@ -370,6 +379,6 @@ class TestMetricFrom3Form:
                 assert scale[i, j] == pytest.approx(sij, rel=1e-14)
         # one degenerate row refuses the whole stack
         with pytest.raises(DegenerateInputError):
-            metric_from_3form(np.stack([G2.form.coeffs, np.zeros(35)]))
+            metric_from_3form(np.stack([G2.form, np.zeros(35)]))
         with pytest.raises(DimensionError):
             metric_from_3form(np.zeros((2, 21)))

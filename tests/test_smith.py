@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caliblab.cli import random_triple, smith_catalog
-from caliblab.exterior import DegenerateInputError, evaluate
+from caliblab.exterior import DegenerateInputError, minors
 from caliblab.fields import SymTensorField
 from caliblab.smith import (
     MapTriple,
@@ -222,7 +222,7 @@ def per_node_reference(triple, rule, h_field, hbar_field):
         du2, sg, a, g, j = densities(x)
         energy[i] = du2 ** (k / 2.0) * sg
         vol[i] = math.sqrt(max(np.linalg.det(a), 0.0))
-        calib[i] = evaluate(mu, j.T)
+        calib[i] = minors(j.T) @ mu
         t = -k * du2 ** ((k - 2) / 2.0) * a + du2 ** (k / 2.0) * g
         domain[i] = np.trace(np.linalg.solve(g, h_field(x)) @ np.linalg.solve(g, t)) * sg
         pulled = j.T @ hbar_field(triple.patch.positions(x[None])[0]) @ j
@@ -232,7 +232,7 @@ def per_node_reference(triple, rule, h_field, hbar_field):
         du2, sg, a, g, j = densities(x)
         linv = np.linalg.inv(np.linalg.cholesky(g))
         conf = max(conf, np.linalg.norm(linv @ a @ linv.T - du2 / k * np.eye(k)))
-        cal = max(cal, abs(evaluate(mu, j.T) - du2 ** (k / 2.0) * sg / scale))
+        cal = max(cal, abs(minors(j.T) @ mu - du2 ** (k / 2.0) * sg / scale))
     return {"k_energy": rule.integrate(energy) / scale, "k_volume": rule.integrate(vol),
             "calibration_integral": rule.integrate(calib), "smith_residual": (conf, cal),
             "domain": rule.integrate(domain) / (2.0 * scale),

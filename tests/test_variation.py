@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caliblab.exterior import KForm, evaluate, hodge_star, minors, orthonormal_frames
+from caliblab.exterior import hodge_star, minors, orthonormal_frames, to_tensor
 from caliblab.fields import FormField, FourierMode, UmBackground, VectorField
 from caliblab.structures import calibration_report, standard_kit
 from caliblab.submanifold import (
@@ -102,15 +102,15 @@ class TestFamilies:
     def test_assoc_constant_phi_direction(self):
         # velocity d(beta) = phi is the scaling direction: h = (2/3) Id, the
         # same value the decomposition lemma produces
-        from caliblab.decomposition import h_from_3form_batch
+        from caliblab.decomposition import h_from_3form
 
-        h = h_from_3form_batch(G2.form.coeffs)[0]
+        h = h_from_3form(G2.form)
         assert np.allclose(h, (2.0 / 3.0) * np.eye(7), atol=1e-13)
 
     def test_coassoc_constant_psi_direction(self):
-        from caliblab.decomposition import h_from_4form_batch
+        from caliblab.decomposition import h_from_4form
 
-        h = h_from_4form_batch(COASSOC.form.coeffs)[0]
+        h = h_from_4form(COASSOC.form)
         assert np.allclose(h, 0.5 * np.eye(7), atol=1e-13)
 
     def test_zero_generators_give_zero_velocity(self):
@@ -127,7 +127,7 @@ class TestFamilies:
 
     def test_coassoc_trace_relation_propagates(self):
         rng = np.random.default_rng(3)
-        from caliblab.decomposition import hat_rho_batch
+        from caliblab.decomposition import hat_rho
 
         p = flat_plane((4, 5, 6, 7), 7)
         x = np.array([0.2, 0.4, 0.6, 0.8])
@@ -136,19 +136,19 @@ class TestFamilies:
             fam = coassoc_family_from_gamma(gen, COASSOC)
             h = fam.h(p, x[None])[0]
             rho = gen.d_coeffs(p.positions(x[None])[0])
-            hat = hat_rho_batch(rho)[0]
+            hat = hat_rho(rho)
             assert 2 * np.trace(hat) == pytest.approx(96 * np.trace(h), abs=1e-9)
 
     def test_cayley_h_equals_h0_of_projection(self):
         rng = np.random.default_rng(4)
-        from caliblab.decomposition import h_sp7_batch
+        from caliblab.decomposition import h_sp7
 
         p = flat_plane((1, 2, 3, 4), 8)
         x = np.array([0.3, 0.1, 0.8, 0.5])
         gen = FormField.random_fourier(8, 3, rng)
         fam = cayley_family_from_gamma(gen, SP7)
         sigma = fam.mu_dot(p, x[None])[0]
-        assert np.abs(h_sp7_batch(sigma)[0] - fam.h(p, x[None])[0]).max() < 1e-10
+        assert np.abs(h_sp7(sigma) - fam.h(p, x[None])[0]).max() < 1e-10
 
     def test_gbar_at_stacked_points(self):
         # every nonlinear evaluator maps stacked points (..., n) to (..., n, n),
@@ -198,12 +198,12 @@ class TestTestVariations:
     def test_um_complex_plane_trace_vanishes(self):
         p = flat_plane((1, 2), 6)
         x = np.array([0.5, 0.5])
-        d = KForm(6, 2, test_variation_derivative("um", frames_at(p, x[None]))[0])
+        d = test_variation_derivative("um", frames_at(p, x[None]))[0]
         kit = standard_kit("um", m=3, k=1)
         frame = np.eye(6)[:2]
         for f in frame:
-            assert d.to_tensor()[0] is not None
-            assert evaluate(d, [f, kit.tensor.T @ f]) == pytest.approx(0.0, abs=1e-14)
+            assert to_tensor(d, 6, 2)[0] is not None
+            assert minors(np.stack([f, kit.tensor.T @ f])) @ d == pytest.approx(0.0, abs=1e-14)
 
     def test_assoc_plane_trace_expressions_vanish(self):
         # on an associative plane both trace expressions are zero
@@ -216,9 +216,8 @@ class TestTestVariations:
         for patch in (flat_plane((1, 2, 3, 4), 8), CURVED["cayley"]):
             x = patch.box.lo + 0.37 * (patch.box.hi - patch.box.lo)
             frames = frames_at(patch, x[None])
-            d = KForm(8, 4, test_variation_derivative("cayley", frames, 0, 1)[0])
-            star = hodge_star(d)
-            assert abs(evaluate(star, frames[0])) < 1e-10
+            d = test_variation_derivative("cayley", frames, 0, 1)[0]
+            assert abs(minors(frames[0]) @ hodge_star(d, 8, 4)) < 1e-10
 
     def test_non_tangent_selector_rejected(self):
         p = flat_plane((1, 2, 3), 7)
@@ -345,7 +344,7 @@ class TestChainConsistency:
         out = cayley_anomaly(patch, rule)
         dev = [abs(0.5 * (chain_trace(case, f, keep_omega4_1=True)[0]
                           - chain_trace(case, f)[0]) - 2.0 / 7.0) for f in frames]
-        star = [abs(evaluate(hodge_star(KForm(8, 4, test_variation_derivative(case, f)[0])), f[0]))
+        star = [abs(minors(f[0]) @ hodge_star(test_variation_derivative(case, f)[0], 8, 4))
                 for f in frames]
         assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
@@ -418,7 +417,7 @@ class TestTheoremB:
                 rule = QuadratureRule(patch.box, order)
                 jac_t = np.swapaxes(patch.jacobians(rule.nodes), 1, 2)
                 density = np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
-                mu = minors(jac_t) @ kit.mu.coeffs / density
+                mu = minors(jac_t) @ kit.mu / density
                 want = rule.integrate(weight * (1.0 - mu**2) * density)
                 assert want > 1e-3
                 assert theorem_B_defect(case, patch, rule) == pytest.approx(want, rel=1e-12)
@@ -485,7 +484,7 @@ class TestTheoremA:
 
     def test_cayley_open_patch_skips_zero_checks(self):
         # on a patch that is not closed the condition and first-variation
-        # integrals keep their boundary terms: only the pointwise identity and
+        # integrals keep their boundary terms: only the pointwise identities and
         # the star route are checks
         gen = FormField(8, 3, modes=[
             FourierMode(np.ones(56), np.array([0.3, 0.2, 0, 0, 0, 0, 0, 0]), 0.3)])
@@ -493,7 +492,7 @@ class TestTheoremA:
         p = flat_plane((1, 2, 3, 4), 8, closed=False)
         v = self.run_case("cayley", p, fam, order=6)
         assert v.calibrated and abs(v.analytic_first_variation) > 1e-2
-        assert set(v.passes) == {"integrand_identity", "star_route"}
+        assert set(v.passes) == {"integrand_identity", "raw_trace_identity", "star_route"}
         assert v.all_pass
 
     def test_um_k1_constant_even_with_torsion(self):
@@ -537,7 +536,7 @@ class TestTheoremA:
         assert found_nonzero
 
     def test_dw_route_matches_per_node_forms(self):
-        # the blocked coefficient-row route against the per-node KForm wedge chain;
+        # the blocked coefficient-row route against the per-node wedge chain;
         # at k = 3 the chain also wedges in omega once
         from caliblab.exterior import wedge
         from caliblab.variation import _um_dw_route
@@ -554,11 +553,10 @@ class TestTheoremA:
             vals = []
             for x in rule.nodes:
                 (y,), (j,) = p.rows(x[None])
-                form = wedge(KForm(p.n, 1, gen.value_coeffs(y)),
-                             KForm(p.n, 3, bg.d_omega_coeffs(y)))
+                form = wedge(gen.value_coeffs(y), bg.d_omega_coeffs(y), p.n, 1, 3)
                 for jj in range(1, k - 1):
-                    form = wedge(form, KForm(p.n, 2, bg.omega_coeffs(y))) * (1.0 / jj)
-                vals.append(evaluate(form, j.T))
+                    form = wedge(form, bg.omega_coeffs(y), p.n, 2 + 2 * jj, 2) * (1.0 / jj)
+                vals.append(minors(j.T) @ form)
             ref = rule.integrate(np.array(vals))
             assert abs(ref) > 1e-3
             got = _um_dw_route(p, um_family_from_alpha(gen, bg, k), rule)
@@ -738,14 +736,14 @@ class TestCayleyAnomaly:
     def test_projection_removes_discrepancy(self):
         # with the pure-trace part projected away the kept and projected
         # traces agree, so criticality is restored on Cayley planes
-        from caliblab.decomposition import h0_sp7_batch, h_sp7_batch, project_35_7_batch
+        from caliblab.decomposition import h0_sp7, h_sp7, project_35_7
 
         p = flat_plane((1, 2, 3, 4), 8)
         x = np.array([0.3, 0.5, 0.7, 0.1])
         d = test_variation_derivative("cayley", frames_at(p, x[None]), 0, 1)
-        proj = project_35_7_batch(d)[0]
-        h_proj = h_sp7_batch(proj)[0]
-        h_zero = h0_sp7_batch(d)[0]
+        proj = project_35_7(d)[0]
+        h_proj = h_sp7(proj)
+        h_zero = h0_sp7(d)[0]
         assert np.abs(h_proj - h_zero).max() < 1e-12
 
 
