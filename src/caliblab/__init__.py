@@ -44,18 +44,16 @@ from .submanifold import (
 )
 from .fields import FormField, SymTensorField, UmBackground, VectorField
 from .variation import (
+    TheoremFamily,
     VariationFamily,
     analytic_first_variation,
-    assoc_family_from_beta,
     cayley_anomaly,
-    cayley_family_from_gamma,
     chain_consistency,
-    coassoc_family_from_gamma,
     minimal_comparison,
     test_variation_derivative,
     theorem_A_experiment,
     theorem_B_defect,
-    um_family_from_alpha,
+    theorem_family,
 )
 from .smith import (
     MapTriple,

@@ -59,15 +59,12 @@ from .variation import (
     TOL_POINT,
     ambient_family,
     analytic_first_variation,
-    assoc_family_from_beta,
     cayley_anomaly,
-    cayley_family_from_gamma,
     chain_consistency,
-    coassoc_family_from_gamma,
     minimal_comparison,
     theorem_A_experiment,
     theorem_B_defect,
-    um_family_from_alpha,
+    theorem_family,
 )
 
 SCHEMA_VERSION = 1
@@ -216,17 +213,6 @@ def _random_generator(kit, rng, tangent_axes) -> FormField:
     return FormField.random_fourier(kit.n, kit.arity, rng, n_modes=3, frequency_axes=freq_axes)
 
 
-def _family_for(case: str, gen: FormField, background=None, k: int = 1,
-                keep_omega4_1: bool = False):
-    if case == "um":
-        return um_family_from_alpha(gen, background, k)
-    if case == "associative":
-        return assoc_family_from_beta(gen, standard_kit("associative"))
-    if case == "coassociative":
-        return coassoc_family_from_gamma(gen, standard_kit("coassociative"))
-    return cayley_family_from_gamma(gen, standard_kit("cayley"), keep_omega4_1)
-
-
 def theorem_patch(opts) -> Patch:
     """The patch of a theorem run, checked against the case's structure kit.
     Raises ConfigError for an unknown patch or one that does not fit."""
@@ -287,8 +273,8 @@ def cmd_theorem(opts):
             gen = _random_generator(kit, rng, tangent_axes or tuple(range(1, patch.k + 1)))
             if case == "um" and background is not None and not background.is_flat:
                 gen = _resonant_um_generator(background, rng)
-            fam = _family_for(case, gen, background, k, keep)
-            verdict = theorem_A_experiment(case, patch, fam, rule, tol_point, opts["tol_int"],
+            fam = theorem_family(case, gen, background, k, keep)
+            verdict = theorem_A_experiment(patch, fam, rule, tol_point, opts["tol_int"],
                                            defect_integral=defect)
             results = verdict.scalars()
             results["chain_consistency"] = chain

@@ -1,31 +1,35 @@
 """Special metric-variation classes and executable volume-criticality experiments.
 
-Each family records the analytic velocity h of the ambient metric along a
-patch, the velocity of the calibration form, and (where a nonlinear family
-exists) a black-box metric evaluator for finite-difference cross checks.
-Analytic evaluators are batched over quadrature nodes; the experiments run
-them over blocks of nodes whose length bounds the largest temporary, and the
-routes that read only the tangent plane evaluate an affine patch's plane once.
-Position-dependent generators are represented by their values and first
-derivatives along the patch only; exterior derivatives of the test variations
-use the 2-jet of the distance function, with terms linear in its gradient
-dropped since they vanish on the patch.
+A theorem family is a record (case, kit, generator, and the U(m) background
+and k).  Its calibration form moves by the exact velocity d(generator), whose
+rows each node block forms once; one table row per case reads off that d the
+metric velocity h, the calibration form and its class velocity.  The families
+of the FD and minimal checks are a velocity h and, where a nonlinear family
+exists, a black-box metric evaluator for finite-difference cross checks.
+Analytic evaluators run over node blocks whose length bounds the largest
+temporary; the routes that read only the tangent plane evaluate an affine
+patch's plane once.  Exterior derivatives of the test variations use the
+2-jet of the distance function, with terms linear in its gradient dropped
+since they vanish on the patch.
 """
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from .decomposition import (
+    H_MAP_COEFFS,
+    _h_from_hat,
     h0_sp7,
-    h_from_3form,
-    h_from_4form,
     h_sp7,
+    hat_eta,
+    hat_rho,
     hat_sigma,
     metric_from_3form,
     project_35_7,
@@ -33,6 +37,7 @@ from .decomposition import (
 from .exterior import hodge_star, minors, orthonormal_frames, wedge
 from .fields import FormField, UmBackground, VectorField
 from .structures import (
+    TOL_CALIB,
     Kit,
     _blocks,
     _blockwise,
@@ -59,8 +64,6 @@ DIVERGENCE_FD_STEP = 1e-5
 RICHARDSON_LEVELS = 2
 FLOW_RK4_STEPS = 8
 
-CASES = ("um", "associative", "coassociative", "cayley")
-
 # Tr_g h of the test variation over sum_f |pi_N cross(S, f)|^2; the sign is
 # pinned by direct evaluation of the construction (see tests)
 CLOSED_FORM_SCALE = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 0.5}
@@ -71,25 +74,64 @@ CAYLEY_KEPT_TRACE = 2.0 / 7.0
 # for unprojected sigma along Cayley planes: the divisor of Tr(sigma^)
 CAYLEY_RAW_TRACE_DIVISOR = 168.0
 
+# the (sym, trace) coefficients of every h-map, read at call time: decomposition's
+# table, and U(m)'s h = (A J + (A J)^T) / 2 of the antisymmetric matrix A of a
+# 2-form velocity (J fixed)
+_H_COEFFS = ChainMap({"h_um": (0.5, 0.0)}, H_MAP_COEFFS)
 
-@dataclass
+
+@dataclass(frozen=True)
 class VariationFamily:
-    """A one-parameter metric variation with analytic velocity along a patch.
+    """A one-parameter metric variation given by its velocity along a patch:
+    h(patch, xs) -> (N, n, n) at parameter rows xs (N, k), or one row that
+    holds at every node, and, where a nonlinear family exists, gbar_at(ys, t)
+    -> ambient metrics (..., n, n) at points (..., n) around the Euclidean one."""
+    h: Callable
+    gbar_at: Callable | None = None
 
-    The batched evaluators take a patch and parameter rows xs (N, k) and
-    return one row per node, or a single row that holds at every node.
-    """
+
+@dataclass(frozen=True)
+class TheoremFamily:
+    """The special variation of one case: the calibration form moves by the
+    exact velocity d(generator), and h is read off d by the case's h-map.
+
+    generator is a FormField, or the selection (V, W) of a test variation,
+    whose d is the jet-reduced derivative along the patch and whose kit, None
+    here, follows the patch's dimensions.  keep_omega4_1 keeps the pure-trace
+    part of a Cayley velocity."""
     case: str
-    h: Callable                       # (patch, xs) -> (N, n, n) ambient velocity
-    mu_dot: Callable | None = None    # (patch, xs) -> (N, C(n, p)) calibration-form velocity
-    mu: Callable | None = None        # (patch, xs) -> (N, C(n, p)) calibration form
-    gbar_at: Callable | None = None   # (ys, t) -> ambient metrics (..., n, n) at points (..., n)
-    gbar0: Callable | None = None     # (patch, xs) -> (N, n, n) background; None is Euclidean
-    meta: dict = field(default_factory=dict)
+    kit: Kit | None
+    generator: FormField | tuple
+    background: UmBackground | None = None  # U(m): omega moves at fixed J on it
+    k: int = 1                              # U(m): the family calibrates 2k-planes
+    keep_omega4_1: bool = False
 
+    def kit_on(self, patch: Patch) -> Kit:
+        return self.kit if self.kit is not None else _kit(self.case, patch.k, patch.n)
 
-def _constant(form: np.ndarray) -> Callable:
-    return lambda patch, xs: form[None]
+    def d(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
+        """The velocity rows d (N, C(n, arity + 1)) at parameter rows xs."""
+        if isinstance(self.generator, FormField):
+            return self.generator.d_coeffs(patch.positions(xs))
+        return _over_planes(patch, xs, _minors_floats(self.kit_on(patch)), lambda frames, _:
+                            test_variation_derivative(self.case, frames, *self.generator))
+
+    def h(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
+        """Ambient metric velocities (N, n, n) at parameter rows xs."""
+        return _h_map(self.kit_on(patch), self.d(patch, xs), self.keep_omega4_1)
+
+    def forms(self, patch: Patch, xs: np.ndarray, d: np.ndarray):
+        """(mu, mu_dot) at parameter rows xs from their velocity rows d."""
+        return _CASES[self.case].forms(self, patch, xs, d)
+
+    @property
+    def gbar_at(self) -> Callable | None:
+        """(ys, t) -> ambient metrics (..., n, n) at points (..., n) of the
+        nonlinear family, the FD oracle; None where the case has none."""
+        oracle = _CASES[self.case].gbar_at
+        if oracle is None or not isinstance(self.generator, FormField):
+            return None
+        return partial(oracle, self)
 
 
 @lru_cache(maxsize=None)
@@ -107,116 +149,88 @@ def _antisym_mats(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _linearized_metric(kit, coeffs: np.ndarray, keep_omega4_1: bool = False) -> np.ndarray:
-    """Ambient metric velocities (N, n, n) of velocity rows (N, C(n, p)) of omega
-    (fixed J), phi, psi or Phi (trace-free unless keep_omega4_1)."""
-    if kit.case == "um":
-        aj = _antisym_mats(coeffs, kit.n) @ kit.tensor.T  # J = omega's tensor transposed
-        return 0.5 * (aj + np.swapaxes(aj, -1, -2))
-    if kit.case == "associative":
-        return h_from_3form(coeffs)
-    if kit.case == "coassociative":
-        return h_from_4form(coeffs)
-    return (h_sp7 if keep_omega4_1 else h0_sp7)(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# family constructors
-
-def um_family_from_alpha(alphadot: FormField, background: UmBackground,
-                         k: int) -> VariationFamily:
-    """Metric family from omega_t = omega + t (d alphadot)^(1,1), fixed J."""
-    if alphadot.n != background.n:
-        raise ValueError("1-form field dimension does not match the background")
-    kit = standard_kit("um", background.m, k)
-    J, n = kit.tensor.T, kit.n
-
-    def omega(patch, xs):
-        # constant on the flat background: one row serves every node
-        return background.omega_coeffs(patch.positions(xs[:1] if background.is_flat else xs))
-
-    def wedge_omegas(c, om, first):
-        # c ^ om^(k-1) / (first (first + 1) ... (first + k - 2))
-        for i in range(k - 1):
-            c = wedge(c, om, n, 2 + 2 * i, 2) * (1.0 / (first + i))
-        return c
-
-    def h(patch, xs):
-        return _linearized_metric(kit, alphadot.d_coeffs(patch.positions(xs)))
-
-    def mu_dot(patch, xs):
-        return wedge_omegas(alphadot.d_coeffs(patch.positions(xs)), omega(patch, xs), 1)
-
-    def mu(patch, xs):
-        om = omega(patch, xs)
-        return wedge_omegas(om, om, 2)
-
-    def gbar_at(ys, t):
-        a = _antisym_mats(alphadot.d_coeffs(ys), n)
-        omega_t = _antisym_mats(background.omega_coeffs(ys), n) + t * 0.5 * (a + J.T @ a @ J)
-        oj = omega_t @ J
-        return 0.5 * (oj + np.swapaxes(oj, -1, -2))
-
-    def gbar0(patch, xs):
-        return background.metric(patch.positions(xs))
-
-    return VariationFamily("um", h, mu_dot, mu, gbar_at,
-                           None if background.is_flat else gbar0,
-                           meta={"background": background, "k": k, "generator": alphadot})
-
-
-def assoc_family_from_beta(betadot: FormField, kit: Kit) -> VariationFamily:
-    """Metric family induced by phi_t = phi + t d(betadot)."""
-    def d(patch, xs):
-        return betadot.d_coeffs(patch.positions(xs))
-
-    def gbar_at(ys, t):
-        return metric_from_3form(kit.form + t * betadot.d_coeffs(ys))[0]
-
-    return VariationFamily("associative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
-                           _constant(kit.form), gbar_at, meta={"generator": betadot, "kit": kit})
-
-
-def coassoc_family_from_gamma(gammadot: FormField, kit: Kit) -> VariationFamily:
-    """Metric family induced by psi_t = psi + t d(gammadot); linearized route only."""
-
-    def d(patch, xs):
-        return gammadot.d_coeffs(patch.positions(xs))
-
-    return VariationFamily("coassociative", lambda p, xs: _linearized_metric(kit, d(p, xs)), d,
-                           _constant(kit.form), meta={"generator": gammadot, "kit": kit})
-
-
-def cayley_family_from_gamma(gammadot: FormField, kit: Kit,
-                             keep_omega4_1: bool = False) -> VariationFamily:
-    """Metric family with velocity pi_{35+7} d(gammadot).
-
-    With keep_omega4_1 the pure-trace direction is retained (velocity
-    pi_{1+35+7} d(gammadot)), which is exactly the direction the projected
-    class excludes; it is kept available to demonstrate the failure mode.
-    """
-
-    def sigma(patch, xs):
-        d = gammadot.d_coeffs(patch.positions(xs))
-        out = project_35_7(d)
-        if keep_omega4_1:
-            u = _phi_unit()
-            out = out + (d @ u)[:, None] * u
-        return out
-
-    def h(patch, xs):
-        return _linearized_metric(kit, gammadot.d_coeffs(patch.positions(xs)),
-                                  keep_omega4_1)
-
-    return VariationFamily("cayley", h, sigma, _constant(kit.form),
-                           meta={"generator": gammadot, "kit": kit,
-                                 "keep_omega4_1": keep_omega4_1})
-
-
 @lru_cache(maxsize=None)
 def _phi_unit():
     c = standard_kit("cayley").form
     return c / np.linalg.norm(c)
+
+
+def _um_forms(family: TheoremFamily, patch: Patch, xs, d):
+    """omega^k / k! and d ^ omega^(k-1) / (k-1)!; a flat background's omega is one row."""
+    bg, n = family.background, family.kit.n
+    om = bg.omega_coeffs(patch.positions(xs[:1] if bg.is_flat else xs))
+
+    def wedge_omegas(c, first):
+        # c ^ om^(k-1) / (first (first + 1) ... (first + k - 2))
+        for i in range(family.k - 1):
+            c = wedge(c, om, n, 2 + 2 * i, 2) * (1.0 / (first + i))
+        return c
+
+    return wedge_omegas(om, 2), wedge_omegas(d, 1)
+
+
+def _g2_forms(family: TheoremFamily, patch: Patch, xs, d):
+    return family.kit.form[None], d
+
+
+def _cayley_forms(family: TheoremFamily, patch: Patch, xs, d):
+    """Phi and pi_{35+7} d, plus d's Phi part with keep_omega4_1."""
+    sigma = project_35_7(d)
+    if family.keep_omega4_1:
+        u = _phi_unit()
+        sigma = sigma + (d @ u)[:, None] * u
+    return family.kit.form[None], sigma
+
+
+def _um_gbar_at(family: TheoremFamily, ys, t):
+    """The metric of omega_t = omega + t (d alphadot)^(1,1) at fixed J."""
+    J, n = family.kit.tensor.T, family.kit.n
+    a = _antisym_mats(family.generator.d_coeffs(ys), n)
+    omega_t = _antisym_mats(family.background.omega_coeffs(ys), n) + t * 0.5 * (a + J.T @ a @ J)
+    oj = omega_t @ J
+    return 0.5 * (oj + np.swapaxes(oj, -1, -2))
+
+
+def _assoc_gbar_at(family: TheoremFamily, ys, t):
+    """The metric of phi_t = phi + t d(betadot)."""
+    return metric_from_3form(family.kit.form + t * family.generator.d_coeffs(ys))[0]
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One case's maps of velocity rows d."""
+    hat: Callable                    # (kit, d) -> the hats (..., n, n) of its h-map
+    h_keys: tuple                    # _H_COEFFS keys of h: projected, pure-trace part kept
+    forms: Callable = _g2_forms      # (family, patch, xs, d) -> (mu, mu_dot)
+    gbar_at: Callable | None = None  # (family, ys, t) -> the nonlinear metrics
+
+
+# the hats call their kernels by name, so a kernel swapped in the module is the one run
+_CASES = {
+    "um": _Case(lambda kit, d: _antisym_mats(d, kit.n) @ kit.tensor.T,  # J = omega's tensor^T
+                ("h_um",) * 2, _um_forms, _um_gbar_at),
+    "associative": _Case(lambda kit, d: hat_eta(d), ("h_from_3form",) * 2,
+                         gbar_at=_assoc_gbar_at),
+    "coassociative": _Case(lambda kit, d: hat_rho(d), ("h_from_4form",) * 2),
+    "cayley": _Case(lambda kit, d: hat_sigma(d), ("h0_sp7", "h_sp7"), _cayley_forms),
+}
+CASES = tuple(_CASES)
+
+
+def _h_map(kit: Kit, d: np.ndarray, keep_omega4_1: bool = False) -> np.ndarray:
+    """Ambient metric velocities (..., n, n) of velocity rows d (..., C(n, p))."""
+    row = _CASES[kit.case]
+    return _h_from_hat(row.hat(kit, d), *_H_COEFFS[row.h_keys[keep_omega4_1]])
+
+
+def theorem_family(case: str, generator: FormField, background: UmBackground | None = None,
+                   k: int = 1, keep_omega4_1: bool = False) -> TheoremFamily:
+    """The family of one case whose calibration form (omega, phi, psi or Phi)
+    moves by d(generator); U(m) needs its background."""
+    kit = standard_kit(case, m=generator.n // 2, k=k)
+    if generator.n != kit.n or (case == "um" and getattr(background, "n", None) != kit.n):
+        raise ValueError(f"the {case} family needs its generator and background on R^{kit.n}")
+    return TheoremFamily(case, kit, generator, background, k, keep_omega4_1)
 
 
 def lie_family(xfield: VectorField) -> VariationFamily:
@@ -226,7 +240,7 @@ def lie_family(xfield: VectorField) -> VariationFamily:
         dx = xfield.jacobian(patch.positions(xs))
         return dx + np.swapaxes(dx, -1, -2)
 
-    return VariationFamily("flow", lie_derivative, meta={"field": xfield})
+    return VariationFamily(lie_derivative)
 
 
 def scaling_family(n: int) -> VariationFamily:
@@ -235,7 +249,7 @@ def scaling_family(n: int) -> VariationFamily:
     def gbar_at(ys, t):
         return np.broadcast_to(math.exp(t) * np.eye(n), np.shape(ys)[:-1] + (n, n))
 
-    return VariationFamily("scaling", lambda patch, xs: np.eye(n)[None], gbar_at=gbar_at)
+    return VariationFamily(lambda patch, xs: np.eye(n)[None], gbar_at)
 
 
 def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
@@ -247,25 +261,26 @@ def ambient_family(h_field, quadratic_field=None) -> VariationFamily:
             g = g + t * t * quadratic_field.value(ys)
         return g
 
-    return VariationFamily("ambient", lambda patch, xs: h_field.value(patch.positions(xs)),
-                           gbar_at=gbar_at)
+    return VariationFamily(lambda patch, xs: h_field.value(patch.positions(xs)), gbar_at)
 
 
 # ---------------------------------------------------------------------------
 # first variations
 
-def _trace_g(g: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Tr_g of the restriction J^T h J at each node."""
+def _trace_g(g_inv: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr_g of the restriction J^T h J at each node, from the inverse metrics."""
     jt = np.swapaxes(jac, -1, -2)
-    # inverting g, not solving against it, inverts a flat patch's single g once
-    return np.einsum("...ab,...ba->...", np.linalg.inv(g), jt @ h @ jac)
+    return np.einsum("...ab,...ba->...", g_inv, jt @ h @ jac)
 
 
-def _first_variation_integrand(patch: Patch, family: VariationFamily, xs, jac):
-    """(1/2) Tr_g h, sqrt(det g) and the induced metric g at the nodes."""
+def _metric_terms(patch: Patch, family, xs, jac):
+    """g^-1 and sqrt(det g) of the induced metrics at parameter rows xs: the
+    Euclidean ones, or those of a U(m) family's varying background.  Inverting
+    g, not solving against it, inverts a flat patch's single g once."""
     jt = np.swapaxes(jac, -1, -2)
-    g = jt @ jac if family.gbar0 is None else jt @ family.gbar0(patch, xs) @ jac
-    return 0.5 * _trace_g(g, jac, family.h(patch, xs)), np.sqrt(np.linalg.det(g)), g
+    bg = getattr(family, "background", None)  # only a U(m) theorem family has one
+    g = jt @ jac if bg is None or bg.is_flat else jt @ bg.metric(patch.positions(xs)) @ jac
+    return np.linalg.inv(g), np.sqrt(np.linalg.det(g))
 
 
 def _integrand_floats(n: int) -> int:
@@ -274,21 +289,23 @@ def _integrand_floats(n: int) -> int:
     return max(n * n, math.comb(n, n // 2))
 
 
-def analytic_first_variation(patch: Patch, family: VariationFamily,
+def analytic_first_variation(patch: Patch, family: VariationFamily | TheoremFamily,
                              rule: QuadratureRule) -> float:
     """(1/2) integral of Tr_g h over the patch by quadrature."""
     vals = np.empty(rule.nodes.shape[0])
     for sl in _blocks(len(vals), _integrand_floats(patch.n)):
         xs = rule.nodes[sl]
-        half_tr, density, _ = _first_variation_integrand(patch, family, xs, patch.jacobians(xs))
-        vals[sl] = half_tr * density
+        jac = patch.jacobians(xs)
+        g_inv, density = _metric_terms(patch, family, xs, jac)
+        vals[sl] = 0.5 * _trace_g(g_inv, jac, family.h(patch, xs)) * density
     return rule.integrate(vals)
 
 
-def fd_first_variation(patch: Patch, family: VariationFamily, rule: QuadratureRule):
+def fd_first_variation(patch: Patch, family: VariationFamily | TheoremFamily,
+                       rule: QuadratureRule):
     """Finite-difference d/dt of the volume along the family's metric evaluator."""
     if family.gbar_at is None:
-        raise ValueError(f"family for case {family.case!r} has no nonlinear evaluator")
+        raise ValueError("the family has no nonlinear evaluator")
     ys, jacs = patch.rows(rule.nodes)
     jacs = np.broadcast_to(jacs, ys.shape + (patch.k,))
 
@@ -328,8 +345,10 @@ def _kit(case: str, k: int, n: int):
 
 
 def _selectors(kit, frames, V=None, W=None) -> list:
-    """(selector, is a frame-row index) of the selection (V, W), rows 0 and 1 by default."""
-    return [(sel, isinstance(sel, int) and 0 <= sel < frames.shape[-2])
+    """(selector, is a frame-row index) of the selection (V, W), rows 0 and 1
+    by default; a bool is no index."""
+    return [(sel, isinstance(sel, (int, np.integer)) and not isinstance(sel, bool)
+             and 0 <= sel < frames.shape[-2])
             for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]]
 
 
@@ -361,12 +380,6 @@ def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
         rows[..., j, :] = v[..., None, :]
     rows[..., -1, :] = crossed
     return minors(rows).sum(axis=-2)
-
-
-def _velocity(kit, p_normal, S, keep_omega4_1: bool = False) -> np.ndarray:
-    """Ambient metric velocities (..., n, n) of the test variation: derivative
-    minors -> h-map."""
-    return _linearized_metric(kit, _derivative(kit, p_normal, S), keep_omega4_1)
 
 
 def _trace(frame: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -401,19 +414,10 @@ test_variation_derivative.__test__ = False  # keep pytest from collecting it
 
 
 def test_variation_family(case: str, V=None, W=None,
-                          keep_omega4_1: bool = False) -> VariationFamily:
-    """Family whose velocity is the jet-reduced test variation along a patch."""
-
-    def h(p, xs):
-        kit = _kit(case, p.k, p.n)
-
-        def velocity(frames, _):
-            return _velocity(kit, normal_projector(frames), _selection(kit, frames, V, W),
-                             keep_omega4_1)
-
-        return _over_planes(p, xs, _minors_floats(kit), velocity)
-
-    return VariationFamily(case, h, meta={"V": V, "W": W, "keep_omega4_1": keep_omega4_1})
+                          keep_omega4_1: bool = False) -> TheoremFamily:
+    """Family whose velocity is the jet-reduced test variation of the
+    selection (V, W) along a patch."""
+    return TheoremFamily(case, None, (V, W), keep_omega4_1=keep_omega4_1)
 
 
 test_variation_family.__test__ = False
@@ -423,9 +427,8 @@ def chain_trace(case: str, frames: np.ndarray, V=None, W=None,
                 keep_omega4_1: bool = False) -> np.ndarray:
     """Tr_g h through the full chain (jet derivative -> decomposition -> trace)
     along orthonormal tangent frames (..., k, n), shape (...)."""
-    kit = _kit(case, *frames.shape[-2:])
-    S = _selection(kit, frames, V, W)
-    return _trace(frames, _velocity(kit, normal_projector(frames), S, keep_omega4_1))
+    d = test_variation_derivative(case, frames, V, W)
+    return _trace(frames, _h_map(_kit(case, *frames.shape[-2:]), d, keep_omega4_1))
 
 
 def closed_form_trace(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
@@ -550,9 +553,8 @@ class TheoremVerdict:
         return out
 
 
-def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
-                         rule: QuadratureRule, tol_point: float = TOL_POINT,
-                         tol_int: float = TOL_INT,
+def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRule,
+                         tol_point: float = TOL_POINT, tol_int: float = TOL_INT,
                          defect_integral: float | None = None) -> TheoremVerdict:
     """Run the criticality experiment for one family on one patch.
 
@@ -564,43 +566,49 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
     patch's theorem_B_defect, computed here unless ``defect_integral`` gives
     it; it does not depend on the family.
 
-    One minors array per node serves every restriction: forms are evaluated
-    on the coordinate frame through the Jacobian minors, and on the
-    orthonormal tangent frame through the same minors over sqrt(det g).
+    Each node block forms its velocity rows d, their hat and g^-1 once.  One
+    minors array per node serves every restriction: forms are evaluated on
+    the coordinate frame through the Jacobian minors, and on the orthonormal
+    tangent frame through the same minors over sqrt(det g).
     """
-    cayley = case == "cayley"
+    case, kit = family.case, family.kit
+    cayley, row = case == "cayley", _CASES[case]
+    h_coeffs = _H_COEFFS[row.h_keys[family.keep_omega4_1]]
     fv, value, identity, stokes, condition, raw = np.empty((6, rule.nodes.shape[0]))
     for sl in _blocks(len(fv), _integrand_floats(patch.n)):
         xs = rule.nodes[sl]
         jac = patch.jacobians(xs)
-        half_tr, density, g = _first_variation_integrand(patch, family, xs, jac)
+        d = family.d(patch, xs)
+        hat = row.hat(kit, d)
+        g_inv, density = _metric_terms(patch, family, xs, jac)
+        half_tr = 0.5 * _trace_g(g_inv, jac, _h_from_hat(hat, *h_coeffs))
         fv[sl] = half_tr * density
         jac_minors = minors(np.swapaxes(jac, -1, -2))
         frame = jac_minors / density[:, None]
-        value[sl] = np.sum(family.mu(patch, xs) * frame, axis=-1)
+        mu, mu_dot = family.forms(patch, xs, d)
+        value[sl] = np.sum(mu * frame, axis=-1)
         # the calibrated orientation of the tangent frame
         orient = np.where(value[sl] < 0, -1.0, 1.0)
-        mu_dot = family.mu_dot(patch, xs)
         identity[sl] = np.abs(half_tr - orient * np.sum(mu_dot * frame, axis=-1))
         if not cayley:
             stokes[sl] = np.sum(mu_dot * jac_minors, axis=-1)
             continue
         # Stokes route uses the exact form d(gammadot), not its projection
-        d = family.meta["generator"].d_coeffs(patch.positions(xs))
         star_d = hodge_star(d, patch.n, 4)
         stokes[sl] = np.sum(d * jac_minors, axis=-1)
         condition[sl] = np.sum(star_d * jac_minors, axis=-1)
         # the raw trace identity, where sigma_N, sigma on the completing normal
         # frame, is (*sigma) on the oriented tangent frame
         sig_tn = orient * np.sum((d - star_d) * frame, axis=-1)
-        tr_hat = np.trace(hat_sigma(d), axis1=-2, axis2=-1)
-        raw[sl] = np.abs(_trace_g(g, jac, h_sp7(d))
+        tr_hat = np.trace(hat, axis1=-2, axis2=-1)
+        h_raw = _h_from_hat(hat, *H_MAP_COEFFS["h_sp7"])
+        raw[sl] = np.abs(_trace_g(g_inv, jac, h_raw)
                          - (sig_tn + tr_hat / CAYLEY_RAW_TRACE_DIVISOR))
 
     plane_value = float(value[0])
     plane_defect = float(np.max(np.abs(np.abs(value) - 1.0)))
     verdict = TheoremVerdict(
-        case=case, patch=patch.name, calibrated=plane_defect < 1e-8,
+        case=case, patch=patch.name, calibrated=plane_defect < TOL_CALIB,
         plane_value=plane_value, plane_defect=plane_defect,
         analytic_first_variation=rule.integrate(fv),
         defect_integral=(theorem_B_defect(case, patch, rule) if defect_integral is None
@@ -610,24 +618,24 @@ def theorem_A_experiment(case: str, patch: Patch, family: VariationFamily,
         cayley_raw_identity_err=float(raw.max()) if cayley else None,
     )
     orient_sign = -1.0 if cayley and plane_value < 0 else 1.0
-    _finalize_verdict(verdict, case, patch, family, rule, tol_point, tol_int, orient_sign)
+    _finalize_verdict(verdict, patch, family, rule, tol_point, tol_int, orient_sign)
     return verdict
 
 
-def _finalize_verdict(verdict: TheoremVerdict, case: str, patch: Patch,
-                      family: VariationFamily, rule: QuadratureRule,
-                      tol_point: float, tol_int: float, orient_sign: float) -> None:
+def _finalize_verdict(verdict: TheoremVerdict, patch: Patch, family: TheoremFamily,
+                      rule: QuadratureRule, tol_point: float, tol_int: float,
+                      orient_sign: float) -> None:
     fv = verdict.analytic_first_variation
-    if case == "um" and not family.meta["background"].is_flat and family.meta["k"] >= 2:
+    if family.case == "um" and not family.background.is_flat and family.k >= 2:
         verdict.um_dw_route = _um_dw_route(patch, family, rule)
         if verdict.calibrated:
             verdict.passes["dw_route_matches"] = abs(verdict.um_dw_route - fv) < tol_int
     if not verdict.calibrated:
         return
     verdict.passes["integrand_identity"] = verdict.identity_max_err < tol_point
-    if case == "cayley":
+    if family.case == "cayley":
         verdict.passes["raw_trace_identity"] = verdict.cayley_raw_identity_err < tol_point
-        if not family.meta.get("keep_omega4_1"):
+        if not family.keep_omega4_1:
             if patch.closed:  # both integrals vanish by Stokes only on a closed patch
                 verdict.passes["condition_holds"] = abs(verdict.cayley_condition) < tol_int
                 verdict.passes["first_variation_zero"] = abs(fv) < tol_int
@@ -638,11 +646,9 @@ def _finalize_verdict(verdict: TheoremVerdict, case: str, patch: Patch,
         verdict.passes["stokes_zero"] = abs(verdict.stokes_value) < tol_int
 
 
-def _um_dw_route(patch: Patch, family: VariationFamily, rule: QuadratureRule) -> float:
+def _um_dw_route(patch: Patch, family: TheoremFamily, rule: QuadratureRule) -> float:
     """Quadrature of adot ^ d omega ^ omega^{k-2} / (k-2)! restricted to the patch."""
-    background: UmBackground = family.meta["background"]
-    alphadot: FormField = family.meta["generator"]
-    k, n = family.meta["k"], patch.n
+    background, alphadot, k, n = family.background, family.generator, family.k, patch.n
     vals = np.empty(rule.nodes.shape[0])
     # a wedge keeps about four rows of its output width alive, none wider than C(n, n/2)
     for sl in _blocks(len(vals), 4 * math.comb(n, n // 2)):

@@ -51,18 +51,15 @@ from caliblab.submanifold import (
 from caliblab.variation import (
     ambient_family,
     analytic_first_variation,
-    assoc_family_from_beta,
     cayley_anomaly,
-    cayley_family_from_gamma,
     chain_consistency,
-    coassoc_family_from_gamma,
     fd_first_variation,
     minimal_comparison,
     plane_catalog,
     scaling_family,
     theorem_A_experiment,
     theorem_B_defect,
-    um_family_from_alpha,
+    theorem_family,
 )
 
 G2 = standard_kit("associative")
@@ -182,29 +179,29 @@ def test_criterion_05_theorem_A_all_cases():
     p = flat_plane((1, 2), 6, name="t2-in-r6")
     bg = UmBackground.flat(3)
     for _ in range(20):
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
         runs.append(("um", p, fam))
     p4 = flat_plane((1, 2, 3, 4), 6, name="t4-in-r6")
     for _ in range(20):
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 2)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 2)
         runs.append(("um", p4, fam))
     p3 = flat_plane((1, 2, 3), 7, name="t3-in-r7")
     for _ in range(20):
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         runs.append(("associative", p3, fam))
     p47 = flat_plane((4, 5, 6, 7), 7, name="t4-in-r7")
     for _ in range(20):
-        fam = coassoc_family_from_gamma(FormField.random_fourier(7, 3, rng), COASSOC)
+        fam = theorem_family("coassociative", FormField.random_fourier(7, 3, rng))
         runs.append(("coassociative", p47, fam))
     p48 = flat_plane((1, 2, 3, 4), 8, name="t4-in-r8")
     for _ in range(20):
         gen = FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4))
-        runs.append(("cayley", p48, cayley_family_from_gamma(gen, SP7)))
+        runs.append(("cayley", p48, theorem_family("cayley", gen)))
 
     all_pass = True
     for case, patch, fam in runs:
         rule = QuadratureRule(patch.box, 8)
-        v = theorem_A_experiment(case, patch, fam, rule, tol_point=1e-8, tol_int=1e-6)
+        v = theorem_A_experiment(patch, fam, rule, tol_point=1e-8, tol_int=1e-6)
         worst_fv = max(worst_fv, abs(v.analytic_first_variation))
         worst_identity = max(worst_identity, v.identity_max_err)
         all_pass = all_pass and v.calibrated and v.all_pass
@@ -274,14 +271,14 @@ def test_criterion_08_first_variation_fd():
     rule = QuadratureRule(p.box, 6)
     bg = UmBackground.flat(3)
     for _ in range(20):
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
         fv = analytic_first_variation(p, fam, rule)
         fd, _ = fd_first_variation(p, fam, rule)
         worst = max(worst, abs(fv - fd))
     p3 = flat_plane((1, 2, 3), 7, name="t3-in-r7")
     rule3 = QuadratureRule(p3.box, 4)
     for _ in range(20):
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         fv = analytic_first_variation(p3, fam, rule3)
         fd, _ = fd_first_variation(p3, fam, rule3)
         worst = max(worst, abs(fv - fd))

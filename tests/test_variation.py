@@ -17,15 +17,11 @@ from caliblab.submanifold import (
     torus_patch,
 )
 from caliblab.variation import (
-    VariationFamily,
     analytic_first_variation,
-    assoc_family_from_beta,
     cayley_anomaly,
-    cayley_family_from_gamma,
     chain_consistency,
     chain_trace,
     closed_form_trace,
-    coassoc_family_from_gamma,
     fd_first_variation,
     lie_family,
     minimal_comparison,
@@ -35,7 +31,7 @@ from caliblab.variation import (
     test_variation_family,
     theorem_A_experiment,
     theorem_B_defect,
-    um_family_from_alpha,
+    theorem_family,
 )
 
 G2 = standard_kit("associative")
@@ -65,14 +61,14 @@ CURVED = {
 
 class TestFamilies:
     def test_um_zero_generator(self):
-        fam = um_family_from_alpha(FormField(6, 1), UmBackground.flat(3), 1)
+        fam = theorem_family("um", FormField(6, 1), UmBackground.flat(3), 1)
         p = flat_plane((1, 2), 6)
         assert np.abs(fam.h(p, np.array([[0.3, 0.3]]))[0]).max() == 0.0
 
     def test_um_h_J_invariant(self):
         rng = np.random.default_rng(0)
         bg = UmBackground.flat(3)
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
         p = flat_plane((1, 2), 6)
         h = fam.h(p, np.array([[0.4, 0.9]]))[0]
         assert np.abs(bg.J.T @ h @ bg.J - h).max() < 1e-12
@@ -83,7 +79,7 @@ class TestFamilies:
         p = flat_plane((1, 2), 6)
         x = np.array([0.7, 0.2])
         for _ in range(5):
-            fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+            fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
             # the family starts at the background metric
             y = p.positions(x[None])[0]
             assert np.abs(fam.gbar_at(y, 0.0) - bg.metric(y)).max() < 1e-14
@@ -95,7 +91,7 @@ class TestFamilies:
         p = flat_plane((1, 2, 3), 7)
         x = np.array([0.3, 0.6, 0.2])
         for _ in range(5):
-            fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+            fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
             fd, _ = fd_derivative(lambda t: fam.gbar_at(p.positions(x[None])[0], t), 0.0, 1e-4)
             assert np.abs(fd - fam.h(p, x[None])[0]).max() < 1e-7
 
@@ -118,11 +114,11 @@ class TestFamilies:
         p47 = flat_plane((4, 5, 6, 7), 7)
         p8 = flat_plane((1, 2, 3, 4), 8)
         x3, x4 = np.full(3, 0.3), np.full(4, 0.3)
-        assert np.abs(assoc_family_from_beta(FormField(7, 2), G2)
+        assert np.abs(theorem_family("associative", FormField(7, 2))
                       .h(p3, x3[None])[0]).max() == 0.0
-        assert np.abs(coassoc_family_from_gamma(FormField(7, 3), COASSOC)
+        assert np.abs(theorem_family("coassociative", FormField(7, 3))
                       .h(p47, x4[None])[0]).max() == 0.0
-        assert np.abs(cayley_family_from_gamma(FormField(8, 3), SP7)
+        assert np.abs(theorem_family("cayley", FormField(8, 3))
                       .h(p8, x4[None])[0]).max() == 0.0
 
     def test_coassoc_trace_relation_propagates(self):
@@ -133,7 +129,7 @@ class TestFamilies:
         x = np.array([0.2, 0.4, 0.6, 0.8])
         for _ in range(5):
             gen = FormField.random_fourier(7, 3, rng)
-            fam = coassoc_family_from_gamma(gen, COASSOC)
+            fam = theorem_family("coassociative", gen)
             h = fam.h(p, x[None])[0]
             rho = gen.d_coeffs(p.positions(x[None])[0])
             hat = hat_rho(rho)
@@ -146,8 +142,8 @@ class TestFamilies:
         p = flat_plane((1, 2, 3, 4), 8)
         x = np.array([0.3, 0.1, 0.8, 0.5])
         gen = FormField.random_fourier(8, 3, rng)
-        fam = cayley_family_from_gamma(gen, SP7)
-        sigma = fam.mu_dot(p, x[None])[0]
+        fam = theorem_family("cayley", gen)
+        sigma = fam.forms(p, x[None], fam.d(p, x[None]))[1][0]
         assert np.abs(h_sp7(sigma) - fam.h(p, x[None])[0]).max() < 1e-10
 
     def test_gbar_at_stacked_points(self):
@@ -159,10 +155,10 @@ class TestFamilies:
         rng = np.random.default_rng(20)
         bg = UmBackground.wavy(3, rng, eps=0.05)
         families = {
-            6: [um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1),
+            6: [theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1),
                 scaling_family(6),
                 ambient_family(SymTensorField.random(6, rng), SymTensorField.random(6, rng))],
-            7: [assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)],
+            7: [theorem_family("associative", FormField.random_fourier(7, 2, rng))],
         }
         for n, fams in families.items():
             ys = rng.standard_normal((2, 3, n))
@@ -179,7 +175,7 @@ class TestFamilies:
         bg = UmBackground.wavy(3, rng, eps=0.05)
         p = graph_patch((1, 2), 6, [(3, 0.15, (1, 1), 0.4)], "graph-um", closed=False)
         rule = QuadratureRule(p.box, 6)
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
         fv = analytic_first_variation(p, fam, rule)
         fd, _ = fd_first_variation(p, fam, rule)
         assert abs(fv) > 1e-3
@@ -231,8 +227,9 @@ class TestTestVariations:
         np.eye(7)[0, :6],                          # a vector of the wrong length
         "e1",
         1.0,
+        True,                                      # a bool, which numpy reads as a mask
         3,                                         # a frame row the 3-plane lacks
-    ], ids=["callable", "stacked", "short", "str", "float", "row-3"])
+    ], ids=["callable", "stacked", "short", "str", "float", "bool", "row-3"])
     def test_selector_kind_rejected(self, selector):
         # a selector is a frame-row index or a fixed tangent vector (n,)
         p = flat_plane((1, 2, 3), 7)
@@ -241,6 +238,11 @@ class TestTestVariations:
             chain_trace("associative", frames_at(p, [[0.5, 0.5, 0.5]]), V=selector)
         with pytest.raises(ValueError, match="frame-row index"):
             test_variation_family("associative", V=selector).h(p, rule.nodes)
+
+    def test_numpy_integer_selector_is_a_row(self):
+        frames = frames_at(flat_plane((1, 2, 4), 7), [[0.5, 0.5, 0.5]])
+        assert chain_trace("associative", frames, np.int64(0)) == chain_trace("associative",
+                                                                              frames, 0)
 
 
 def _closed_form_over_every_row(case, frames, selectors):
@@ -436,16 +438,16 @@ class TestTheoremB:
 
 
 class TestTheoremA:
-    def run_case(self, case, patch, fam, order=6):
+    def run_case(self, patch, fam, order=6):
         rule = QuadratureRule(patch.box, order)
-        return theorem_A_experiment(case, patch, fam, rule)
+        return theorem_A_experiment(patch, fam, rule)
 
     def test_associative(self):
         rng = np.random.default_rng(5)
         p = flat_plane((1, 2, 3), 7, name="t3-in-r7")
         for _ in range(3):
-            fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
-            v = self.run_case("associative", p, fam, order=8)
+            fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
+            v = self.run_case(p, fam, order=8)
             assert v.calibrated and v.all_pass
             assert abs(v.analytic_first_variation) < 1e-8
             assert v.identity_max_err < 1e-12
@@ -454,8 +456,8 @@ class TestTheoremA:
         rng = np.random.default_rng(6)
         p = flat_plane((4, 5, 6, 7), 7, name="t4-in-r7")
         for _ in range(3):
-            fam = coassoc_family_from_gamma(FormField.random_fourier(7, 3, rng), COASSOC)
-            v = self.run_case("coassociative", p, fam, order=8)
+            fam = theorem_family("coassociative", FormField.random_fourier(7, 3, rng))
+            v = self.run_case(p, fam, order=8)
             assert v.all_pass and abs(v.analytic_first_variation) < 1e-8
 
     def test_cayley(self):
@@ -463,8 +465,8 @@ class TestTheoremA:
         p = flat_plane((1, 2, 3, 4), 8, name="t4-in-r8")
         for _ in range(3):
             gen = FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4))
-            fam = cayley_family_from_gamma(gen, SP7)
-            v = self.run_case("cayley", p, fam, order=8)
+            fam = theorem_family("cayley", gen)
+            v = self.run_case(p, fam, order=8)
             assert v.all_pass
             assert abs(v.cayley_condition) < 1e-10
             assert v.cayley_raw_identity_err < 1e-10
@@ -475,9 +477,9 @@ class TestTheoremA:
         # exactly -condition/2
         gen = FormField(8, 3, modes=[
             FourierMode(np.ones(56), np.array([0, 0, 0, 0, 1.0, 0, 0, 0]), 0.3)])
-        fam = cayley_family_from_gamma(gen, SP7)
+        fam = theorem_family("cayley", gen)
         p = flat_plane((1, 2, 3, 4), 8)
-        v = self.run_case("cayley", p, fam, order=6)
+        v = self.run_case(p, fam, order=6)
         assert abs(v.cayley_condition) > 1e-3
         assert v.analytic_first_variation == pytest.approx(
             -0.5 * v.cayley_condition, abs=1e-9)
@@ -488,9 +490,9 @@ class TestTheoremA:
         # the star route are checks
         gen = FormField(8, 3, modes=[
             FourierMode(np.ones(56), np.array([0.3, 0.2, 0, 0, 0, 0, 0, 0]), 0.3)])
-        fam = cayley_family_from_gamma(gen, SP7)
+        fam = theorem_family("cayley", gen)
         p = flat_plane((1, 2, 3, 4), 8, closed=False)
-        v = self.run_case("cayley", p, fam, order=6)
+        v = self.run_case(p, fam, order=6)
         assert v.calibrated and abs(v.analytic_first_variation) > 1e-2
         assert set(v.passes) == {"integrand_identity", "raw_trace_identity", "star_route"}
         assert v.all_pass
@@ -500,8 +502,8 @@ class TestTheoremA:
         bg = UmBackground.wavy(3, rng, eps=0.05, frequency_axes=(1, 2))
         p = flat_plane((1, 2), 6, name="t2-in-r6")
         for _ in range(3):
-            fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 1)
-            v = self.run_case("um", p, fam, order=8)
+            fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 1)
+            v = self.run_case(p, fam, order=8)
             assert v.calibrated and v.all_pass
             assert abs(v.analytic_first_variation) < 1e-8
 
@@ -510,8 +512,8 @@ class TestTheoremA:
         bg = UmBackground.flat(3)
         p = flat_plane((1, 2, 3, 4), 6, name="t4-in-r6")
         for _ in range(3):
-            fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng), bg, 2)
-            v = self.run_case("um", p, fam, order=8)
+            fam = theorem_family("um", FormField.random_fourier(6, 1, rng), bg, 2)
+            v = self.run_case(p, fam, order=8)
             assert v.all_pass and abs(v.analytic_first_variation) < 1e-8
 
     def test_um_k2_domega_route(self):
@@ -528,8 +530,8 @@ class TestTheoremA:
             gen = FormField(6, 1, modes=[
                 FourierMode(rng.standard_normal(6), freq.copy(),
                             float(rng.uniform(0, 2 * math.pi)))])
-            fam = um_family_from_alpha(gen, bg, 2)
-            v = theorem_A_experiment("um", p, fam, rule)
+            fam = theorem_family("um", gen, bg, 2)
+            v = theorem_A_experiment(p, fam, rule)
             assert v.identity_max_err < 1e-12
             assert abs(v.analytic_first_variation - v.um_dw_route) < 1e-6
             found_nonzero = found_nonzero or abs(v.um_dw_route) > 1e-3
@@ -559,22 +561,21 @@ class TestTheoremA:
                 vals.append(minors(j.T) @ form)
             ref = rule.integrate(np.array(vals))
             assert abs(ref) > 1e-3
-            got = _um_dw_route(p, um_family_from_alpha(gen, bg, k), rule)
+            got = _um_dw_route(p, theorem_family("um", gen, bg, k), rule)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_fd_cross_checks(self):
         rng = np.random.default_rng(11)
         p = flat_plane((1, 2), 6, name="t2-in-r6")
         rule = QuadratureRule(p.box, 6)
-        fam = um_family_from_alpha(FormField.random_fourier(6, 1, rng),
-                                   UmBackground.flat(3), 1)
+        fam = theorem_family("um", FormField.random_fourier(6, 1, rng), UmBackground.flat(3), 1)
         fv = analytic_first_variation(p, fam, rule)
         fd, _ = fd_first_variation(p, fam, rule)
         assert fd == pytest.approx(fv, abs=1e-8)
 
         p3 = flat_plane((1, 2, 3), 7)
         rule3 = QuadratureRule(p3.box, 4)
-        fam3 = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam3 = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         fv3 = analytic_first_variation(p3, fam3, rule3)
         fd3, _ = fd_first_variation(p3, fam3, rule3)
         assert fd3 == pytest.approx(fv3, abs=1e-7)
@@ -584,17 +585,17 @@ class TestTheoremA:
         # orientation flip; the experiments must handle the sign in both paths
         rng = np.random.default_rng(18)
         p = flat_plane((1, 6, 7), 7, name="plane-167-r7")
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         rule = QuadratureRule(p.box, 6)
-        v = theorem_A_experiment("associative", p, fam, rule)
+        v = theorem_A_experiment(p, fam, rule)
         assert v.calibrated and v.plane_value == -1.0
         assert v.all_pass, v.passes
 
         p8 = flat_plane((1, 2, 7, 8), 8, name="plane-1278-r8")
         gen = FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 7, 8))
-        fam8 = cayley_family_from_gamma(gen, SP7)
+        fam8 = theorem_family("cayley", gen)
         rule8 = QuadratureRule(p8.box, 6)
-        v8 = theorem_A_experiment("cayley", p8, fam8, rule8)
+        v8 = theorem_A_experiment(p8, fam8, rule8)
         assert v8.calibrated and v8.plane_value == -1.0
         assert v8.all_pass, v8.passes
         assert v8.cayley_raw_identity_err < 1e-10
@@ -603,7 +604,7 @@ class TestTheoremA:
         from caliblab.submanifold import rotated_plane
 
         p8s = rotated_plane(np.eye(8)[[0, 1, 6, 7]], 8, "slow-1278")
-        v8s = theorem_A_experiment("cayley", p8s, fam8, QuadratureRule(p8s.box, 4))
+        v8s = theorem_A_experiment(p8s, fam8, QuadratureRule(p8s.box, 4))
         assert v8s.calibrated and v8s.plane_value == -1.0
         assert v8s.all_pass, v8s.passes
         assert v8s.cayley_raw_identity_err < 1e-10
@@ -611,18 +612,18 @@ class TestTheoremA:
     def test_non_calibrated_patch_demoted(self):
         rng = np.random.default_rng(12)
         p = flat_plane((1, 2, 4), 7)  # not associative
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
-        v = self.run_case("associative", p, fam, order=3)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
+        v = self.run_case(p, fam, order=3)
         assert not v.calibrated
         assert "first_variation_zero" not in v.passes
 
     def test_orientation_robustness(self):
         rng = np.random.default_rng(13)
         patch = CURVED["associative"]
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         rule = QuadratureRule(patch.box, 3)
-        a = theorem_A_experiment("associative", patch, fam, rule)
-        b = theorem_A_experiment("associative", patch.reversed(), fam, rule)
+        a = theorem_A_experiment(patch, fam, rule)
+        b = theorem_A_experiment(patch.reversed(), fam, rule)
         assert b.analytic_first_variation == pytest.approx(
             a.analytic_first_variation, abs=1e-10)
         assert b.defect_integral == pytest.approx(a.defect_integral, abs=1e-10)
@@ -639,26 +640,26 @@ class TestTheoremA:
         pairs = [
             ("associative", flat_plane((1, 2, 3), 7),
              rotated_plane(np.eye(7)[:3], 7, "slow-123"),
-             assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2), 4),
+             theorem_family("associative", FormField.random_fourier(7, 2, rng)), 4),
             ("cayley", flat_plane((1, 2, 3, 4), 8),
              rotated_plane(np.eye(8)[:4], 8, "slow-1234"),
-             cayley_family_from_gamma(
-                 FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)), SP7), 4),
+             theorem_family(
+                 "cayley", FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4))), 4),
             ("um", flat_plane((1, 2, 3, 4), 6),
              rotated_plane(np.eye(6)[:4], 6, "slow-1234-r6"),
-             um_family_from_alpha(FormField.random_fourier(6, 1, rng),
-                                  UmBackground.flat(3), 2), 6),
+             theorem_family("um", FormField.random_fourier(6, 1, rng),
+                            UmBackground.flat(3), 2), 6),
             ("coassociative", flat_plane((4, 5, 6, 7), 7),
              rotated_plane(np.eye(7)[3:], 7, "slow-4567"),
-             coassoc_family_from_gamma(FormField.random_fourier(7, 3, rng), COASSOC), 4),
+             theorem_family("coassociative", FormField.random_fourier(7, 3, rng)), 4),
         ]
         # the block length of the experiments at n = 6, the U(m) pair's ambient dimension
         block = next(_blocks(10**6, max(6 * 6, math.comb(6, 3)))).stop
         assert max(order ** p.k for _, p, _, _, order in pairs) > 2 * block
         for case, fast_patch, slow_patch, fam, order in pairs:
             rule = QuadratureRule(fast_patch.box, order)
-            a = theorem_A_experiment(case, fast_patch, fam, rule)
-            b = theorem_A_experiment(case, slow_patch, fam, rule)
+            a = theorem_A_experiment(fast_patch, fam, rule)
+            b = theorem_A_experiment(slow_patch, fam, rule)
             assert a.calibrated and b.calibrated
             assert a.analytic_first_variation == pytest.approx(
                 b.analytic_first_variation, abs=1e-12)
@@ -675,9 +676,9 @@ class TestTheoremA:
         from caliblab.cli import make_patch
 
         rng = np.random.default_rng(21)
-        fam = cayley_family_from_gamma(
-            FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)), SP7)
-        runs = (lambda p, r: theorem_A_experiment("cayley", p, fam, r),
+        fam = theorem_family(
+            "cayley", FormField.random_fourier(8, 3, rng, frequency_axes=(1, 2, 3, 4)))
+        runs = (lambda p, r: theorem_A_experiment(p, fam, r),
                 lambda p, r: analytic_first_variation(p, fam, r))
         for name, order in (("t4-in-r8", 8), ("graph-cayley-r8", 6)):
             patch = make_patch(name)
@@ -697,7 +698,7 @@ class TestTheoremA:
         # all 1000 nodes at once the FD oracle would peak near 10 MB
         rng = np.random.default_rng(22)
         patch = graph_patch((1, 2, 3), 7, [(4, 0.1, (1, 0, 1), 0.3)], "graph-assoc")
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
         fd_first_variation(patch, fam, QuadratureRule(patch.box, 2))  # lazy tables
         tracemalloc.start()
         try:
@@ -707,11 +708,46 @@ class TestTheoremA:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
 
+    @pytest.mark.parametrize("case,name,k", [("cayley", "t4-in-r8", 1), ("um", "t4-in-r6", 2)])
+    def test_each_block_forms_its_velocity_once(self, case, name, k, monkeypatch):
+        # one d(generator), one hat_sigma and one inverse metric a node block
+        from caliblab import decomposition, variation
+        from caliblab.cli import make_patch
+        from caliblab.structures import _blocks
+        from caliblab.variation import _integrand_floats
+
+        rng = np.random.default_rng(23)
+        patch = make_patch(name)
+        rule = QuadratureRule(patch.box, 8)
+        gen = FormField.random_fourier(patch.n, 3 if case == "cayley" else 1, rng)
+        bg = UmBackground.wavy(3, rng, eps=0.01, frequency_axes=(1, 2, 3, 4))
+        fam = theorem_family(case, gen, bg if case == "um" else None, k)
+        blocks = len(list(_blocks(len(rule.nodes), _integrand_floats(patch.n))))
+        assert blocks > 1
+        calls = {"d_coeffs": 0, "hat_sigma": 0, "inv": 0}
+
+        def counted(name, fn, only=None):
+            def wrapper(*args):
+                if only is None or args[0] is only:
+                    calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(FormField, "d_coeffs", counted("d_coeffs", FormField.d_coeffs, gen))
+        hat_sigma = counted("hat_sigma", decomposition.hat_sigma)
+        monkeypatch.setattr(decomposition, "hat_sigma", hat_sigma)
+        monkeypatch.setattr(variation, "hat_sigma", hat_sigma)
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        theorem_A_experiment(patch, fam, rule, defect_integral=0.0)
+        assert calls["d_coeffs"] == blocks
+        assert calls["hat_sigma"] <= blocks
+        assert calls["inv"] <= blocks
+
     def test_verdict_scalars_roundtrip(self):
         rng = np.random.default_rng(14)
         p = flat_plane((1, 2, 3), 7)
-        fam = assoc_family_from_beta(FormField.random_fourier(7, 2, rng), G2)
-        v = self.run_case("associative", p, fam, order=2)
+        fam = theorem_family("associative", FormField.random_fourier(7, 2, rng))
+        v = self.run_case(p, fam, order=2)
         scalars = v.scalars()
         assert set(scalars) >= {"analytic_first_variation", "defect_integral",
                                 "identity_max_err", "stokes_value"}
