@@ -60,7 +60,11 @@ class Kit:
     calibration_dim-planes.  The cross product cross(v_1, ..., v_r),
     r = arity = deg(form) - 1, is the vector with
     <cross(v_1, ..., v_r), w> = form(v_1, ..., v_r, w): J v, V x W, chi(U, V, W)
-    or P(U, V, W).  Stacked vectors (..., n) broadcast.
+    or P(U, V, W).  Stacked vectors (..., n) broadcast.  Fewer vectors fill
+    the leading slots and leave the trailing ones open: cross(v_1, ..., v_j)
+    is (..., n, ..., n) with r + 1 - j open slots, so arity - 1 vectors give
+    the (..., n, n) matrix M with x @ M = cross(v_1, ..., v_{r-1}, x), and
+    cross() is the tensor.
     """
     case: str
     n: int
@@ -136,12 +140,17 @@ def _blockwise(fn, floats_per_row: int, *rows) -> np.ndarray:
 # cross products (stacked vectors (..., n) broadcast)
 
 def _contract(tensor: np.ndarray, vectors) -> np.ndarray:
-    """tensor(v_1, ..., v_r, .); one vector is a matmul."""
+    """tensor(v_1, ..., v_j, ., ..., .): the leading j slots contracted, the
+    trailing ones left open; no vector gives the tensor itself, and one
+    vector is a matmul."""
+    if not vectors:
+        return tensor
     if len(vectors) == 1:
-        return np.asarray(vectors[0], float) @ tensor
+        v = np.asarray(vectors[0], float)
+        return (v @ tensor.reshape(len(tensor), -1)).reshape(v.shape[:-1] + tensor.shape[1:])
     idx = "ijkl"[: tensor.ndim]
-    spec = ",".join("..." + c for c in idx[:-1])
-    return np.einsum(f"{idx},{spec}->...{idx[-1]}", tensor, *vectors)
+    spec = ",".join("..." + c for c in idx[: len(vectors)])
+    return np.einsum(f"{idx},{spec}->...{idx[len(vectors):]}", tensor, *vectors)
 
 
 # ---------------------------------------------------------------------------

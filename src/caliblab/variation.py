@@ -26,8 +26,6 @@ import numpy as np
 from .decomposition import (
     H_MAP_COEFFS,
     _h_from_hat,
-    h0_sp7,
-    h_sp7,
     hat_eta,
     hat_rho,
     hat_sigma,
@@ -372,8 +370,9 @@ def _selection(kit, frames, V=None, W=None) -> list:
 
 def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
     """Coefficients (..., C(n, arity + 1)) of sum_i e^i ^ S ^ cross(S, pi_N e_i)."""
-    # rows[..., i, :, :] is [e_i, *S, cross(S, pi_N e_i)]
-    crossed = kit.cross(*(v[..., None, :] for v in S), p_normal)
+    # rows[..., i, :, :] is [e_i, *S, cross(S, pi_N e_i)]; the rows
+    # cross(S, pi_N e_i) are pi_N times the selection's partial contraction
+    crossed = p_normal @ kit.cross(*S)
     rows = np.empty(crossed.shape[:-1] + (len(S) + 2, kit.n))
     rows[..., 0, :] = np.eye(kit.n)
     for j, v in enumerate(S, 1):
@@ -423,41 +422,70 @@ def test_variation_family(case: str, V=None, W=None,
 test_variation_family.__test__ = False
 
 
+def _stacked_selection(kit, frames, selections) -> list:
+    """Each slot's vectors of the selections (V, W) along frames (..., k, n),
+    stacked on a selection axis s before the vector axis: (..., s, n), or
+    (s, n) where every selection fixes that slot's vector."""
+    per = [_selection(kit, frames, *sel) for sel in selections]
+    return [np.stack(np.broadcast_arrays(*slot), axis=-2) for slot in zip(*per)]
+
+
+def _chain_traces(case: str, frames: np.ndarray, selections,
+                  keep_omega4_1: bool = False) -> np.ndarray:
+    """chain_trace of every selection at once, shape (..., s): one derivative
+    of the stacked selections."""
+    kit = _kit(case, *frames.shape[-2:])
+    S = _stacked_selection(kit, frames, selections)
+    d = _derivative(kit, normal_projector(frames)[..., None, :, :], S)
+    return _trace(frames[..., None, :, :], _h_map(kit, d, keep_omega4_1))
+
+
+def _closed_form_traces(case: str, frames: np.ndarray, selections) -> np.ndarray:
+    """closed_form_trace of every selection at once, shape (..., s); each
+    selection holds the same number of frame rows."""
+    kit = _kit(case, *frames.shape[-2:])
+    S = _stacked_selection(kit, frames, selections)
+    # cross(S, f) = 0 for a frame row f in S: S meets only the other rows
+    others = []
+    for sel in selections:
+        in_S = {v for v, is_row in _selectors(kit, frames, *sel) if is_row}
+        others.append([f for f in range(frames.shape[-2]) if f not in in_S])
+    rows = frames[..., np.array(others, dtype=int).reshape(len(selections), -1), :]
+    crossed = kit.cross(*(v[..., None, :] for v in S), rows)
+    fr = frames[..., None, :, :]
+    normal = crossed - (crossed @ np.swapaxes(fr, -1, -2)) @ fr
+    return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
+
+
 def chain_trace(case: str, frames: np.ndarray, V=None, W=None,
                 keep_omega4_1: bool = False) -> np.ndarray:
     """Tr_g h through the full chain (jet derivative -> decomposition -> trace)
     along orthonormal tangent frames (..., k, n), shape (...)."""
-    d = test_variation_derivative(case, frames, V, W)
-    return _trace(frames, _h_map(_kit(case, *frames.shape[-2:]), d, keep_omega4_1))
+    return _chain_traces(case, frames, [(V, W)], keep_omega4_1)[..., 0]
 
 
 def closed_form_trace(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
     """The proof's closed-form value of Tr_g h for the test variation,
     scale * sum_f |pi_N cross(S, f)|^2, along orthonormal tangent frames
     (..., k, n), shape (...)."""
-    kit = _kit(case, *frames.shape[-2:])
-    S = _selection(kit, frames, V, W)
-    # cross(S, f) = 0 for a frame row f in S: S meets only the other rows
-    in_S = {sel for sel, is_row in _selectors(kit, frames, V, W) if is_row}
-    rows = frames[..., [f for f in range(frames.shape[-2]) if f not in in_S], :]
-    crossed = kit.cross(*(v[..., None, :] for v in S), rows)
-    normal = crossed - (crossed @ np.swapaxes(frames, -1, -2)) @ frames
-    return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
+    return _closed_form_traces(case, frames, [(V, W)])[..., 0]
 
 
 def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
                       nodes=None) -> float:
     """Max gap |chain_trace - closed_form_trace| over the nodes and the
-    canonical selections, on one frame evaluation per node block."""
+    canonical selections, on one frame evaluation per node block and one
+    stacked call over the selections."""
     pts = rule.nodes if nodes is None else np.asarray(nodes, float)
+    selections = _canonical_selections(case, patch.k, patch.n)
 
     def gaps(frames, _):
-        return np.max([np.abs(chain_trace(case, frames, *sel)
-                              - closed_form_trace(case, frames, *sel))
-                       for sel in _canonical_selections(case, patch.k, patch.n)], axis=0)
+        return np.abs(_chain_traces(case, frames, selections)
+                      - _closed_form_traces(case, frames, selections)).max(axis=-1)
 
-    return float(_over_planes(patch, pts, _minors_floats(_kit(case, patch.k, patch.n)),
-                              gaps).max())
+    # the derivative minors of every selection are a node's widest temporary
+    per_node = len(selections) * _minors_floats(_kit(case, patch.k, patch.n))
+    return float(_over_planes(patch, pts, per_node, gaps).max())
 
 
 def _canonical_selections(case: str, k: int, n: int):
@@ -676,7 +704,9 @@ def cayley_anomaly(patch: Patch, rule: QuadratureRule, V=0, W=1) -> dict:
     def failures(frames, _):
         v, w = _selection(kit, frames, V, W)
         d = _derivative(kit, normal_projector(frames), (v, w))
-        half_gap = 0.5 * _trace(frames, h_sp7(d) - h0_sp7(d))
+        hat = hat_sigma(d)  # both h-maps read off one hat
+        half_gap = 0.5 * _trace(frames, _h_from_hat(hat, *H_MAP_COEFFS["h_sp7"])
+                                - _h_from_hat(hat, *H_MAP_COEFFS["h0_sp7"]))
         vw2 = np.sum(v * v, -1) * np.sum(w * w, -1) - np.sum(v * w, -1) ** 2
         star = np.sum(hodge_star(d, 8, 4) * minors(frames), axis=-1)
         return np.stack([np.abs(half_gap - CAYLEY_KEPT_TRACE * vw2), np.abs(star)], axis=-1)

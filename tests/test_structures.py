@@ -163,6 +163,38 @@ class TestCrossProducts:
             assert p @ p == pytest.approx(gram, rel=1e-10, abs=1e-12)
 
 
+class TestPartialContraction:
+    KITS = {"um": standard_kit("um", m=3, k=1), "associative": G2,
+            "coassociative": COASSOC, "cayley": SP7}
+
+    @staticmethod
+    def reference(tensor, vectors):
+        """tensor(v_1, ..., v_j, ., ..., .) over stacked (3, 5, n) vectors."""
+        idx = "abcd"[: tensor.ndim]
+        ins = "".join(f",yz{c}" for c in idx[: len(vectors)])
+        return np.einsum(f"{idx}{ins}->yz{idx[len(vectors):]}", tensor, *vectors)
+
+    @pytest.mark.parametrize("case", sorted(KITS))
+    def test_leading_slots_match_einsum(self, case):
+        kit = self.KITS[case]
+        vs = np.random.default_rng(8).standard_normal((kit.arity, 3, 5, kit.n))
+        assert kit.cross() is kit.tensor
+        for j in range(1, kit.arity + 1):
+            got = kit.cross(*vs[:j])
+            assert got.shape == (3, 5) + (kit.n,) * (kit.arity + 1 - j)
+            assert np.allclose(got, self.reference(kit.tensor, vs[:j]), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(KITS))
+    def test_open_slot_is_a_matmul(self, case):
+        # x @ cross(S) is cross(S, x) for a selection S of arity - 1 vectors
+        kit = self.KITS[case]
+        rng = np.random.default_rng(9)
+        S = rng.standard_normal((kit.arity - 1, 3, 5, kit.n))
+        x = rng.standard_normal((3, 5, kit.n))
+        got = (x[..., None, :] @ kit.cross(*S))[..., 0, :]
+        assert np.allclose(got, kit.cross(*S, x), rtol=1e-13, atol=1e-13)
+
+
 class TestIdentities:
     def test_g2_exact(self):
         violations = g2_identity_violations(G2.tensor, COASSOC.tensor)

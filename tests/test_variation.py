@@ -351,6 +351,79 @@ class TestChainConsistency:
         assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
         assert out["star_restriction_max"] == pytest.approx(max(star), abs=1e-14)
 
+    GRAPH = {"um": "graph-um-r6", "associative": "graph-assoc-r7",
+             "coassociative": "graph-coassoc-r7", "cayley": "graph-cayley-r8"}
+
+    @staticmethod
+    def assert_stacked_is_selection_loop(case, frames, selections):
+        """The stacked traces against chain_trace and closed_form_trace one
+        selection at a time; returns the loop's max gap over the selections."""
+        from caliblab.variation import _chain_traces, _closed_form_traces
+
+        chain = _chain_traces(case, frames, selections)
+        closed = _closed_form_traces(case, frames, selections)
+        gaps = []
+        for i, sel in enumerate(selections):
+            one_chain = chain_trace(case, frames, *sel)
+            one_closed = closed_form_trace(case, frames, *sel)
+            assert np.abs(chain[..., i] - one_chain).max() <= 1e-14
+            assert np.abs(closed[..., i] - one_closed).max() <= 1e-14
+            gaps.append(np.abs(one_chain - one_closed).max())
+        return max(gaps)
+
+    @pytest.mark.parametrize("case", ["um", "associative", "coassociative", "cayley"])
+    def test_stacked_matches_selection_loop(self, case):
+        from caliblab.cli import make_patch
+        from caliblab.variation import _canonical_selections
+
+        good, bad = plane_catalog(case)
+        for patch in (make_patch(self.GRAPH[case]), good[0], bad[0]):
+            rule = QuadratureRule(patch.box, 3)
+            selections = _canonical_selections(case, patch.k, patch.n)
+            frames = frames_at(patch, rule.nodes)
+            looped = self.assert_stacked_is_selection_loop(case, frames, selections)
+            assert chain_consistency(case, patch, rule) == pytest.approx(looped, abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["associative", "coassociative", "cayley"])
+    def test_stacked_fixed_vector_selections(self, case):
+        # fixed tangent vectors (n,) of an axis plane, alone and beside frame rows
+        good, bad = plane_catalog(case)
+        for patch in (good[0], bad[0]):
+            frames = frames_at(patch, patch.box.lo[None])
+            f = frames[0]
+            u, w = (f[0] + 2 * f[1]) / math.sqrt(5), (f[1] - f[-1]) / math.sqrt(2)
+            if case == "associative":
+                stacks = [[(u,), (w,)]]
+            else:
+                stacks = [[(u, w), (w, f[0])], [(u, 2), (w, 3)]]
+            for selections in stacks:
+                self.assert_stacked_is_selection_loop(case, frames, selections)
+            if patch is bad[0]:  # the closed form is not trivially zero
+                assert np.abs(closed_form_trace(case, frames, *stacks[0][0])).max() > 1e-3
+
+    def test_chain_forms_one_derivative_per_block(self, monkeypatch):
+        # every selection's derivative in one call a node block, not one a selection
+        from caliblab import variation
+        from caliblab.cli import make_patch
+        from caliblab.structures import _blocks
+        from caliblab.variation import _canonical_selections, _minors_floats
+
+        patch = make_patch("graph-cayley-r8")
+        rule = QuadratureRule(patch.box, 5)
+        selections = _canonical_selections("cayley", patch.k, patch.n)
+        blocks = len(list(_blocks(len(rule.nodes), len(selections) * _minors_floats(SP7))))
+        assert len(selections) == 6 and blocks > 1
+        widths = []
+        derivative = variation._derivative
+
+        def counted(kit, p_normal, S):
+            widths.append(S[0].shape[-2])
+            return derivative(kit, p_normal, S)
+
+        monkeypatch.setattr(variation, "_derivative", counted)
+        chain_consistency("cayley", patch, rule)
+        assert widths == [len(selections)] * blocks
+
     def test_blocked_paths_bound_memory(self):
         # an unblocked defect over the 4096 nodes of order 8 peaks at about
         # 7.1 MB (its (4096, 4, 3, 8) gather alone takes 3.1 MB), the blocked
@@ -768,6 +841,30 @@ class TestCayleyAnomaly:
         out = cayley_anomaly(patch, rule)
         assert out["trace_discrepancy_err"] < 1e-10
         assert out["star_restriction_max"] < 1e-10
+
+    @pytest.mark.parametrize("name", ["t4-in-r8", "graph-cayley-r8"])
+    def test_each_block_forms_one_hat(self, name, monkeypatch):
+        # both h-maps of a node block come from one hat_sigma
+        from caliblab import decomposition, variation
+        from caliblab.cli import make_patch
+        from caliblab.structures import _blocks
+        from caliblab.variation import _minors_floats
+
+        patch = make_patch(name)
+        rule = QuadratureRule(patch.box, 5)
+        blocks = 1 if patch.flat else len(list(_blocks(len(rule.nodes), _minors_floats(SP7))))
+        assert patch.flat or blocks > 1
+        calls = []
+        hat_sigma = decomposition.hat_sigma
+
+        def counted(coeffs):
+            calls.append(len(coeffs))
+            return hat_sigma(coeffs)
+
+        monkeypatch.setattr(decomposition, "hat_sigma", counted)
+        monkeypatch.setattr(variation, "hat_sigma", counted)
+        cayley_anomaly(patch, rule)
+        assert len(calls) == blocks
 
     def test_projection_removes_discrepancy(self):
         # with the pure-trace part projected away the kept and projected
