@@ -35,11 +35,9 @@ from .submanifold import (
     Patch,
     QuadratureRule,
     fd_derivative,
-    induced_metric,
     jet_of_F,
     mean_curvature,
     normal_projector,
-    tangent_normal_split,
     volume,
 )
 from .fields import FormField, SymTensorField, UmBackground, VectorField

@@ -1,7 +1,7 @@
 """Command-line front end: identity suites, theorem experiments, Smith and
 minimal-submanifold suites, and machine-readable reports.
 
-Each report subcommand is a generator of (id, inputs, results, passed)
+Each report subcommand is a generator of (id, inputs, results, checks)
 experiments; one driver times, scores and writes them as line-delimited JSON
 records (schema version 1) or CSV, deterministic for a fixed (config, seed)
 apart from the wall_ms field.  Exit codes: 0 all pass, 1 assertion failures,
@@ -57,11 +57,13 @@ from .variation import (
     CAYLEY_KEPT_TRACE,
     TOL_INT,
     TOL_POINT,
+    Check,
     ambient_family,
     analytic_first_variation,
     cayley_anomaly,
     chain_consistency,
     minimal_comparison,
+    passed,
     theorem_A_experiment,
     theorem_B_defect,
     theorem_family,
@@ -138,15 +140,15 @@ def catalog_patches() -> list[str]:
 
 def _report(experiments, out: str | None, fmt: str) -> int:
     """Time, score and write a report subcommand's experiments, each an (id,
-    inputs, results, passed) tuple: 0 if every one passed, else 1.  A record's
+    inputs, results, checks) tuple: 0 if every one passed, else 1.  A record's
     wall_ms is the time since the previous experiment was yielded; the first
     also covers the subcommand's set-up."""
     records = []
     t0 = time.perf_counter()
-    for exp_id, inputs, results, passed in experiments:
+    for exp_id, inputs, results, checks in experiments:
         t1 = time.perf_counter()
         records.append({"schema": SCHEMA_VERSION, "id": exp_id, "inputs": inputs,
-                        "results": results, "pass": bool(passed),
+                        "results": results, "pass": passed(checks),
                         "wall_ms": round(1000 * (t1 - t0), 3)})
         t0 = t1
     records.sort(key=lambda r: r["id"])
@@ -184,7 +186,7 @@ def cmd_identities(opts):
         if case in (None, prefix):
             for fam, vio in violations().items():
                 yield (f"identity-{prefix}-{fam}", {"kind": "identity", "family": fam},
-                       {"max_violation": int(vio)}, vio == 0)
+                       {"max_violation": vio}, [Check("max_violation", vio, 1)])
     if case is not None:
         return
     trials = opts["trials"]
@@ -201,7 +203,7 @@ def cmd_identities(opts):
             worst_rel = np.maximum(worst_rel, (res / scale).max())
         yield (f"equality-{name}", {"kind": "equality", "trials": trials},
                {"max_residual": worst, "max_relative_residual": worst_rel},
-               worst_rel < EQUALITY_REL_TOL)
+               [Check("max_relative_residual", worst_rel, EQUALITY_REL_TOL)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def cmd_theorem(opts):
                   "index": i, "quad_order": rule.order, "seed": seed,
                   "keep_omega4_1": keep}
         if generator == "test-variation":
-            results, passed = shared
+            results, checks = shared
         else:
             gen = _random_generator(kit, rng, tangent_axes or tuple(range(1, patch.k + 1)))
             if case == "um" and background is not None and not background.is_flat:
@@ -278,8 +280,8 @@ def cmd_theorem(opts):
                                            defect_integral=defect)
             results = verdict.scalars()
             results["chain_consistency"] = chain
-            passed = verdict.all_pass and chain < tol_point
-        yield f"theorem-{case}-{patch.name}-{generator}-{i:03d}", inputs, results, passed
+            checks = (*verdict.checks, Check("chain_consistency", chain, tol_point))
+        yield f"theorem-{case}-{patch.name}-{generator}-{i:03d}", inputs, results, checks
 
 
 def _resonant_um_generator(background: UmBackground, rng) -> FormField:
@@ -293,22 +295,20 @@ def _resonant_um_generator(background: UmBackground, rng) -> FormField:
 
 def _test_variation_results(case, patch, rule, keep, tol_point):
     chain = chain_consistency(case, patch, rule, nodes=rule.nodes[:8])
-    results = {"chain_consistency": chain}
-    passed = chain < tol_point
     defect = theorem_B_defect(case, patch, rule)
-    results["defect_integral"] = defect
+    results = {"chain_consistency": chain, "defect_integral": defect}
+    checks = [Check("chain_consistency", chain, tol_point)]
     if case == "cayley" and keep:
         anomaly = cayley_anomaly(patch, rule)
         results.update(anomaly)
-        vol = float(np.prod(patch.box.hi - patch.box.lo)) if patch.flat else None
-        if vol is not None and defect < CALIBRATED_DEFECT_TOL:
+        checks.append(Check("trace_discrepancy_err", anomaly["trace_discrepancy_err"], tol_point))
+        if patch.flat and defect < CALIBRATED_DEFECT_TOL:
             # criticality must fail by exactly the predicted (2/7)|V^W|^2 volume term
+            vol = float(np.prod(patch.box.hi - patch.box.lo))
             results["kept_first_variation"] = CAYLEY_KEPT_TRACE * vol
-            passed = passed and anomaly["trace_discrepancy_err"] < tol_point \
-                and anomaly["star_restriction_max"] < STAR_RESTRICTION_TOL
-        else:
-            passed = passed and anomaly["trace_discrepancy_err"] < tol_point
-    return results, passed
+            checks.append(Check("star_restriction_max", anomaly["star_restriction_max"],
+                                STAR_RESTRICTION_TOL))
+    return results, checks
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +392,13 @@ def random_triple(rng) -> MapTriple:
 
 
 def _energy_chain(triple: MapTriple, rule: QuadratureRule, tol: float):
-    """The triple's (k-energy, k-volume, calibration integral) and whether
-    E >= Vol >= C holds within ``tol``."""
+    """The triple's (k-energy, k-volume, calibration integral) and the checks of
+    E >= Vol >= C within ``tol``, whose values are E - Vol and Vol - C."""
     e_val = k_energy(triple, rule)
     v_val = k_volume(triple, rule)
     c_val = calibration_integral(triple, rule)
-    return (e_val, v_val, c_val), e_val >= v_val - tol and v_val >= c_val - tol
+    return (e_val, v_val, c_val), [Check("k_energy", e_val - v_val, -tol, at_least=True),
+                                   Check("k_volume", v_val - c_val, -tol, at_least=True)]
 
 
 def cmd_smith(opts):
@@ -407,23 +408,24 @@ def cmd_smith(opts):
 
     catalog = smith_catalog()
     for name, triple, expect in catalog:
-        (e_val, v_val, c_val), chain_ok = _energy_chain(triple, rule, SMITH_CHAIN_TOL)
+        (e_val, v_val, c_val), checks = _energy_chain(triple, rule, SMITH_CHAIN_TOL)
         conf, cal = smith_residual(triple, rule)
-        smith_ok = (conf < SMITH_RESIDUAL_TOL and cal < SMITH_RESIDUAL_TOL) == expect["smith"]
-        conf_ok = (conf < SMITH_RESIDUAL_TOL) == expect["conformal"]
+        checks.append(Check("conformality_residual", conf, SMITH_RESIDUAL_TOL,
+                            at_least=not expect["conformal"]))
+        if expect["smith"]:
+            checks.append(Check("calibration_residual", cal, SMITH_RESIDUAL_TOL))
+        else:  # not both residuals vanish; np.maximum keeps a NaN of either
+            checks.append(Check("smith_residual", np.maximum(conf, cal), SMITH_RESIDUAL_TOL,
+                                at_least=True))
         yield (f"smith-catalog-{name}", {"map": name},
                {"k_energy": e_val, "k_volume": v_val, "calibration_integral": c_val,
-                "conformality_residual": conf, "calibration_residual": cal},
-               chain_ok and smith_ok and conf_ok)
+                "conformality_residual": conf, "calibration_residual": cal}, checks)
 
-    worst_gap = 0.0
-    ok = True
+    chain = []
     for _ in range(trials):
-        (e_val, v_val, c_val), chain_ok = _energy_chain(random_triple(rng), rule,
-                                                        SMITH_RANDOM_CHAIN_TOL)
-        ok = ok and chain_ok
-        worst_gap = max(worst_gap, v_val - e_val, c_val - v_val)
-    yield "smith-random-chain", {"trials": trials}, {"worst_gap": worst_gap}, ok
+        chain += _energy_chain(random_triple(rng), rule, SMITH_RANDOM_CHAIN_TOL)[1]
+    worst_gap = max([0.0, *(-c.value for c in chain)])  # the largest Vol - E or C - Vol
+    yield "smith-random-chain", {"trials": trials}, {"worst_gap": worst_gap}, chain
 
     # conformal invariance and the two first-variation statements
     name, triple, _ = catalog[0]
@@ -433,20 +435,21 @@ def cmd_smith(opts):
         triple.kit)
     inv_err = abs(k_energy(scaled, rule) - k_energy(triple, rule))
     yield ("smith-conformal-invariance", {"map": name}, {"error": inv_err},
-           inv_err < SMITH_INVARIANCE_TOL)
+           [Check("error", inv_err, SMITH_INVARIANCE_TOL)])
 
     h_field = SymTensorField.random(2, rng)
     crit = energy_first_variation_domain(triple, lambda x: h_field.value(x), rule)
     yield ("smith-domain-criticality", {"map": name}, {"first_variation": crit},
-           abs(crit) < SMITH_DOMAIN_TOL)
+           [Check("first_variation", abs(crit), SMITH_DOMAIN_TOL)])
 
     hbar = SymTensorField.random(4, rng)
     tv = energy_first_variation_target(triple, hbar.value, rule)
     fam = ambient_family(hbar)
     afv = analytic_first_variation(triple.patch, fam, rule)
+    gap = abs(tv - afv)
     yield ("smith-target-variation", {"map": name},
-           {"energy_route": tv, "volume_route": afv, "gap": abs(tv - afv)},
-           abs(tv - afv) < SMITH_TARGET_TOL)
+           {"energy_route": tv, "volume_route": afv, "gap": gap},
+           [Check("gap", gap, SMITH_TARGET_TOL)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +467,11 @@ def cmd_minimal(opts):
             rng = np.random.default_rng(child)
             x = VectorField.random(patch.n, rng, with_linear=patch is not flat)
             out = minimal_comparison(patch, x, QuadratureRule(patch.box, order))
-            if patch is flat:
-                passed = abs(out["analytic_first_variation"]) < FLAT_FIRST_VARIATION_TOL
-            else:
-                passed = out["fd_vs_divergence"] < tol_int
-            passed = passed and out["analytic_vs_divergence"] < tol_int
-            yield f"minimal-{patch.name}-{i:03d}", {"patch": patch.name, "index": i}, out, passed
+            first = (Check("analytic_first_variation", abs(out["analytic_first_variation"]),
+                           FLAT_FIRST_VARIATION_TOL) if patch is flat
+                     else Check("fd_vs_divergence", out["fd_vs_divergence"], tol_int))
+            checks = [first, Check("analytic_vs_divergence", out["analytic_vs_divergence"], tol_int)]
+            yield f"minimal-{patch.name}-{i:03d}", {"patch": patch.name, "index": i}, out, checks
 
 
 def cmd_catalog(opts) -> int:

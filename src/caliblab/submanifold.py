@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exterior import DegenerateInputError, DimensionError, orthonormal_frames
+from .exterior import DegenerateInputError, DimensionError
 from .structures import _blockwise
 
 CLOSEST_POINT_TOL = 1e-12
@@ -166,17 +166,7 @@ class Patch:
 
 
 # ---------------------------------------------------------------------------
-# metric, volume, splitting
-
-def induced_metric(patch: Patch, ambient_metric_field, x) -> np.ndarray:
-    """g_ab = gbar(du/dx^a, du/dx^b) at a parameter point, shape (k, k)."""
-    x = np.asarray(x, float)
-    if not patch.box.contains(x):
-        raise ValueError(f"parameter point {x} outside the patch domain")
-    (y,), (j,) = patch.rows(x[None])
-    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
-    return j.T @ gbar @ j
-
+# volume, normal projectors, mean curvature
 
 def volume(patch: Patch, ambient_metric_field, rule: QuadratureRule) -> float:
     """Integral of sqrt(det g) over the domain box by quadrature.  The ambient
@@ -198,16 +188,6 @@ def volume(patch: Patch, ambient_metric_field, rule: QuadratureRule) -> float:
 
     # the widest per-node temporary is an ambient metric (n, n)
     return rule.integrate(_blockwise(densities, patch.n * patch.n, rule.nodes))
-
-
-def tangent_normal_split(patch: Patch, ambient_metric_field, x, v):
-    """Split an ambient vector into tangential and normal parts along the patch."""
-    v = np.asarray(v, float)
-    (y,), (j,) = patch.rows(np.asarray(x, float)[None])
-    gbar = np.eye(patch.n) if ambient_metric_field is None else ambient_metric_field(y)
-    frame = orthonormal_frames(j.T, gbar)[0]  # gbar-orthonormal tangent rows
-    v_tan = frame.T @ (frame @ gbar @ v)
-    return v_tan, v - v_tan
 
 
 def normal_projector(frames: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable
@@ -542,9 +542,25 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
 
 
 # ---------------------------------------------------------------------------
-# theorem A verdicts
+# checks and theorem A verdicts
 
-@dataclass
+@dataclass(frozen=True)
+class Check:
+    """One numerical check of a result: ``value`` below ``tol``, or at or above
+    it for an ``at_least`` check."""
+    name: str
+    value: float
+    tol: float
+    at_least: bool = False
+
+
+def passed(checks) -> bool:
+    """Whether every check holds; a NaN value fails in both directions.  An
+    empty list passes (marking such a record vacuous is an open ROADMAP item)."""
+    return all(c.value >= c.tol if c.at_least else c.value < c.tol for c in checks)
+
+
+@dataclass(frozen=True)
 class TheoremVerdict:
     case: str
     patch: str
@@ -558,27 +574,16 @@ class TheoremVerdict:
     cayley_condition: float | None = None
     cayley_raw_identity_err: float | None = None
     um_dw_route: float | None = None
-    passes: dict = field(default_factory=dict)
+    checks: tuple = ()
 
     @property
     def all_pass(self) -> bool:
-        return all(self.passes.values())
+        return passed(self.checks)
 
     def scalars(self) -> dict:
-        out = {
-            "calibrated": self.calibrated,
-            "plane_value": self.plane_value,
-            "plane_defect": self.plane_defect,
-            "analytic_first_variation": self.analytic_first_variation,
-            "defect_integral": self.defect_integral,
-            "identity_max_err": self.identity_max_err,
-            "stokes_value": self.stokes_value,
-        }
-        for name in ("cayley_condition", "cayley_raw_identity_err", "um_dw_route"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        """The results of the verdict: every field set, but its labels and checks."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("case", "patch", "checks") and getattr(self, f.name) is not None}
 
 
 def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRule,
@@ -635,6 +640,7 @@ def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRu
 
     plane_value = float(value[0])
     plane_defect = float(np.max(np.abs(np.abs(value) - 1.0)))
+    dw_route = case == "um" and not family.background.is_flat and family.k >= 2
     verdict = TheoremVerdict(
         case=case, patch=patch.name, calibrated=plane_defect < TOL_CALIB,
         plane_value=plane_value, plane_defect=plane_defect,
@@ -644,34 +650,35 @@ def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRu
         identity_max_err=float(identity.max()), stokes_value=rule.integrate(stokes),
         cayley_condition=rule.integrate(condition) if cayley else None,
         cayley_raw_identity_err=float(raw.max()) if cayley else None,
+        um_dw_route=_um_dw_route(patch, family, rule) if dw_route else None,
     )
-    orient_sign = -1.0 if cayley and plane_value < 0 else 1.0
-    _finalize_verdict(verdict, patch, family, rule, tol_point, tol_int, orient_sign)
-    return verdict
+    return replace(verdict, checks=_theorem_checks(verdict, family, patch.closed,
+                                                   tol_point, tol_int))
 
 
-def _finalize_verdict(verdict: TheoremVerdict, patch: Patch, family: TheoremFamily,
-                      rule: QuadratureRule, tol_point: float, tol_int: float,
-                      orient_sign: float) -> None:
-    fv = verdict.analytic_first_variation
-    if family.case == "um" and not family.background.is_flat and family.k >= 2:
-        verdict.um_dw_route = _um_dw_route(patch, family, rule)
-        if verdict.calibrated:
-            verdict.passes["dw_route_matches"] = abs(verdict.um_dw_route - fv) < tol_int
-    if not verdict.calibrated:
-        return
-    verdict.passes["integrand_identity"] = verdict.identity_max_err < tol_point
-    if family.case == "cayley":
-        verdict.passes["raw_trace_identity"] = verdict.cayley_raw_identity_err < tol_point
+def _theorem_checks(v: TheoremVerdict, family: TheoremFamily, closed: bool,
+                    tol_point: float, tol_int: float) -> tuple:
+    """The checks that apply to a verdict: none off a calibrated patch, and the
+    vanishing integrals only on a closed one, where Stokes makes them vanish."""
+    if not v.calibrated:
+        return ()
+    fv = v.analytic_first_variation
+    checks = [Check("integrand_identity", v.identity_max_err, tol_point)]
+    if v.um_dw_route is not None:
+        checks.append(Check("dw_route_matches", abs(v.um_dw_route - fv), tol_int))
+    elif family.case == "cayley":
+        checks.append(Check("raw_trace_identity", v.cayley_raw_identity_err, tol_point))
         if not family.keep_omega4_1:
-            if patch.closed:  # both integrals vanish by Stokes only on a closed patch
-                verdict.passes["condition_holds"] = abs(verdict.cayley_condition) < tol_int
-                verdict.passes["first_variation_zero"] = abs(fv) < tol_int
-            star_route = 0.5 * orient_sign * (verdict.stokes_value - verdict.cayley_condition)
-            verdict.passes["star_route"] = abs(fv - star_route) < tol_int
-    elif verdict.um_dw_route is None and patch.closed:
-        verdict.passes["first_variation_zero"] = abs(fv) < tol_int
-        verdict.passes["stokes_zero"] = abs(verdict.stokes_value) < tol_int
+            if closed:
+                checks += [Check("condition_holds", abs(v.cayley_condition), tol_int),
+                           Check("first_variation_zero", abs(fv), tol_int)]
+            orient_sign = -1.0 if v.plane_value < 0 else 1.0
+            star_route = 0.5 * orient_sign * (v.stokes_value - v.cayley_condition)
+            checks.append(Check("star_route", abs(fv - star_route), tol_int))
+    elif closed:
+        checks += [Check("first_variation_zero", abs(fv), tol_int),
+                   Check("stokes_zero", abs(v.stokes_value), tol_int)]
+    return tuple(checks)
 
 
 def _um_dw_route(patch: Patch, family: TheoremFamily, rule: QuadratureRule) -> float:

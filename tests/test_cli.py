@@ -379,6 +379,16 @@ class TestOtherCommands:
         records = parse_jsonl(proc.stdout)
         assert any(r["id"] == "smith-random-chain" for r in records)
 
+    def test_nan_residuals_fail_the_catalog(self, monkeypatch):
+        # a NaN residual is neither "vanishes" nor "does not vanish": every catalog
+        # map fails, whichever way its map is expected to come out
+        monkeypatch.setattr(cli, "smith_residual", lambda triple, rule: (float("nan"),) * 2)
+        proc = run_cli("smith", "--trials", "1", "--quad-order", "2")
+        assert proc.returncode == 1
+        catalog = [r for r in parse_jsonl(proc.stdout) if r["id"].startswith("smith-catalog-")]
+        assert len(catalog) == len(cli.smith_catalog())
+        assert not any(r["pass"] for r in catalog)
+
     def test_minimal_small(self):
         # the flat-torus zero check is quadrature-limited: keep the default order
         proc = run_cli("minimal", "--count", "1")

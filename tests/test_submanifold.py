@@ -14,13 +14,11 @@ from caliblab.submanifold import (
     fd_derivative,
     flat_plane,
     graph_patch,
-    induced_metric,
     jet_of_F,
     mean_curvature,
     normal_projector,
     rotated_plane,
     sphere_patch,
-    tangent_normal_split,
     torus_patch,
     volume,
 )
@@ -160,18 +158,9 @@ class TestPatchCatalog:
 
 
 class TestInducedMetricAndVolume:
-    def test_flat_plane(self):
-        p = flat_plane((1, 2), 5)
-        g = induced_metric(p, None, [0.5, 0.5])
-        assert np.array_equal(g, np.eye(2))
-
-    def test_circle_metric(self):
-        p = circle_patch(2.0)
-        g = induced_metric(p, None, [0.7])
-        assert g[0, 0] == pytest.approx(4.0)
-
-    def test_graph_metric_oracle(self):
-        # u(x) = (x1, x2, f) with f = 0.3 x1^2 x2: g = I + grad(f) grad(f)^T
+    def test_graph_jacobian_oracle(self):
+        # u(x) = (x1, x2, f) with f = 0.3 x1^2 x2: g = J^T J = I + grad(f) grad(f)^T,
+        # so sqrt(det g) = sqrt(1 + |grad(f)|^2)
         def ev(x):
             return np.array([x[0], x[1], 0.3 * x[0] ** 2 * x[1]])
 
@@ -182,14 +171,22 @@ class TestInducedMetricAndVolume:
         p = Patch("poly-graph", 2, 3, Box.unit(2), False, pointwise(ev, jac))
         x = np.array([0.4, 0.8])
         grad = np.array([0.6 * x[0] * x[1], 0.3 * x[0] ** 2])
-        want = np.eye(2) + np.outer(grad, grad)
-        got = induced_metric(p, None, x)
-        assert np.abs(got - want).max() < 1e-14
+        j = one_row(p.jacobians, x)
+        assert np.abs(j.T @ j - (np.eye(2) + np.outer(grad, grad))).max() < 1e-14
+        rule = QuadratureRule(p.box, 6)
+        xs = rule.nodes
+        want = rule.integrate(np.sqrt(1 + (0.6 * xs[:, 0] * xs[:, 1]) ** 2
+                                      + (0.3 * xs[:, 0] ** 2) ** 2))
+        assert volume(p, None, rule) == pytest.approx(want, rel=1e-14)
 
-    def test_out_of_domain(self):
+    def test_circle_length(self):
+        p = circle_patch(2.0)
+        assert volume(p, None, QuadratureRule(p.box, 3)) == pytest.approx(4 * math.pi, rel=1e-14)
+
+    def test_volume_out_of_domain(self):
         p = flat_plane((1, 2), 4)
-        with pytest.raises(ValueError):
-            induced_metric(p, None, [1.5, 0.0])
+        with pytest.raises(ValueError, match="outside the patch domain"):
+            volume(p, None, QuadratureRule(Box.make([0, 0], [1.5, 1]), 2))
 
     def test_unit_square_volume(self):
         p = flat_plane((1, 3), 6)
@@ -267,35 +264,6 @@ class TestInducedMetricAndVolume:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
         assert got == pytest.approx(want, rel=1e-9)
-
-
-class TestSplitting:
-    def test_flat_split(self):
-        p = flat_plane((1, 2), 4)
-        vt, vp = tangent_normal_split(p, None, [0.5, 0.5], np.array([1.0, 0, 1, 0]))
-        assert np.allclose(vt, [1, 0, 0, 0])
-        assert np.allclose(vp, [0, 0, 1, 0])
-
-    def test_orthogonality_random(self):
-        rng = np.random.default_rng(1)
-        p = sphere_patch(1.0)
-        gfield = lambda y: np.eye(3) + 0.2 * np.outer(y, y)
-        for _ in range(10):
-            x = np.array([rng.uniform(0.5, 2.5), rng.uniform(0.5, 5.5)])
-            v = rng.standard_normal(3)
-            vt, vp = tangent_normal_split(p, gfield, x, v)
-            assert np.allclose(vt + vp, v)
-            g = gfield(one_row(p.positions, x))
-            assert abs(vt @ g @ vp) < 1e-12
-
-    def test_idempotent(self):
-        p = sphere_patch(1.0)
-        rng = np.random.default_rng(2)
-        x = np.array([1.2, 0.7])
-        v = rng.standard_normal(3)
-        vt, _ = tangent_normal_split(p, None, x, v)
-        vt2, vp2 = tangent_normal_split(p, None, x, vt)
-        assert np.allclose(vt2, vt) and np.abs(vp2).max() < 1e-12
 
 
 class TestJetOfF:
