@@ -18,8 +18,6 @@ from .exterior import (
 )
 from .structures import (
     Kit,
-    calibration_report,
-    comass_sample,
     g2_identity_violations,
     spin7_identity_violations,
     standard_kit,

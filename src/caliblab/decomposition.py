@@ -28,7 +28,6 @@ from .exterior import (
     _star_table,
     _tensor_table,
     _wedge_table,
-    from_tensor,
     n_coeffs,
     to_tensor,
     wedge,
@@ -218,43 +217,6 @@ def sp7_split(rows) -> Sp7Split:
     part7 = (resid @ q7) @ q7.T
     beta = to_tensor(part7 @ beta_from.T, 8, 2)  # beta's pair coefficients are a 2-form row
     return Sp7Split(part_1_35, part7, resid - part7, h, h0_sp7(rows), beta)
-
-
-# ---------------------------------------------------------------------------
-# forward assemblies (used as independent oracles in tests)
-
-def three_form_from_h_x(h: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """2 eta_ijk = h_ip phi_pjk + h_jp phi_ipk + h_kp phi_ijp + X_p psi_pijk."""
-    phi_t, psi_t = _phi_psi()
-    t = (np.einsum("ip,pjk->ijk", h, phi_t)
-         + np.einsum("jp,ipk->ijk", h, phi_t)
-         + np.einsum("kp,ijp->ijk", h, phi_t)
-         + np.einsum("p,pijk->ijk", X, psi_t)) / 2.0
-    return from_tensor(t)
-
-
-def four_form_from_h_x(h: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """2 rho = (h acting on psi) + X ^ phi, written out index by index."""
-    phi_t, psi_t = _phi_psi()
-    t = (np.einsum("ip,pjkl->ijkl", h, psi_t)
-         + np.einsum("jp,ipkl->ijkl", h, psi_t)
-         + np.einsum("kp,ijpl->ijkl", h, psi_t)
-         + np.einsum("lp,ijkp->ijkl", h, psi_t)
-         + np.einsum("i,jkl->ijkl", X, phi_t)
-         - np.einsum("j,ikl->ijkl", X, phi_t)
-         + np.einsum("k,ijl->ijkl", X, phi_t)
-         - np.einsum("l,ijk->ijkl", X, phi_t)) / 2.0
-    return from_tensor(t)
-
-
-def four_form_from_a_27(A: np.ndarray, sigma27: np.ndarray) -> np.ndarray:
-    """2 sigma = (A acting on Phi) + 2 sigma_27 with A = h + beta."""
-    Phi_t = standard_kit("cayley").tensor
-    t = (np.einsum("ip,pjkl->ijkl", A, Phi_t)
-         + np.einsum("jp,ipkl->ijkl", A, Phi_t)
-         + np.einsum("kp,ijpl->ijkl", A, Phi_t)
-         + np.einsum("lp,ijkp->ijkl", A, Phi_t)) / 2.0
-    return from_tensor(t) + sigma27
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,11 @@ from .exterior import (
     DimensionError,
     form_coeffs,
     hodge_star,
-    minors,
-    orthonormal_frames,
     to_tensor,
     wedge,
 )
 
 TOL_CALIB = 1e-8
-# projected gradient-ascent steps of comass_sample after the random planes
-COMASS_ASCENT_STEPS = 60
 # batched kernels here and in variation size their row blocks so that the
 # largest temporary stays within this; glibc keeps the freed heap of larger
 # blocks resident, which reads as a higher peak RSS
@@ -240,14 +236,6 @@ def coassociative_equality_residuals(xs, ys, zs, ws) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # calibration predicates
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    plane: np.ndarray  # orthonormal tangent rows (k, n)
-    value: float
-    defect: float
-    is_calibrated: bool
-
-
 def invariance_defect(kit, tangent: np.ndarray):
     """Squared-norm failure of the tangent space to be closed under the kit's
     cross product: sum over selections S of arity - 1 tangent rows and over
@@ -266,63 +254,3 @@ def invariance_defect(kit, tangent: np.ndarray):
     normal = crossed - (crossed @ np.swapaxes(tangent, -1, -2)) @ tangent
     out = kit.arity * np.sum(normal * normal, axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
-
-
-def calibration_report(kit, tangent_basis, tol: float = TOL_CALIB) -> CalibrationReport:
-    """Evaluate the calibration form and the invariance defect on a k-plane."""
-    rows = np.asarray(tangent_basis, float)
-    if rows.shape != (kit.calibration_dim, kit.n):
-        raise DimensionError(
-            f"{kit.case} calibrates {kit.calibration_dim}-planes in R^{kit.n}, "
-            f"got rows {rows.shape}"
-        )
-    frame = orthonormal_frames(rows)[0]
-    value = float(kit.mu @ minors(frame))
-    defect = invariance_defect(kit, frame)
-    return CalibrationReport(frame, value, defect, defect < tol)
-
-
-def comass_sample(kit, trials: int, seed: int = 0) -> float:
-    """Max of mu over sampled oriented k-planes, refined by projected gradient ascent."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n, k = kit.n, kit.calibration_dim
-    mu_t = to_tensor(kit.mu, n, k)
-    spec = "ijkl"[:k]
-    args_spec = ",".join(f"b{c}" for c in spec)
-
-    def values(q):  # q: (batch, n, k), columns orthonormal
-        cols = [q[:, :, a] for a in range(k)]
-        return np.einsum(f"{spec},{args_spec}->b", mu_t, *cols)
-
-    raw = rng.standard_normal((trials, n, k))
-    q, r = np.linalg.qr(raw)
-    q = q * np.sign(np.einsum("bkk->bk", r))[:, None, :]
-    vals = values(q)
-    best = np.argmax(np.abs(vals))
-    best_q, best_val = q[best], abs(float(vals[best]))
-
-    # a few steps of projected gradient ascent on mu(plane)^2 from the best sample
-    step = 0.2
-    cur = best_q
-    for _ in range(COMASS_ASCENT_STEPS):
-        cols = [cur[:, a] for a in range(k)]
-        val = np.einsum(f"{spec}," + ",".join(spec) + "->", mu_t, *cols)
-        grad = np.zeros_like(cur)
-        for a in range(k):
-            other = spec[:a] + spec[a + 1:]
-            grad[:, a] = np.einsum(
-                f"{spec}," + ",".join(other) + f"->{spec[a]}", mu_t, *(cols[:a] + cols[a + 1:])
-            )
-        trial_q, r = np.linalg.qr(cur + step * (2 * val) * grad)
-        trial_q = trial_q * np.sign(np.diag(r))[None, :]
-        new_val = abs(float(np.einsum(f"{spec}," + ",".join(spec) + "->",
-                                      mu_t, *[trial_q[:, a] for a in range(k)])))
-        if new_val > best_val:
-            best_val, cur = new_val, trial_q
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best_val

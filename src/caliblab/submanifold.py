@@ -135,35 +135,6 @@ class Patch:
             raise ValueError(f"patch {self.name!r} has no Hessian formula")
         return np.asarray(self._hess(np.asarray(xs, float)), float)
 
-    def reversed(self) -> "Patch":
-        """Same image with the orientation of the parameter domain reversed."""
-        if self.k < 1:
-            raise DimensionError("cannot reverse a 0-patch")
-        lo, hi = self.box.lo.copy(), self.box.hi.copy()
-        rows, hess = self._rows, self._hess
-
-        def flip(xs):
-            y = np.array(xs, float)
-            y[..., 0] = lo[0] + hi[0] - y[..., 0]
-            return y
-
-        def new_rows(xs):
-            pos, j = rows(flip(xs))
-            j = np.array(j, float)
-            j[..., 0] *= -1
-            return pos, j
-
-        new_hess = None
-        if hess is not None:
-            def new_hess(xs):
-                h = np.array(hess(flip(xs)), float)
-                h[..., 0, :] *= -1
-                h[..., :, 0] *= -1
-                return h
-
-        return Patch(self.name + "-reversed", self.k, self.n, self.box, self.closed,
-                     new_rows, new_hess, self.flat, self.axes)
-
 
 # ---------------------------------------------------------------------------
 # volume, normal projectors, mean curvature
@@ -311,19 +282,6 @@ def flat_plane(axes: tuple[int, ...], n: int, name: str | None = None,
     label = name or ("plane-" + "".join(str(a) for a in axes) + f"-r{n}")
     return Patch(label, k, n, Box.unit(k), closed, lambda xs: (xs @ basis.T, basis[None]),
                  lambda xs: np.zeros((xs.shape[0], n, k, k)), flat=True, axes=ax0)
-
-
-def rotated_plane(tangent_rows: np.ndarray, n: int, name: str) -> Patch:
-    """Plane spanned by the given (not necessarily axis) tangent rows; one
-    Jacobian per row, as a curved patch gives them."""
-    basis = np.asarray(tangent_rows, float).T
-    k = basis.shape[1]
-
-    def rows(xs):
-        return xs @ basis.T, np.repeat(basis[None], xs.shape[0], axis=0)
-
-    return Patch(name, k, n, Box.unit(k), True, rows,
-                 lambda xs: np.zeros((xs.shape[0], n, k, k)))
 
 
 def graph_patch(axes: tuple[int, ...], n: int, waves, name: str,

@@ -658,10 +658,11 @@ def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRu
 
 def _theorem_checks(v: TheoremVerdict, family: TheoremFamily, closed: bool,
                     tol_point: float, tol_int: float) -> tuple:
-    """The checks that apply to a verdict: none off a calibrated patch, and the
-    vanishing integrals only on a closed one, where Stokes makes them vanish."""
+    """The checks that apply to a verdict: off a calibrated patch only the
+    defect, which must be positive there, and the vanishing integrals only on a
+    closed one, where Stokes makes them vanish."""
     if not v.calibrated:
-        return ()
+        return (Check("defect_integral", v.defect_integral, TOL_CALIB, at_least=True),)
     fv = v.analytic_first_variation
     checks = [Check("integrand_identity", v.identity_max_err, tol_point)]
     if v.um_dw_route is not None:

@@ -158,6 +158,18 @@ class TestTheoremCommand:
         rec = parse_jsonl(proc.stdout)[0]
         assert rec["results"]["calibrated"] is True
 
+    def test_non_calibrated_record_checks_its_defect(self, monkeypatch):
+        # off a calibrated plane the record's witness is its positive defect: a
+        # vanishing one fails the run, whatever the chain check reads
+        args = ("theorem", "--case", "associative", "--patch", "plane-124-r7", "--count", "1")
+        rec = parse_jsonl(run_cli(*args).stdout)[0]
+        assert rec["pass"] is True and rec["results"]["calibrated"] is False
+        monkeypatch.setattr(cli, "theorem_B_defect", lambda case, patch, rule: 0.0)
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        rec = parse_jsonl(proc.stdout)[0]
+        assert rec["pass"] is False and rec["results"]["defect_integral"] == 0.0
+
     @pytest.mark.parametrize("args", [
         ("--case", "associative", "--patch", "t3-in-r7", "--generator", "random"),
         ("--case", "associative", "--patch", "t3-in-r7", "--generator", "test-variation"),

@@ -3,14 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracles import comass_sample
 
 from caliblab import structures
 from caliblab.exterior import DimensionError, minors, orthonormal_frames, to_tensor
 from caliblab.structures import (
+    TOL_CALIB,
     associative_equality_residuals,
-    calibration_report,
     coassociative_equality_residuals,
-    comass_sample,
     g2_identity_violations,
     invariance_defect,
     spin7_identity_violations,
@@ -293,56 +293,56 @@ class TestStagedEqualityKernels:
 
 
 class TestCalibrationReport:
+    """A plane's calibration value mu(frame) and invariance defect, read off
+    its orthonormal frame; it is calibrated when the defect vanishes."""
+
+    @staticmethod
+    def report(kit, rows):
+        frame = orthonormal_frames(np.asarray(rows, float))[0]
+        return evaluate(kit.mu, frame), invariance_defect(kit, frame)
+
     def test_associative_plane(self):
-        rep = calibration_report(G2, E7[:3])
-        assert rep.value == 1.0 and rep.defect == 0.0 and rep.is_calibrated
+        value, defect = self.report(G2, E7[:3])
+        assert value == 1.0 and defect == 0.0
 
     def test_coassociative_plane(self):
-        rep = calibration_report(COASSOC, E7[3:7])
-        assert abs(rep.value) == 1.0 and rep.is_calibrated
+        value, defect = self.report(COASSOC, E7[3:7])
+        assert abs(value) == 1.0 and defect < TOL_CALIB
         # phi restricts to zero
         restricted = [evaluate(G2.form, E7[list(t)])
                       for t in [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]]
         assert max(abs(v) for v in restricted) == 0.0
 
     def test_cayley_noncalibrated_plane(self):
-        rep = calibration_report(SP7, E8[[0, 1, 2, 4]])
-        assert abs(rep.value) < 1 - 1e-8
-        assert rep.defect > 1e-3 and not rep.is_calibrated
-
-    def test_wrong_plane_dimension(self):
-        with pytest.raises(DimensionError):
-            calibration_report(G2, E7[:4])
-        with pytest.raises(DimensionError):
-            calibration_report(G2, E8[:3])
+        value, defect = self.report(SP7, E8[[0, 1, 2, 4]])
+        assert abs(value) < 1 - 1e-8
+        assert defect > 1e-3
 
     def test_defect_invariant_under_respanning(self):
         rng = np.random.default_rng(6)
         basis = rng.standard_normal((3, 7))
-        base = calibration_report(G2, basis)
+        base_value, base_defect = self.report(G2, basis)
         for _ in range(10):
             mix = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-            rep = calibration_report(G2, mix @ basis)
-            assert rep.defect == pytest.approx(base.defect, abs=1e-10)
-            assert abs(rep.value) == pytest.approx(abs(base.value), abs=1e-10)
+            value, defect = self.report(G2, mix @ basis)
+            assert defect == pytest.approx(base_defect, abs=1e-10)
+            assert abs(value) == pytest.approx(abs(base_value), abs=1e-10)
 
     def test_defect_orientation_independent(self):
         rng = np.random.default_rng(7)
         basis = rng.standard_normal((4, 8))
         flipped = basis[[1, 0, 2, 3]]
-        a = calibration_report(SP7, basis)
-        b = calibration_report(SP7, flipped)
-        assert a.defect == pytest.approx(b.defect, abs=1e-12)
-        assert a.value == pytest.approx(-b.value, abs=1e-12)
+        a_value, a_defect = self.report(SP7, basis)
+        b_value, b_defect = self.report(SP7, flipped)
+        assert a_defect == pytest.approx(b_defect, abs=1e-12)
+        assert a_value == pytest.approx(-b_value, abs=1e-12)
 
     def test_report_consistency(self):
-        # is_calibrated iff defect small iff |value| near 1
+        # defect small iff |value| near 1
         rng = np.random.default_rng(8)
         for _ in range(40):
-            basis = rng.standard_normal((3, 7))
-            rep = calibration_report(G2, basis)
-            assert rep.is_calibrated == (rep.defect < 1e-8)
-            assert rep.is_calibrated == (abs(rep.value) > 1 - 1e-8)
+            value, defect = self.report(G2, rng.standard_normal((3, 7)))
+            assert (defect < TOL_CALIB) == (abs(value) > 1 - 1e-8)
 
     @pytest.mark.parametrize("case", ["um", "associative", "coassociative", "cayley"])
     def test_stacked_defect_matches_per_frame(self, case):
@@ -455,8 +455,7 @@ class TestComass:
         assert best <= 1 + 1e-10
 
     def test_calibrated_sample_attains_bound(self):
-        rep = calibration_report(G2, E7[:3])
-        assert rep.value == 1.0
+        assert evaluate(G2.mu, E7[:3]) == 1.0
 
     def test_deterministic_given_seed(self):
         assert comass_sample(G2, 500, seed=9) == comass_sample(G2, 500, seed=9)

@@ -17,7 +17,6 @@ from caliblab.submanifold import (
     jet_of_F,
     mean_curvature,
     normal_projector,
-    rotated_plane,
     sphere_patch,
     torus_patch,
     volume,
@@ -73,20 +72,17 @@ ROW_FORMULAS = [
     (torus_patch(), np.array([0.8, 2.5])),
     (circle_patch(1.5), np.array([0.9])),
     (flat_plane((2, 4, 5), 6), np.array([0.3, 0.55, 0.7])),
-    (rotated_plane(np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 0.8, -0.6]]), 4, "rot"),
-     np.array([0.45, 0.35])),
     (_linear_map_patch("lin", 5, np.arange(10.0).reshape(5, 2) / 7, offset=np.ones(5)),
      np.array([0.4, 0.75])),
     (random_triple(np.random.default_rng(4)).patch, np.array([0.62, 0.28])),
 ]
-ROW_FORMULAS += [(patch.reversed(), x) for patch, x in ROW_FORMULAS]
 
 
 class TestPatchCatalog:
     @pytest.mark.parametrize("patch,x", ROW_FORMULAS)
     def test_derivative_consistency(self, patch, x):
-        # each row formula's Jacobian (the catalog's, the CLI maps', their reversed
-        # copies') against central differences of its own positions
+        # each row formula's Jacobian (the catalog's and the CLI maps') against
+        # central differences of its own positions
         h = 1e-6
         jac_fd = np.zeros((patch.n, patch.k))
         for a in range(patch.k):
@@ -132,29 +128,6 @@ class TestPatchCatalog:
         assert patch._hess is None
         with pytest.raises(ValueError, match="no Hessian formula"):
             patch.hessians(np.full((3, 2), 0.5))
-        with pytest.raises(ValueError, match="no Hessian formula"):
-            patch.reversed().hessians(np.full((1, 2), 0.5))
-
-    @pytest.mark.parametrize("patch", [
-        graph_patch((1, 2), 4, [(3, 0.1, (1, -1), 0.3), (4, 0.05, (2, 1), 1.0)], "g"),
-        sphere_patch(1.2), torus_patch(), circle_patch(1.5),
-    ], ids=["graph", "sphere", "torus", "circle"])
-    def test_reversed_keeps_row_formula(self, patch):
-        import dataclasses
-
-        calls = []
-
-        def counted(xs, rows=patch._rows):
-            calls.append(len(xs))
-            return rows(xs)
-
-        rev = dataclasses.replace(patch, _rows=counted).reversed()
-        rng = np.random.default_rng(8)
-        xs = patch.box.lo + (patch.box.hi - patch.box.lo) * rng.random((9, patch.k))
-        jacs = rev.jacobians(xs)
-        assert calls == [9]
-        assert np.abs(jacs - [one_row(rev.jacobians, x) for x in xs]).max() < 1e-14
-        assert np.abs(rev.positions(xs) - [one_row(rev.positions, x) for x in xs]).max() < 1e-14
 
 
 class TestInducedMetricAndVolume:
