@@ -52,7 +52,6 @@ from .submanifold import (
 
 TOL_POINT = 1e-8
 TOL_INT = 1e-6
-TOL_FRAME = 1e-9
 
 # FD oracles: t-steps of the family volume and the flowed volume, the parameter
 # step of the divergence route, Richardson levels, RK4 steps of one flow
@@ -92,31 +91,21 @@ class VariationFamily:
 class TheoremFamily:
     """The special variation of one case: the calibration form moves by the
     exact velocity d(generator), and h is read off d by the case's h-map.
-
-    generator is a FormField, or the selection (V, W) of a test variation,
-    whose d is the jet-reduced derivative along the patch and whose kit, None
-    here, follows the patch's dimensions.  keep_omega4_1 keeps the pure-trace
-    part of a Cayley velocity."""
+    keep_omega4_1 keeps the pure-trace part of a Cayley velocity."""
     case: str
-    kit: Kit | None
-    generator: FormField | tuple
+    kit: Kit
+    generator: FormField
     background: UmBackground | None = None  # U(m): omega moves at fixed J on it
     k: int = 1                              # U(m): the family calibrates 2k-planes
     keep_omega4_1: bool = False
 
-    def kit_on(self, patch: Patch) -> Kit:
-        return self.kit if self.kit is not None else _kit(self.case, patch.k, patch.n)
-
     def d(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
         """The velocity rows d (N, C(n, arity + 1)) at parameter rows xs."""
-        if isinstance(self.generator, FormField):
-            return self.generator.d_coeffs(patch.positions(xs))
-        return _over_planes(patch, xs, _minors_floats(self.kit_on(patch)), lambda frames, _:
-                            test_variation_derivative(self.case, frames, *self.generator))
+        return self.generator.d_coeffs(patch.positions(xs))
 
     def h(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
         """Ambient metric velocities (N, n, n) at parameter rows xs."""
-        return _h_map(self.kit_on(patch), self.d(patch, xs), self.keep_omega4_1)
+        return _h_map(self.kit, self.d(patch, xs), self.keep_omega4_1)
 
     def forms(self, patch: Patch, xs: np.ndarray, d: np.ndarray):
         """(mu, mu_dot) at parameter rows xs from their velocity rows d."""
@@ -127,9 +116,7 @@ class TheoremFamily:
         """(ys, t) -> ambient metrics (..., n, n) at points (..., n) of the
         nonlinear family, the FD oracle; None where the case has none."""
         oracle = _CASES[self.case].gbar_at
-        if oracle is None or not isinstance(self.generator, FormField):
-            return None
-        return partial(oracle, self)
+        return None if oracle is None else partial(oracle, self)
 
 
 @lru_cache(maxsize=None)
@@ -320,8 +307,8 @@ def fd_first_variation(patch: Patch, family: VariationFamily | TheoremFamily,
 
 # ---------------------------------------------------------------------------
 # test variations (jet-reduced exterior derivatives along the patch), one per
-# selection S of arity - 1 tangent vectors.  The helpers take stacked nodes:
-# frames (..., k, n), normal projectors (..., n, n), selection vectors (..., n).
+# selection S of arity - 1 frame rows.  The helpers take stacked nodes:
+# frames (..., k, n), normal projectors (..., n, n), selection rows (..., n).
 
 def _over_planes(patch: Patch, xs: np.ndarray, floats_per_node: int, fn) -> np.ndarray:
     """fn(frames, densities) of the tangent planes at parameter rows xs, one
@@ -342,30 +329,24 @@ def _kit(case: str, k: int, n: int):
     return standard_kit(case, m=n // 2, k=max(1, k // 2))
 
 
-def _selectors(kit, frames, V=None, W=None) -> list:
-    """(selector, is a frame-row index) of the selection (V, W), rows 0 and 1
-    by default; a bool is no index."""
-    return [(sel, isinstance(sel, (int, np.integer)) and not isinstance(sel, bool)
-             and 0 <= sel < frames.shape[-2])
-            for sel in (0 if V is None else V, 1 if W is None else W)[: kit.arity - 1]]
+def _stacked_selection(kit, frames, selections):
+    """(idx, S) of selections of frame rows along frames (..., k, n): the index
+    table idx (s, arity - 1) of their first arity - 1 selectors, and each
+    slot's rows S[j] = frames[..., idx[:, j], :] (..., s, n).  A selector is
+    an int or numpy integer, not a bool, in 0..k-1."""
+    k, width = frames.shape[-2], kit.arity - 1
+    table = [tuple(sel)[:width] for sel in selections]
+    for sel in (s for row in table for s in row):
+        if isinstance(sel, bool) or not isinstance(sel, (int, np.integer)) or not 0 <= sel < k:
+            raise ValueError(f"selector {sel!r} is not a frame-row index of a {k}-plane")
+    idx = np.array(table, dtype=int).reshape(len(table), width)
+    return idx, [frames[..., idx[:, j], :] for j in range(width)]
 
 
 def _selection(kit, frames, V=None, W=None) -> list:
-    """The vectors of the selection (V, W) along frames (..., k, n): frame row
-    indices (0 and 1 by default) or fixed tangent vectors (n,)."""
-    out = []
-    for sel, is_row in _selectors(kit, frames, V, W):
-        if is_row:  # frame rows are tangent
-            out.append(frames[..., sel, :])
-            continue
-        if np.shape(sel) != (kit.n,):
-            raise ValueError(f"selector {sel!r} is not a frame-row index or an (n,) vector")
-        v = np.asarray(sel, float)
-        off = np.linalg.norm(v @ normal_projector(frames), axis=-1)
-        if np.any(off > TOL_FRAME * max(1.0, np.linalg.norm(v))):
-            raise ValueError(f"selector {sel} is not tangent to the patch")
-        out.append(v)
-    return out
+    """The frame rows (..., n) of the selection (V, W), rows 0 and 1 by default."""
+    _, S = _stacked_selection(kit, frames, [(0 if V is None else V, 1 if W is None else W)])
+    return [v[..., 0, :] for v in S]
 
 
 def _derivative(kit, p_normal: np.ndarray, S) -> np.ndarray:
@@ -394,7 +375,7 @@ def _minors_floats(kit) -> int:
 def test_variation_derivative(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
     """Exterior derivative along the patch of the case's test variation, as
     coefficient rows (..., C(n, arity + 1)) along orthonormal tangent frames
-    (..., k, n).
+    (..., k, n), for the selection (V, W) of frame rows.
 
     The generators themselves vanish on the patch (they are linear in the
     gradient of the distance function); only the derivative
@@ -412,76 +393,46 @@ def test_variation_derivative(case: str, frames: np.ndarray, V=None, W=None) -> 
 test_variation_derivative.__test__ = False  # keep pytest from collecting it
 
 
-def test_variation_family(case: str, V=None, W=None,
-                          keep_omega4_1: bool = False) -> TheoremFamily:
-    """Family whose velocity is the jet-reduced test variation of the
-    selection (V, W) along a patch."""
-    return TheoremFamily(case, None, (V, W), keep_omega4_1=keep_omega4_1)
-
-
-test_variation_family.__test__ = False
-
-
-def _stacked_selection(kit, frames, selections) -> list:
-    """Each slot's vectors of the selections (V, W) along frames (..., k, n),
-    stacked on a selection axis s before the vector axis: (..., s, n), or
-    (s, n) where every selection fixes that slot's vector."""
-    per = [_selection(kit, frames, *sel) for sel in selections]
-    return [np.stack(np.broadcast_arrays(*slot), axis=-2) for slot in zip(*per)]
-
-
-def _chain_traces(case: str, frames: np.ndarray, selections,
-                  keep_omega4_1: bool = False) -> np.ndarray:
-    """chain_trace of every selection at once, shape (..., s): one derivative
-    of the stacked selections."""
+def chain_traces(case: str, frames: np.ndarray, selections,
+                 keep_omega4_1: bool = False) -> np.ndarray:
+    """Tr_g h of the test variation of every selection through the full chain
+    (jet derivative -> decomposition -> trace) along orthonormal tangent
+    frames (..., k, n), shape (..., s): one derivative of the stacked
+    selections.  The first variation of a test variation is (1/2) integral
+    of its chain trace dvol."""
     kit = _kit(case, *frames.shape[-2:])
-    S = _stacked_selection(kit, frames, selections)
+    _, S = _stacked_selection(kit, frames, selections)
     d = _derivative(kit, normal_projector(frames)[..., None, :, :], S)
     return _trace(frames[..., None, :, :], _h_map(kit, d, keep_omega4_1))
 
 
-def _closed_form_traces(case: str, frames: np.ndarray, selections) -> np.ndarray:
-    """closed_form_trace of every selection at once, shape (..., s); each
-    selection holds the same number of frame rows."""
+def closed_form_traces(case: str, frames: np.ndarray, selections) -> np.ndarray:
+    """The proof's closed-form value of Tr_g h for the test variation of every
+    selection, scale * sum_f |pi_N cross(S, f)|^2, along orthonormal tangent
+    frames (..., k, n), shape (..., s); each selection holds the same number
+    of distinct frame rows."""
     kit = _kit(case, *frames.shape[-2:])
-    S = _stacked_selection(kit, frames, selections)
+    idx, S = _stacked_selection(kit, frames, selections)
     # cross(S, f) = 0 for a frame row f in S: S meets only the other rows
-    others = []
-    for sel in selections:
-        in_S = {v for v, is_row in _selectors(kit, frames, *sel) if is_row}
-        others.append([f for f in range(frames.shape[-2]) if f not in in_S])
-    rows = frames[..., np.array(others, dtype=int).reshape(len(selections), -1), :]
+    others = [[f for f in range(frames.shape[-2]) if f not in row] for row in idx.tolist()]
+    rows = frames[..., np.array(others, dtype=int).reshape(len(idx), -1), :]
     crossed = kit.cross(*(v[..., None, :] for v in S), rows)
     fr = frames[..., None, :, :]
     normal = crossed - (crossed @ np.swapaxes(fr, -1, -2)) @ fr
     return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
 
 
-def chain_trace(case: str, frames: np.ndarray, V=None, W=None,
-                keep_omega4_1: bool = False) -> np.ndarray:
-    """Tr_g h through the full chain (jet derivative -> decomposition -> trace)
-    along orthonormal tangent frames (..., k, n), shape (...)."""
-    return _chain_traces(case, frames, [(V, W)], keep_omega4_1)[..., 0]
-
-
-def closed_form_trace(case: str, frames: np.ndarray, V=None, W=None) -> np.ndarray:
-    """The proof's closed-form value of Tr_g h for the test variation,
-    scale * sum_f |pi_N cross(S, f)|^2, along orthonormal tangent frames
-    (..., k, n), shape (...)."""
-    return _closed_form_traces(case, frames, [(V, W)])[..., 0]
-
-
 def chain_consistency(case: str, patch: Patch, rule: QuadratureRule,
                       nodes=None) -> float:
-    """Max gap |chain_trace - closed_form_trace| over the nodes and the
+    """Max gap |chain_traces - closed_form_traces| over the nodes and the
     canonical selections, on one frame evaluation per node block and one
     stacked call over the selections."""
     pts = rule.nodes if nodes is None else np.asarray(nodes, float)
     selections = _canonical_selections(case, patch.k, patch.n)
 
     def gaps(frames, _):
-        return np.abs(_chain_traces(case, frames, selections)
-                      - _closed_form_traces(case, frames, selections)).max(axis=-1)
+        return np.abs(chain_traces(case, frames, selections)
+                      - closed_form_traces(case, frames, selections)).max(axis=-1)
 
     # the derivative minors of every selection are a node's widest temporary
     per_node = len(selections) * _minors_floats(_kit(case, patch.k, patch.n))
@@ -528,7 +479,8 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     """Integral of the case's defect integrand over the canonical frame choices.
 
     Zero exactly when the sampled tangent planes are calibrated; equals
-    2 |first variation| of the matching test-variation family.
+    2 |summed first variations| of the test variations of the canonical
+    selections, (1/2) integral of their chain_traces dvol.
     """
     kit = _kit(case, patch.k, patch.n)
     scale = abs(CLOSED_FORM_SCALE[case])
@@ -539,6 +491,17 @@ def theorem_B_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
     # the defect's largest temporary is the gather of each product's rows
     per_node = math.comb(patch.k, kit.arity) * kit.arity * patch.n
     return rule.integrate(_over_planes(patch, rule.nodes, per_node, defect))
+
+
+def plane_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
+    """Max over the nodes of |1 - |mu(xi)||, xi the unit tangent plane: zero
+    exactly on calibrated planes."""
+    kit = _kit(case, patch.k, patch.n)
+
+    def defect(frames, _):
+        return np.abs(1.0 - np.abs(minors(frames) @ kit.mu))
+
+    return float(_over_planes(patch, rule.nodes, math.comb(patch.n, patch.k), defect).max())
 
 
 # ---------------------------------------------------------------------------

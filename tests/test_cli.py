@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +166,18 @@ class TestTheoremCommand:
         args = ("theorem", "--case", "associative", "--patch", "plane-124-r7", "--count", "1")
         rec = parse_jsonl(run_cli(*args).stdout)[0]
         assert rec["pass"] is True and rec["results"]["calibrated"] is False
+        monkeypatch.setattr(cli, "theorem_B_defect", lambda case, patch, rule: 0.0)
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        rec = parse_jsonl(proc.stdout)[0]
+        assert rec["pass"] is False and rec["results"]["defect_integral"] == 0.0
+
+    def test_non_calibrated_test_variation_checks_its_defect(self, monkeypatch):
+        # a test-variation record off a calibrated plane checks its defect too,
+        # not only the chain check
+        args = ("theorem", "--case", "associative", "--patch", "plane-124-r7",
+                "--generator", "test-variation", "--count", "1")
+        assert run_cli(*args).returncode == 0
         monkeypatch.setattr(cli, "theorem_B_defect", lambda case, patch, rule: 0.0)
         proc = run_cli(*args)
         assert proc.returncode == 1
@@ -401,10 +415,82 @@ class TestOtherCommands:
         assert len(catalog) == len(cli.smith_catalog())
         assert not any(r["pass"] for r in catalog)
 
+    def test_nan_chain_value_is_the_worst_gap(self, monkeypatch):
+        # a NaN volume makes the random chain's worst gap NaN, not 0
+        monkeypatch.setattr(cli, "k_volume", lambda triple, rule: float("nan"))
+        proc = run_cli("smith", "--trials", "2", "--quad-order", "2")
+        assert proc.returncode == 1
+        rec = next(r for r in parse_jsonl(proc.stdout) if r["id"] == "smith-random-chain")
+        assert math.isnan(rec["results"]["worst_gap"]) and rec["pass"] is False
+
     def test_minimal_small(self):
         # the flat-torus zero check is quadrature-limited: keep the default order
         proc = run_cli("minimal", "--count", "1")
         assert proc.returncode == 0
+
+
+# the command-line values of the argv sweep: valid ones kept cheap, invalid ones of
+# each option kind, and unknown or malformed patches
+SWEEP_INTS = {"quad_order": (1, 4), "count": (1, 2), "trials": (1, 3), "k": (1, 3),
+              "seed": (0, 99)}
+SWEEP_FLOATS = ("1e-6", "0.5")
+SWEEP_INVALID = {int: ("-1", "1.5", "two"), float: ("0", "-1e-3", "nan", "inf", "x"),
+                 str: ("bogus",)}
+SWEEP_PATCHES = ("nope", "plane-1x-r7", "plane-12-r10", "plane-", "plane-129-r7")
+SWEEP_CURVED = {"um": "graph-um-r6", "associative": "graph-assoc-r7",
+                "coassociative": "graph-coassoc-r7", "cayley": "graph-cayley-r8"}
+
+
+def sweep_argvs(tmp, seed=0, size=80):
+    """A seeded list of command lines built from cli.COMMANDS: each sets the
+    options that bound a run's cost to small values, then one to three more
+    options, valid or not; a flag, --k or a patch may not fit the case."""
+    rng = random.Random(seed)
+    patches = [*cli.catalog_patches()[:-1], "plane-124-r7", "plane-1235-r8"]
+    argvs = [["catalog"], ["catalog", "--seed", "1"], ["theorem"],
+             ["theorem", "--case", "associative", "--config", f"{tmp}/missing.json"]]
+    while len(argvs) < size:
+        command = rng.choice(["theorem"] * 3 + ["identities", "smith", "minimal"])
+        table = cli.COMMANDS[command][2]
+        values = {key: str(rng.randint(*SWEEP_INTS[key]))
+                  for key in ("quad_order", "count", "trials") if key in table}
+        if command == "theorem":
+            values["case"] = rng.choice(cli.CASES)
+        for key in rng.sample(sorted(set(table) - {"case"}), rng.randint(1, 3)):
+            opt, valid = table[key], rng.random() < 0.6
+            if opt.kind is bool:
+                values[key] = None
+            elif key == "patch":  # a valid patch is the case's curved one half the time
+                values[key] = rng.choice(([SWEEP_CURVED[values["case"]]] if rng.random() < 0.5
+                                          else patches) if valid else SWEEP_PATCHES)
+            elif key == "out":
+                values[key] = (f"{tmp}/r{len(argvs)}.jsonl" if valid
+                               else rng.choice([str(tmp), f"{tmp}/missing/r.jsonl"]))
+            elif not valid:
+                values[key] = rng.choice(SWEEP_INVALID[opt.kind])
+            elif opt.choices:
+                values[key] = rng.choice(opt.choices)
+            else:
+                values[key] = (str(rng.randint(*SWEEP_INTS[key])) if opt.kind is int
+                               else rng.choice(SWEEP_FLOATS))
+        argv = [command]
+        for key, val in values.items():
+            argv += [cli._flag(key)] + ([] if val is None else [val])
+        argvs.append(argv)
+    return argvs
+
+
+def test_argv_sweep_exits_cleanly(tmp_path):
+    # no input raises; exit 2 means bad input, with one error line and no report
+    codes = []
+    for argv in sweep_argvs(tmp_path):
+        proc = run_cli(*argv)
+        assert proc.returncode in (0, 1, 2), argv
+        if proc.returncode == 2:
+            assert proc.stdout == "", argv
+            assert "error:" in proc.stderr.strip().splitlines()[-1], argv
+        codes.append(proc.returncode)
+    assert {0, 2} <= set(codes)
 
 
 class TestEntryPoint:

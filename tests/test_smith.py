@@ -142,6 +142,15 @@ class TestResiduals:
         conf, cal = smith_residual(aniso, RULE)
         assert conf > 0.1 and cal > 0.1
 
+    def test_nan_jacobian_gives_nan_residuals(self):
+        # a NaN at one node is no residual of 0: both sups keep it
+        mat, bad = np.eye(4)[:, :2], RULE.nodes[3]
+        jac = lambda x: np.full((4, 2), np.nan) if np.array_equal(x, bad) else mat
+        triple = MapTriple(Patch("nan", 2, 4, Box.unit(2), False,
+                                 pointwise(lambda x: mat @ x, jac)), EYE_G, UM2)
+        conf, cal = smith_residual(triple, RULE)
+        assert math.isnan(conf) and math.isnan(cal)
+
     def test_calibration_residual_zero_implies_conformal(self):
         # on the catalog maps a vanishing second residual forces the first
         for triple in (HOLO,

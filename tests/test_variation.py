@@ -21,8 +21,8 @@ from caliblab.variation import (
     analytic_first_variation,
     cayley_anomaly,
     chain_consistency,
-    chain_trace,
-    closed_form_trace,
+    chain_traces,
+    closed_form_traces,
     fd_first_variation,
     lie_family,
     minimal_comparison,
@@ -30,7 +30,6 @@ from caliblab.variation import (
     plane_catalog,
     scaling_family,
     test_variation_derivative,
-    test_variation_family,
     theorem_A_experiment,
     theorem_B_defect,
     theorem_family,
@@ -207,8 +206,8 @@ class TestTestVariations:
         # on an associative plane both trace expressions are zero
         p = flat_plane((1, 2, 3), 7)
         x = np.array([0.5, 0.5, 0.5])
-        assert abs(chain_trace("associative", frames_at(p, x[None]), 0)[0]) < 1e-14
-        assert abs(closed_form_trace("associative", frames_at(p, x[None]), 0)[0]) < 1e-14
+        assert abs(chain_traces("associative", frames_at(p, x[None]), [(0,)])[0, 0]) < 1e-14
+        assert abs(closed_form_traces("associative", frames_at(p, x[None]), [(0,)])[0, 0]) < 1e-14
 
     def test_cayley_star_restriction_vanishes(self):
         for patch in (flat_plane((1, 2, 3, 4), 8), CURVED["cayley"]):
@@ -216,12 +215,6 @@ class TestTestVariations:
             frames = frames_at(patch, x[None])
             d = test_variation_derivative("cayley", frames, 0, 1)[0]
             assert abs(minors(frames[0]) @ hodge_star(d, 8, 4)) < 1e-10
-
-    def test_non_tangent_selector_rejected(self):
-        p = flat_plane((1, 2, 3), 7)
-        with pytest.raises(ValueError):
-            test_variation_derivative("associative", frames_at(p, [[0.5, 0.5, 0.5]]),
-                                      V=np.array([0, 0, 0, 1.0, 0, 0, 0]))
 
     @pytest.mark.parametrize("selector", [
         lambda xs: np.eye(7)[0],                   # a function of the rows
@@ -231,31 +224,31 @@ class TestTestVariations:
         1.0,
         True,                                      # a bool, which numpy reads as a mask
         3,                                         # a frame row the 3-plane lacks
-    ], ids=["callable", "stacked", "short", "str", "float", "bool", "row-3"])
+        np.array([0, 0, 0, 1.0, 0, 0, 0]),         # a vector normal to the plane
+    ], ids=["callable", "stacked", "short", "str", "float", "bool", "row-3", "non-tangent"])
     def test_selector_kind_rejected(self, selector):
-        # a selector is a frame-row index or a fixed tangent vector (n,)
-        p = flat_plane((1, 2, 3), 7)
-        rule = QuadratureRule(p.box, 2)
+        # a selector is a frame-row index and nothing else
+        frames = frames_at(flat_plane((1, 2, 3), 7), [[0.5, 0.5, 0.5]])
         with pytest.raises(ValueError, match="frame-row index"):
-            chain_trace("associative", frames_at(p, [[0.5, 0.5, 0.5]]), V=selector)
+            chain_traces("associative", frames, [(selector,)])
         with pytest.raises(ValueError, match="frame-row index"):
-            test_variation_family("associative", V=selector).h(p, rule.nodes)
+            test_variation_derivative("associative", frames, V=selector)
 
     def test_numpy_integer_selector_is_a_row(self):
         frames = frames_at(flat_plane((1, 2, 4), 7), [[0.5, 0.5, 0.5]])
-        assert chain_trace("associative", frames, np.int64(0)) == chain_trace("associative",
-                                                                              frames, 0)
+        assert chain_traces("associative", frames, [(np.int64(0),)]) == chain_traces(
+            "associative", frames, [(0,)])
 
 
 def _closed_form_over_every_row(case, frames, selectors):
     """scale * sum_f |pi_N cross(S, f)|^2 over every frame row f, the rows in
-    S included: the sum closed_form_trace must reproduce."""
+    S included: the sum closed_form_traces must reproduce."""
     from caliblab.submanifold import normal_projector
     from caliblab.variation import CLOSED_FORM_SCALE
 
     k, n = frames.shape[-2:]
     kit = standard_kit(case, m=n // 2, k=max(1, k // 2))
-    S = [frames[..., s, :] if isinstance(s, int) else s for s in selectors]
+    S = [frames[..., s, :] for s in selectors]
     crossed = kit.cross(*(v[..., None, :] for v in S), frames)
     normal = crossed @ normal_projector(frames)
     return CLOSED_FORM_SCALE[case] * np.sum(normal * normal, axis=(-2, -1))
@@ -276,12 +269,6 @@ class TestChainConsistency:
         rng = np.random.default_rng(5)
         q = np.linalg.qr(rng.standard_normal((2, 3, n, k)))[0]
         frames = np.swapaxes(q, -1, -2)  # (2, 3, k, n), orthonormal rows
-        # frames that all hold e_1 and e_2, rotated so neither is a frame row
-        raw = rng.standard_normal((2, 3, k, n))
-        raw[..., :2, :] = np.eye(n)[:2]
-        spanned = np.swapaxes(np.linalg.qr(np.swapaxes(raw, -1, -2))[0], -1, -2)
-        spanned = np.linalg.qr(rng.standard_normal((2, 3, k, k)))[0] @ spanned
-        vectors = tuple(np.eye(n)[: arity - 1])
 
         counted = []
 
@@ -293,14 +280,11 @@ class TestChainConsistency:
             return wrapped
 
         monkeypatch.setattr(structures.Kit, "cross", counting(structures.Kit.cross))
-        cases = [(frames, sel, k - arity + 1) for sel in _canonical_selections(case, k, n)]
-        if arity > 1:
-            cases.append((spanned, vectors, k))
-        for f, sel, per_frame in cases:
+        for sel in _canonical_selections(case, k, n):
             counted.clear()
-            got = closed_form_trace(case, f, *sel)
-            assert counted == [got.size * per_frame]
-            want = _closed_form_over_every_row(case, f, sel)
+            got = closed_form_traces(case, frames, [sel])[..., 0]
+            assert counted == [got.size * (k - arity + 1)]
+            want = _closed_form_over_every_row(case, frames, sel)
             assert np.abs(want).min() > 1e-3
             assert np.allclose(got, want, rtol=1e-12, atol=0)
 
@@ -324,30 +308,22 @@ class TestChainConsistency:
     def test_batched_matches_per_point(self, case, name):
         # the node-blocked paths against the stacked kernels on one frame at a time
         from caliblab.cli import make_patch
-        from caliblab.variation import _canonical_selections, test_variation_family
+        from caliblab.variation import _canonical_selections
 
         patch = make_patch(name)
         rule = QuadratureRule(patch.box, 3)
         selections = _canonical_selections(case, patch.k, patch.n)
         frames = [frames_at(patch, x[None]) for x in rule.nodes]
-        gaps = [abs(chain_trace(case, f, *sel)[0] - closed_form_trace(case, f, *sel)[0])
+        gaps = [abs(chain_traces(case, f, [sel])[0, 0] - closed_form_traces(case, f, [sel])[0, 0])
                 for f in frames for sel in selections]
         # both maxima are round-off of one identity, so they agree to round-off
         assert chain_consistency(case, patch, rule) == pytest.approx(max(gaps), abs=1e-14)
         assert max(gaps) < 1e-12
-        # the blocked velocity integrates to the one-frame chain traces
-        density = [math.sqrt(np.linalg.det(j.T @ j))
-                   for j in (patch.jacobians(x[None])[0] for x in rule.nodes)]
-        for sel in selections:
-            per_point = [chain_trace(case, f, *sel)[0] for f in frames]
-            want = 0.5 * rule.integrate(np.array(per_point) * density)
-            fam = test_variation_family(case, *sel)
-            assert analytic_first_variation(patch, fam, rule) == pytest.approx(want, rel=1e-12)
         if case != "cayley":
             return
         out = cayley_anomaly(patch, rule)
-        dev = [abs(0.5 * (chain_trace(case, f, keep_omega4_1=True)[0]
-                          - chain_trace(case, f)[0]) - 2.0 / 7.0) for f in frames]
+        dev = [abs(0.5 * (chain_traces(case, f, [(0, 1)], keep_omega4_1=True)[0, 0]
+                          - chain_traces(case, f, [(0, 1)])[0, 0]) - 2.0 / 7.0) for f in frames]
         star = [abs(minors(f[0]) @ hodge_star(test_variation_derivative(case, f)[0], 8, 4))
                 for f in frames]
         assert out["trace_discrepancy_err"] == pytest.approx(max(dev), abs=1e-14)
@@ -358,16 +334,14 @@ class TestChainConsistency:
 
     @staticmethod
     def assert_stacked_is_selection_loop(case, frames, selections):
-        """The stacked traces against chain_trace and closed_form_trace one
+        """The stacked traces of every selection against the same calls one
         selection at a time; returns the loop's max gap over the selections."""
-        from caliblab.variation import _chain_traces, _closed_form_traces
-
-        chain = _chain_traces(case, frames, selections)
-        closed = _closed_form_traces(case, frames, selections)
+        chain = chain_traces(case, frames, selections)
+        closed = closed_form_traces(case, frames, selections)
         gaps = []
         for i, sel in enumerate(selections):
-            one_chain = chain_trace(case, frames, *sel)
-            one_closed = closed_form_trace(case, frames, *sel)
+            one_chain = chain_traces(case, frames, [sel])[..., 0]
+            one_closed = closed_form_traces(case, frames, [sel])[..., 0]
             assert np.abs(chain[..., i] - one_chain).max() <= 1e-14
             assert np.abs(closed[..., i] - one_closed).max() <= 1e-14
             gaps.append(np.abs(one_chain - one_closed).max())
@@ -385,23 +359,6 @@ class TestChainConsistency:
             frames = frames_at(patch, rule.nodes)
             looped = self.assert_stacked_is_selection_loop(case, frames, selections)
             assert chain_consistency(case, patch, rule) == pytest.approx(looped, abs=1e-14)
-
-    @pytest.mark.parametrize("case", ["associative", "coassociative", "cayley"])
-    def test_stacked_fixed_vector_selections(self, case):
-        # fixed tangent vectors (n,) of an axis plane, alone and beside frame rows
-        good, bad = plane_catalog(case)
-        for patch in (good[0], bad[0]):
-            frames = frames_at(patch, patch.box.lo[None])
-            f = frames[0]
-            u, w = (f[0] + 2 * f[1]) / math.sqrt(5), (f[1] - f[-1]) / math.sqrt(2)
-            if case == "associative":
-                stacks = [[(u,), (w,)]]
-            else:
-                stacks = [[(u, w), (w, f[0])], [(u, 2), (w, 3)]]
-            for selections in stacks:
-                self.assert_stacked_is_selection_loop(case, frames, selections)
-            if patch is bad[0]:  # the closed form is not trivially zero
-                assert np.abs(closed_form_trace(case, frames, *stacks[0][0])).max() > 1e-3
 
     def test_chain_forms_one_derivative_per_block(self, monkeypatch):
         # every selection's derivative in one call a node block, not one a selection
@@ -447,22 +404,32 @@ class TestChainConsistency:
             assert peak <= 2 * 2**20
 
     def test_defect_is_twice_first_variation(self):
-        # the central identity of the converse proofs: the first variation of
-        # the test-variation family accounts for the defect integral, with the
-        # case's sign, on random graphical patches
+        # the central identity of the converse proofs: the first variations of
+        # the test variations, (1/2) integral of their chain traces dvol, account
+        # for the defect integral with the case's sign, on random graphical
+        # patches and on each case's first non-calibrated catalog plane; on its
+        # first calibrated plane both are 0
         sign = {"um": 1.0, "associative": -1.0, "coassociative": 1.0, "cayley": 1.0}
-        from caliblab.variation import _canonical_selections, test_variation_family
+        from caliblab.variation import _canonical_selections
 
-        for case, patch in CURVED.items():
-            rule = QuadratureRule(patch.box, 3)
-            fv = 0.0
-            for sel in _canonical_selections(case, patch.k, patch.n):
-                args = dict(zip(("V", "W"), sel))
-                fam = test_variation_family(case, **args)
-                fv += analytic_first_variation(patch, fam, rule)
-            defect = theorem_B_defect(case, patch, rule)
-            assert defect == pytest.approx(sign[case] * 2.0 * fv, rel=1e-6)
-            assert defect > 1e-3  # the graphical patches are not calibrated
+        def summed_first_variation(case, patch, rule):
+            jac_t = np.swapaxes(patch.jacobians(rule.nodes), -1, -2)
+            frames, density = orthonormal_frames(jac_t)
+            traces = chain_traces(case, frames, _canonical_selections(case, patch.k, patch.n))
+            return 0.5 * rule.integrate(np.broadcast_to(traces.sum(axis=-1) * density,
+                                                        (len(rule.nodes),)))
+
+        for case, curved in CURVED.items():
+            good, bad = plane_catalog(case)
+            for patch in (curved, good[0], bad[0]):
+                rule = QuadratureRule(patch.box, 3)
+                fv = summed_first_variation(case, patch, rule)
+                defect = theorem_B_defect(case, patch, rule)
+                if patch is good[0]:
+                    assert defect == 0.0 and fv == pytest.approx(0.0, abs=1e-14)
+                    continue
+                assert defect == pytest.approx(sign[case] * 2.0 * fv, rel=1e-6)
+                assert defect > 1e-3  # neither patch is calibrated
 
 
 class TestTheoremB:
@@ -986,7 +953,6 @@ class TestTangentPlanePath:
         out = {
             "defect": lambda: theorem_B_defect(case, patch, rule),
             "chain": lambda: chain_consistency(case, patch, rule),
-            "velocity": lambda: test_variation_family(case).h(patch, rule.nodes),
         }
         if case == "cayley":
             out["anomaly"] = lambda: cayley_anomaly(patch, rule)
