@@ -5,7 +5,7 @@ Each report subcommand is a generator of (id, inputs, results, checks)
 experiments; one driver times, scores and writes them as line-delimited JSON
 records (schema version 1) or CSV, deterministic for a fixed (config, seed)
 apart from the wall_ms field.  Exit codes: 0 all pass, 1 assertion failures,
-2 configuration errors.
+2 bad input or a report that cannot be written.
 """
 from __future__ import annotations
 
@@ -140,11 +140,25 @@ def catalog_patches() -> list[str]:
 # ---------------------------------------------------------------------------
 # reports
 
+def _write(text: str, out: str | None = None) -> None:
+    """Write text to the file out or to stdout; a failed write exits 2 (ConfigError)."""
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
+
+
 def _report(experiments, out: str | None, fmt: str) -> int:
     """Time, score and write a report subcommand's experiments, each an (id,
     inputs, results, checks) tuple: 0 if every one passed, else 1.  A record's
     wall_ms is the time since the previous experiment was yielded; the first
-    also covers the subcommand's set-up."""
+    also covers the subcommand's set-up.  A record with no check passes, and is
+    marked vacuous."""
     records = []
     t0 = time.perf_counter()
     for exp_id, inputs, results, checks in experiments:
@@ -152,6 +166,8 @@ def _report(experiments, out: str | None, fmt: str) -> int:
         records.append({"schema": SCHEMA_VERSION, "id": exp_id, "inputs": inputs,
                         "results": results, "pass": passed(checks),
                         "wall_ms": round(1000 * (t1 - t0), 3)})
+        if not checks:
+            records[-1]["vacuous"] = True
         t0 = t1
     records.sort(key=lambda r: r["id"])
     if fmt == "jsonl":
@@ -168,11 +184,7 @@ def _report(experiments, out: str | None, fmt: str) -> int:
             writer.writerow([r["id"], r["pass"], r["wall_ms"]]
                             + [r["results"].get(k, "") for k in scalar_keys])
         text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
     return 0 if all(r["pass"] for r in records) else 1
 
 
@@ -260,10 +272,10 @@ def cmd_theorem(opts):
 
     # what depends only on the patch is computed once and shared by the experiments;
     # it draws nothing from the seed
+    defect = theorem_B_defect(case, patch, rule)
     if generator == "test-variation":  # deterministic: every experiment is the same
-        shared = _test_variation_results(case, patch, rule, keep, tol_point)
+        shared = _test_variation_results(case, patch, rule, defect, keep, tol_point)
     else:
-        defect = theorem_B_defect(case, patch, rule)
         chain = chain_consistency(case, patch, rule, nodes=rule.nodes[:1])
     seeds = np.random.SeedSequence(seed)  # one child per experiment, spawned as it starts
     for i in range(opts["count"]):
@@ -278,11 +290,11 @@ def cmd_theorem(opts):
             if case == "um" and background is not None and not background.is_flat:
                 gen = _resonant_um_generator(background, rng)
             fam = theorem_family(case, gen, background, k, keep)
-            verdict = theorem_A_experiment(patch, fam, rule, tol_point, opts["tol_int"],
-                                           defect_integral=defect)
-            results = verdict.scalars()
-            results["chain_consistency"] = chain
-            checks = (*verdict.checks, Check("chain_consistency", chain, tol_point))
+            results, checks = theorem_A_experiment(patch, fam, rule, tol_point, opts["tol_int"])
+            results.update(defect_integral=defect, chain_consistency=chain)
+            checks = [*checks, Check("chain_consistency", chain, tol_point)]
+            if not results["calibrated"]:
+                checks.append(_defect_floor(defect))
         yield f"theorem-{case}-{patch.name}-{generator}-{i:03d}", inputs, results, checks
 
 
@@ -295,16 +307,20 @@ def _resonant_um_generator(background: UmBackground, rng) -> FormField:
         for freq in freqs])
 
 
-def _test_variation_results(case, patch, rule, keep, tol_point):
+def _defect_floor(defect) -> Check:
+    """Off a calibrated patch its Theorem B defect must reach TOL_CALIB."""
+    return Check("defect_integral", defect, TOL_CALIB, at_least=True)
+
+
+def _test_variation_results(case, patch, rule, defect, keep, tol_point):
     chain = chain_consistency(case, patch, rule, nodes=rule.nodes[:8])
-    defect = theorem_B_defect(case, patch, rule)
-    # off a calibrated patch the defect must reach its floor; it can only miss it
-    # when it is below it, so only then is the plane defect read
+    # the defect can only miss its floor when it is below it, so only then is the
+    # plane defect read
     calibrated = defect < TOL_CALIB and plane_defect(case, patch, rule) < TOL_CALIB
     results = {"chain_consistency": chain, "defect_integral": defect}
     checks = [Check("chain_consistency", chain, tol_point)]
     if not calibrated:
-        checks.append(Check("defect_integral", defect, TOL_CALIB, at_least=True))
+        checks.append(_defect_floor(defect))
     if case == "cayley" and keep:
         anomaly = cayley_anomaly(patch, rule)
         results.update(anomaly)
@@ -487,7 +503,7 @@ def cmd_catalog(opts) -> int:
         "cases": list(CASES),
         "smith_maps": [name for name, _, _ in smith_catalog()],
     }
-    sys.stdout.write(json.dumps(listing, indent=2, sort_keys=True) + "\n")
+    _write(json.dumps(listing, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import ChainMap
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable
@@ -102,10 +102,6 @@ class TheoremFamily:
     def d(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
         """The velocity rows d (N, C(n, arity + 1)) at parameter rows xs."""
         return self.generator.d_coeffs(patch.positions(xs))
-
-    def h(self, patch: Patch, xs: np.ndarray) -> np.ndarray:
-        """Ambient metric velocities (N, n, n) at parameter rows xs."""
-        return _h_map(self.kit, self.d(patch, xs), self.keep_omega4_1)
 
     def forms(self, patch: Patch, xs: np.ndarray, d: np.ndarray):
         """(mu, mu_dot) at parameter rows xs from their velocity rows d."""
@@ -258,13 +254,11 @@ def _trace_g(g_inv: np.ndarray, jac: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...ba->...", g_inv, jt @ h @ jac)
 
 
-def _metric_terms(patch: Patch, family, xs, jac):
-    """g^-1 and sqrt(det g) of the induced metrics at parameter rows xs: the
-    Euclidean ones, or those of a U(m) family's varying background.  Inverting
-    g, not solving against it, inverts a flat patch's single g once."""
+def _metric_terms(jac, metric=None):
+    """g^-1 and sqrt(det g) of g = J^T gbar J, gbar (..., n, n) Euclidean by default;
+    inverting g, not solving against it, inverts a flat patch's single g once."""
     jt = np.swapaxes(jac, -1, -2)
-    bg = getattr(family, "background", None)  # only a U(m) theorem family has one
-    g = jt @ jac if bg is None or bg.is_flat else jt @ bg.metric(patch.positions(xs)) @ jac
+    g = jt @ jac if metric is None else jt @ metric @ jac
     return np.linalg.inv(g), np.sqrt(np.linalg.det(g))
 
 
@@ -274,14 +268,14 @@ def _integrand_floats(n: int) -> int:
     return max(n * n, math.comb(n, n // 2))
 
 
-def analytic_first_variation(patch: Patch, family: VariationFamily | TheoremFamily,
+def analytic_first_variation(patch: Patch, family: VariationFamily,
                              rule: QuadratureRule) -> float:
-    """(1/2) integral of Tr_g h over the patch by quadrature."""
+    """(1/2) integral of Tr_g h over the patch around the Euclidean background."""
     vals = np.empty(rule.nodes.shape[0])
     for sl in _blocks(len(vals), _integrand_floats(patch.n)):
         xs = rule.nodes[sl]
         jac = patch.jacobians(xs)
-        g_inv, density = _metric_terms(patch, family, xs, jac)
+        g_inv, density = _metric_terms(jac)
         vals[sl] = 0.5 * _trace_g(g_inv, jac, family.h(patch, xs)) * density
     return rule.integrate(vals)
 
@@ -505,7 +499,7 @@ def plane_defect(case: str, patch: Patch, rule: QuadratureRule) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checks and theorem A verdicts
+# checks and theorem A
 
 @dataclass(frozen=True)
 class Check:
@@ -519,56 +513,30 @@ class Check:
 
 def passed(checks) -> bool:
     """Whether every check holds; a NaN value fails in both directions.  An
-    empty list passes (marking such a record vacuous is an open ROADMAP item)."""
+    empty list passes, and the CLI marks its record vacuous."""
     return all(c.value >= c.tol if c.at_least else c.value < c.tol for c in checks)
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    case: str
-    patch: str
-    calibrated: bool
-    plane_value: float
-    plane_defect: float
-    analytic_first_variation: float
-    defect_integral: float
-    identity_max_err: float
-    stokes_value: float
-    cayley_condition: float | None = None
-    cayley_raw_identity_err: float | None = None
-    um_dw_route: float | None = None
-    checks: tuple = ()
-
-    @property
-    def all_pass(self) -> bool:
-        return passed(self.checks)
-
-    def scalars(self) -> dict:
-        """The results of the verdict: every field set, but its labels and checks."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("case", "patch", "checks") and getattr(self, f.name) is not None}
-
-
 def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRule,
-                         tol_point: float = TOL_POINT, tol_int: float = TOL_INT,
-                         defect_integral: float | None = None) -> TheoremVerdict:
-    """Run the criticality experiment for one family on one patch.
+                         tol_point: float = TOL_POINT, tol_int: float = TOL_INT):
+    """(results, checks) of the criticality experiment for one family on one patch.
 
-    Checks (i) the analytic first variation, (ii) the pointwise integrand
+    Reports (i) the analytic first variation, (ii) the pointwise integrand
     identity equating (1/2) Tr_g h vol with the velocity of the calibration
     form restricted to the patch, (iii) the direct quadrature of that
     restricted velocity (zero by Stokes on closed patches), and, in the
-    Cayley case, the extra condition integral.  The verdict carries the
-    patch's theorem_B_defect, computed here unless ``defect_integral`` gives
-    it; it does not depend on the family.
+    Cayley case, the extra condition integral.  Off a calibrated patch there
+    is no check: whether the patch is calibrated is theorem_B_defect's
+    question, which does not depend on the family.
 
     Each node block forms its velocity rows d, their hat and g^-1 once.  One
     minors array per node serves every restriction: forms are evaluated on
     the coordinate frame through the Jacobian minors, and on the orthonormal
     tangent frame through the same minors over sqrt(det g).
     """
-    case, kit = family.case, family.kit
+    case, kit, bg = family.case, family.kit, family.background
     cayley, row = case == "cayley", _CASES[case]
+    wavy = bg is not None and not bg.is_flat  # a U(m) background with d omega != 0
     h_coeffs = _H_COEFFS[row.h_keys[family.keep_omega4_1]]
     fv, value, identity, stokes, condition, raw = np.empty((6, rule.nodes.shape[0]))
     for sl in _blocks(len(fv), _integrand_floats(patch.n)):
@@ -576,7 +544,7 @@ def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRu
         jac = patch.jacobians(xs)
         d = family.d(patch, xs)
         hat = row.hat(kit, d)
-        g_inv, density = _metric_terms(patch, family, xs, jac)
+        g_inv, density = _metric_terms(jac, bg.metric(patch.positions(xs)) if wavy else None)
         half_tr = 0.5 * _trace_g(g_inv, jac, _h_from_hat(hat, *h_coeffs))
         fv[sl] = half_tr * density
         jac_minors = minors(np.swapaxes(jac, -1, -2))
@@ -601,47 +569,41 @@ def theorem_A_experiment(patch: Patch, family: TheoremFamily, rule: QuadratureRu
         raw[sl] = np.abs(_trace_g(g_inv, jac, h_raw)
                          - (sig_tn + tr_hat / CAYLEY_RAW_TRACE_DIVISOR))
 
-    plane_value = float(value[0])
     plane_defect = float(np.max(np.abs(np.abs(value) - 1.0)))
-    dw_route = case == "um" and not family.background.is_flat and family.k >= 2
-    verdict = TheoremVerdict(
-        case=case, patch=patch.name, calibrated=plane_defect < TOL_CALIB,
-        plane_value=plane_value, plane_defect=plane_defect,
-        analytic_first_variation=rule.integrate(fv),
-        defect_integral=(theorem_B_defect(case, patch, rule) if defect_integral is None
-                         else defect_integral),
-        identity_max_err=float(identity.max()), stokes_value=rule.integrate(stokes),
-        cayley_condition=rule.integrate(condition) if cayley else None,
-        cayley_raw_identity_err=float(raw.max()) if cayley else None,
-        um_dw_route=_um_dw_route(patch, family, rule) if dw_route else None,
-    )
-    return replace(verdict, checks=_theorem_checks(verdict, family, patch.closed,
-                                                   tol_point, tol_int))
+    results = {"calibrated": plane_defect < TOL_CALIB, "plane_value": float(value[0]),
+               "plane_defect": plane_defect, "analytic_first_variation": rule.integrate(fv),
+               "identity_max_err": float(identity.max()), "stokes_value": rule.integrate(stokes)}
+    if cayley:
+        results["cayley_condition"] = rule.integrate(condition)
+        results["cayley_raw_identity_err"] = float(raw.max())
+    if wavy and family.k >= 2:
+        results["um_dw_route"] = _um_dw_route(patch, family, rule)
+    return results, _theorem_checks(results, family, patch.closed, tol_point, tol_int)
 
 
-def _theorem_checks(v: TheoremVerdict, family: TheoremFamily, closed: bool,
+def _theorem_checks(r: dict, family: TheoremFamily, closed: bool,
                     tol_point: float, tol_int: float) -> tuple:
-    """The checks that apply to a verdict: off a calibrated patch only the
-    defect, which must be positive there, and the vanishing integrals only on a
-    closed one, where Stokes makes them vanish."""
-    if not v.calibrated:
-        return (Check("defect_integral", v.defect_integral, TOL_CALIB, at_least=True),)
-    fv = v.analytic_first_variation
-    checks = [Check("integrand_identity", v.identity_max_err, tol_point)]
-    if v.um_dw_route is not None:
-        checks.append(Check("dw_route_matches", abs(v.um_dw_route - fv), tol_int))
+    """The checks that apply to theorem A's results: none off a calibrated
+    patch, and the vanishing integrals only on a closed one, where Stokes makes
+    them vanish."""
+    if not r["calibrated"]:
+        return ()
+    fv = r["analytic_first_variation"]
+    checks = [Check("integrand_identity", r["identity_max_err"], tol_point)]
+    if "um_dw_route" in r:
+        checks.append(Check("dw_route_matches", abs(r["um_dw_route"] - fv), tol_int))
     elif family.case == "cayley":
-        checks.append(Check("raw_trace_identity", v.cayley_raw_identity_err, tol_point))
+        checks.append(Check("raw_trace_identity", r["cayley_raw_identity_err"], tol_point))
         if not family.keep_omega4_1:
             if closed:
-                checks += [Check("condition_holds", abs(v.cayley_condition), tol_int),
+                checks += [Check("condition_holds", abs(r["cayley_condition"]), tol_int),
                            Check("first_variation_zero", abs(fv), tol_int)]
-            orient_sign = -1.0 if v.plane_value < 0 else 1.0
-            star_route = 0.5 * orient_sign * (v.stokes_value - v.cayley_condition)
+            orient_sign = -1.0 if r["plane_value"] < 0 else 1.0
+            star_route = 0.5 * orient_sign * (r["stokes_value"] - r["cayley_condition"])
             checks.append(Check("star_route", abs(fv - star_route), tol_int))
     elif closed:
         checks += [Check("first_variation_zero", abs(fv), tol_int),
-                   Check("stokes_zero", abs(v.stokes_value), tol_int)]
+                   Check("stokes_zero", abs(r["stokes_value"]), tol_int)]
     return tuple(checks)
 
 

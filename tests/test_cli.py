@@ -161,8 +161,9 @@ class TestTheoremCommand:
         assert rec["results"]["calibrated"] is True
 
     def test_non_calibrated_record_checks_its_defect(self, monkeypatch):
-        # off a calibrated plane the record's witness is its positive defect: a
-        # vanishing one fails the run, whatever the chain check reads
+        # off a calibrated plane the record's witness is its positive defect,
+        # which the request computes and checks: a vanishing one fails the run,
+        # whatever the chain check reads
         args = ("theorem", "--case", "associative", "--patch", "plane-124-r7", "--count", "1")
         rec = parse_jsonl(run_cli(*args).stdout)[0]
         assert rec["pass"] is True and rec["results"]["calibrated"] is False
@@ -171,6 +172,7 @@ class TestTheoremCommand:
         assert proc.returncode == 1
         rec = parse_jsonl(proc.stdout)[0]
         assert rec["pass"] is False and rec["results"]["defect_integral"] == 0.0
+        assert rec["results"]["chain_consistency"] < 1e-8
 
     def test_non_calibrated_test_variation_checks_its_defect(self, monkeypatch):
         # a test-variation record off a calibrated plane checks its defect too,
@@ -381,6 +383,46 @@ class TestRecordTypes:
                                                        "patch": "missing-patch"}))
 
 
+class FullStream(io.StringIO):
+    """A standard output whose writes fail as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+class TestReportWriting:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_out_device_exits_2(self):
+        proc = run_cli("theorem", "--case", "associative", "--count", "1", "--out", "/dev/full")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write the report: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [("catalog",),
+                                      ("theorem", "--case", "associative", "--count", "1")])
+    def test_failed_stdout_write_exits_2(self, args):
+        # exit 1 means only that a check failed: a report that cannot be written
+        # is one error line and exit 2, not a traceback
+        err = io.StringIO()
+        with contextlib.redirect_stdout(FullStream()), contextlib.redirect_stderr(err):
+            code = cli.main(list(args))
+        assert code == 2
+        assert err.getvalue() == ("error: cannot write the report: "
+                                  "[Errno 28] No space left on device\n")
+
+    def test_record_without_checks_is_vacuous(self, capsys):
+        # a handler that yields no check for an experiment gets a passing record
+        # marked vacuous; a record with checks carries no marker
+        from caliblab.variation import Check
+
+        experiments = [("a-none", {}, {"x": 1.0}, []),
+                       ("b-one", {}, {"x": 1.0}, [Check("x", 1.0, 2.0)])]
+        assert cli._report(iter(experiments), None, "jsonl") == 0
+        none, one = parse_jsonl(capsys.readouterr().out)
+        assert none["pass"] is True and none["vacuous"] is True
+        assert one["pass"] is True and "vacuous" not in one
+
+
 class TestOtherCommands:
     def test_catalog(self):
         proc = run_cli("catalog")
@@ -481,7 +523,8 @@ def sweep_argvs(tmp, seed=0, size=80):
 
 
 def test_argv_sweep_exits_cleanly(tmp_path):
-    # no input raises; exit 2 means bad input, with one error line and no report
+    # no input raises; exit 2 means bad input, with one error line and no report;
+    # every JSON record of a finished run ran at least one check
     codes = []
     for argv in sweep_argvs(tmp_path):
         proc = run_cli(*argv)
@@ -489,6 +532,10 @@ def test_argv_sweep_exits_cleanly(tmp_path):
         if proc.returncode == 2:
             assert proc.stdout == "", argv
             assert "error:" in proc.stderr.strip().splitlines()[-1], argv
+        elif argv[0] != "catalog" and "csv" not in argv:
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+            records = parse_jsonl(out.read_text() if out else proc.stdout)
+            assert records and not any("vacuous" in r for r in records), argv
         codes.append(proc.returncode)
     assert {0, 2} <= set(codes)
 
